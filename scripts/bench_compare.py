@@ -14,9 +14,10 @@ benchmarks (no baseline entry) and removed ones are reported informationally.
 
 Comparisons are only meaningful on matching media: both JSONs carry the
 run_bench.sh-stamped context.bench_media_fs (the committed baseline is
-tmpfs-recorded), and a baseline/fresh mismatch loudly downgrades the whole
-comparison to informational — deltas print, but nothing is flagged as a
-regression, because a disk-vs-tmpfs delta measures the media, not the code.
+recorded on disk-backed media), and a baseline/fresh mismatch loudly
+downgrades the whole comparison to informational — deltas print, but
+nothing is flagged as a regression, because a disk-vs-tmpfs delta measures
+the media, not the code.
 
 --history FILE appends one NDJSON record of this comparison (UTC timestamp,
 commit, per-benchmark baseline/fresh/delta) to FILE — the scheduled bench
@@ -40,13 +41,15 @@ import sys
 # cycle); BM_GroupCommit*/BM_BackgroundChurn*/BM_DurabilityLag are the
 # async-durability-pipeline families (per-op cost vs the sync write-through
 # baseline at every_k=0, the background acknowledged cost, and the lag
-# probe's sampling tax).
+# probe's sampling tax); BM_Uds*/BM_Wire* are the fleet transport's socket
+# hop and Data codec (a receive path that zero-fills or copies per maximum
+# frame instead of per received byte shows up in BM_UdsHop).
 TRACKED = re.compile(
     r"^(BM_DvMerge|BM_ReceivePath)\b"
     r"|^BM_Rollback|^BM_Sharded|^BM_Backend|^BM_FleetRunner"
     r"|^BM_NodeAttach|^BM_ChurnRestart"
     r"|^BM_GroupCommit|^BM_BackgroundChurn|^BM_DurabilityLag"
-    r"|^BM_Protocol")
+    r"|^BM_Protocol|^BM_Uds|^BM_Wire")
 
 
 def load(path):
@@ -81,10 +84,10 @@ def main():
     fresh, fresh_media = load(args.fresh)
 
     # The storage-backend families time the MEDIA as much as the code: a
-    # tmpfs baseline (the committed BENCH_micro.json) against an ext4/disk
-    # fresh run regresses by integer factors with zero code change.  A
-    # cross-media comparison is therefore downgraded to informational —
-    # printed, recorded, but never flagged as a regression.
+    # tmpfs run against a disk-backed one (or the reverse) differs by
+    # integer factors with zero code change.  A cross-media comparison is
+    # therefore downgraded to informational — printed, recorded, but never
+    # flagged as a regression.
     cross_media = baseline_media != fresh_media
     if cross_media:
         print(f"::warning title=bench media mismatch::baseline media is "
@@ -93,8 +96,8 @@ def main():
         print(f"WARNING: cross-media comparison ({baseline_media} baseline "
               f"vs {fresh_media} fresh): regression flags suppressed, "
               f"output is informational only.\n"
-              f"Re-record on matching media (scripts/run_bench.sh uses "
-              f"/dev/shm) for a real comparison.\n")
+              f"Re-record on matching media (scripts/run_bench.sh stamps "
+              f"the filesystem of TMPDIR) for a real comparison.\n")
 
     regressions = []
     records = []
@@ -136,7 +139,7 @@ def main():
               "BM_NodeAttach*, BM_ChurnRestart*, "
               "BM_Rollback*, BM_Sharded*, BM_Backend*, BM_FleetRunner, "
               "BM_GroupCommit*, BM_BackgroundChurn*, BM_DurabilityLag, "
-              "BM_Protocol*)")
+              "BM_Protocol*, BM_Uds*, BM_Wire*)")
 
     if args.history:
         record = {

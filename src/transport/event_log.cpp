@@ -4,9 +4,11 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
+#include <charconv>
+#include <concepts>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "util/check.hpp"
 
@@ -26,11 +28,114 @@ namespace {
 //   rstart session=1 attempt=0 faulty=2 li=0,3,2 line=0,2,2
 //   rback p=1 inc=0 session=1 attempt=0 rolled=1 last=2 dv=1,2,0 stored=0,1,2
 
-template <typename T>
-void join(std::ostringstream& os, const std::vector<T>& v) {
+template <std::integral T>
+void put_int(std::string& out, T v) {
+  char digits[24];  // a u64 needs 20, an i32 11
+  const auto end = std::to_chars(digits, digits + sizeof digits, v).ptr;
+  out.append(digits, end);
+}
+
+/// Append " key=value".
+template <std::integral T>
+void field(std::string& out, std::string_view key, T v) {
+  out += ' ';
+  out += key;
+  out += '=';
+  put_int(out, v);
+}
+
+/// Append " key=a,b,c" (" key=" for an empty vector).
+template <std::integral T>
+void field(std::string& out, std::string_view key, const std::vector<T>& v) {
+  out += ' ';
+  out += key;
+  out += '=';
   for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) os << ',';
-    os << v[i];
+    if (i > 0) out += ',';
+    put_int(out, v[i]);
+  }
+}
+
+/// Append the line of `e`, without the newline.
+void append_line(std::string& out, const Event& e) {
+  out += event_kind_name(e.kind);
+  switch (e.kind) {
+    case EventKind::kAttach:
+      field(out, "p", e.p);
+      field(out, "inc", e.incarnation);
+      field(out, "last", e.index);
+      field(out, "dv", e.dv);
+      break;
+    case EventKind::kSend:
+      field(out, "src", e.src);
+      field(out, "sinc", e.src_incarnation);
+      field(out, "seq", e.seq);
+      field(out, "dst", e.dst);
+      field(out, "si", e.interval);
+      field(out, "bytes", e.bytes);
+      field(out, "dv", e.dv);
+      break;
+    case EventKind::kDeliver:
+      field(out, "dst", e.dst);
+      field(out, "dinc", e.incarnation);
+      field(out, "src", e.src);
+      field(out, "sinc", e.src_incarnation);
+      field(out, "seq", e.seq);
+      field(out, "ri", e.interval);
+      field(out, "forced", unsigned{e.forced});
+      field(out, "dv", e.dv);
+      break;
+    case EventKind::kCheckpoint:
+      field(out, "p", e.p);
+      field(out, "inc", e.incarnation);
+      field(out, "idx", e.index);
+      field(out, "kind", unsigned{e.ckpt_kind});
+      field(out, "dv", e.dv);
+      break;
+    case EventKind::kKill:
+      field(out, "p", e.p);
+      break;
+    case EventKind::kUncleanKill:
+      // `at` is this event's own index: the first position replay cannot
+      // certify (frames may have died in the victim's buffers unlogged).
+      field(out, "p", e.p);
+      field(out, "at", e.seq);
+      break;
+    case EventKind::kDrop:
+      field(out, "src", e.src);
+      field(out, "sinc", e.src_incarnation);
+      field(out, "seq", e.seq);
+      field(out, "dst", e.dst);
+      break;
+    case EventKind::kState:
+      field(out, "p", e.p);
+      field(out, "inc", e.incarnation);
+      field(out, "last", e.index);
+      field(out, "basic", e.basic);
+      field(out, "forced", e.forced_count);
+      field(out, "sent", e.sent);
+      field(out, "recv", e.received);
+      field(out, "rb", e.rollbacks);
+      field(out, "dv", e.dv);
+      field(out, "stored", e.stored);
+      break;
+    case EventKind::kRecoveryStart:
+      field(out, "session", e.session);
+      field(out, "attempt", e.attempt);
+      field(out, "faulty", e.faulty);
+      field(out, "li", e.li);
+      field(out, "line", e.line);
+      break;
+    case EventKind::kRolledBack:
+      field(out, "p", e.p);
+      field(out, "inc", e.incarnation);
+      field(out, "session", e.session);
+      field(out, "attempt", e.attempt);
+      field(out, "rolled", unsigned{e.forced});
+      field(out, "last", e.index);
+      field(out, "dv", e.dv);
+      field(out, "stored", e.stored);
+      break;
   }
 }
 
@@ -93,72 +198,9 @@ const char* event_kind_name(EventKind kind) {
 }
 
 std::string event_to_line(const Event& e) {
-  std::ostringstream os;
-  os << event_kind_name(e.kind);
-  switch (e.kind) {
-    case EventKind::kAttach:
-      os << " p=" << e.p << " inc=" << e.incarnation << " last=" << e.index
-         << " dv=";
-      join(os, e.dv);
-      break;
-    case EventKind::kSend:
-      os << " src=" << e.src << " sinc=" << e.src_incarnation
-         << " seq=" << e.seq << " dst=" << e.dst << " si=" << e.interval
-         << " bytes=" << e.bytes << " dv=";
-      join(os, e.dv);
-      break;
-    case EventKind::kDeliver:
-      os << " dst=" << e.dst << " dinc=" << e.incarnation << " src=" << e.src
-         << " sinc=" << e.src_incarnation << " seq=" << e.seq
-         << " ri=" << e.interval << " forced=" << unsigned{e.forced}
-         << " dv=";
-      join(os, e.dv);
-      break;
-    case EventKind::kCheckpoint:
-      os << " p=" << e.p << " inc=" << e.incarnation << " idx=" << e.index
-         << " kind=" << unsigned{e.ckpt_kind} << " dv=";
-      join(os, e.dv);
-      break;
-    case EventKind::kKill:
-      os << " p=" << e.p;
-      break;
-    case EventKind::kUncleanKill:
-      // `at` is this event's own index: the first position replay cannot
-      // certify (frames may have died in the victim's buffers unlogged).
-      os << " p=" << e.p << " at=" << e.seq;
-      break;
-    case EventKind::kDrop:
-      os << " src=" << e.src << " sinc=" << e.src_incarnation
-         << " seq=" << e.seq << " dst=" << e.dst;
-      break;
-    case EventKind::kState:
-      os << " p=" << e.p << " inc=" << e.incarnation << " last=" << e.index
-         << " basic=" << e.basic << " forced=" << e.forced_count
-         << " sent=" << e.sent << " recv=" << e.received
-         << " rb=" << e.rollbacks << " dv=";
-      join(os, e.dv);
-      os << " stored=";
-      join(os, e.stored);
-      break;
-    case EventKind::kRecoveryStart:
-      os << " session=" << e.session << " attempt=" << e.attempt
-         << " faulty=";
-      join(os, e.faulty);
-      os << " li=";
-      join(os, e.li);
-      os << " line=";
-      join(os, e.line);
-      break;
-    case EventKind::kRolledBack:
-      os << " p=" << e.p << " inc=" << e.incarnation
-         << " session=" << e.session << " attempt=" << e.attempt
-         << " rolled=" << unsigned{e.forced} << " last=" << e.index << " dv=";
-      join(os, e.dv);
-      os << " stored=";
-      join(os, e.stored);
-      break;
-  }
-  return os.str();
+  std::string line;
+  append_line(line, e);
+  return line;
 }
 
 bool event_from_line(const std::string& line, Event& out) {
@@ -260,11 +302,12 @@ EventLogWriter::~EventLogWriter() {
 }
 
 void EventLogWriter::append(const Event& e) {
-  std::string line = event_to_line(e);
-  line.push_back('\n');
+  line_.clear();
+  append_line(line_, e);
+  line_.push_back('\n');
   std::size_t off = 0;
-  while (off < line.size()) {
-    const ssize_t n = ::write(fd_, line.data() + off, line.size() - off);
+  while (off < line_.size()) {
+    const ssize_t n = ::write(fd_, line_.data() + off, line_.size() - off);
     if (n < 0) {
       if (errno == EINTR) continue;
       RDTGC_ASSERT(false);  // scratch-dir log writes do not fail in practice

@@ -73,7 +73,8 @@ std::string event_to_line(const Event& e);
 bool event_from_line(const std::string& line, Event& out);
 
 /// Append-mode line writer, flushed per event so the log survives a parent
-/// crash up to the last completed line.
+/// crash up to the last completed line.  Each line is formatted into a
+/// buffer reused across appends and leaves in one write(2).
 class EventLogWriter {
  public:
   explicit EventLogWriter(const std::string& path);
@@ -87,6 +88,7 @@ class EventLogWriter {
  private:
   int fd_ = -1;
   std::size_t events_ = 0;
+  std::string line_;
 };
 
 /// Read a whole log back; throws util::ContractViolation on a malformed

@@ -212,7 +212,7 @@ bool ProcFleet::pump(int wait_ms) {
         if (err != WireError::kOk)
           return fail(std::string("bad frame from worker: ") +
                       wire_error_name(err));
-        if (!handle_frame(p, frame_)) return false;
+        if (!handle_frame(p, in_, frame_)) return false;
         if (!w.alive) break;  // frame handling can retire the worker
       }
     }
@@ -234,12 +234,13 @@ bool ProcFleet::pump_until(Pred done, const char* what) {
   return true;
 }
 
-bool ProcFleet::handle_frame(ProcessId p, const DecodedFrame& frame) {
+bool ProcFleet::handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
+                             const DecodedFrame& frame) {
   if (frame.header.src != p)
     return fail("frame src does not match its socket");
   switch (frame.header.kind()) {
     case FrameKind::kData:
-      route_data(frame);
+      route_data(raw, frame);
       return true;
     case FrameKind::kRecvAck: {
       Event e;
@@ -338,7 +339,8 @@ bool ProcFleet::handle_frame(ProcessId p, const DecodedFrame& frame) {
   }
 }
 
-void ProcFleet::route_data(const DecodedFrame& frame) {
+void ProcFleet::route_data(std::span<const std::uint8_t> raw,
+                           const DecodedFrame& frame) {
   // The send happened regardless of the destination's fate: it is part of
   // the sender's protocol state and the replay re-executes it.
   Event e;
@@ -369,13 +371,10 @@ void ProcFleet::route_data(const DecodedFrame& frame) {
     ++dropped_;
     return;
   }
-  FrameMeta meta;
-  meta.src = e.src;
-  meta.dst = dst;
-  meta.incarnation = e.src_incarnation;
-  meta.seq = e.seq;
-  encode_data(scratch_, meta, frame.data);
-  out_[static_cast<std::size_t>(dst)].push_back(scratch_);
+  // The destination gets the sender's exact bytes.  The header already
+  // carries the destination and the (src, incarnation, seq) identity the
+  // parent would stamp, so a re-encode could only reproduce them.
+  out_[static_cast<std::size_t>(dst)].emplace_back(raw.begin(), raw.end());
   outstanding_[MsgKey{e.src, e.src_incarnation, e.seq}] =
       InFlight{dst, frame.data.send_interval};
 }

@@ -35,6 +35,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -192,8 +193,12 @@ class ProcFleet {
   bool pump(int wait_ms);
   template <typename Pred>
   bool pump_until(Pred done, const char* what);
-  bool handle_frame(ProcessId p, const DecodedFrame& frame);
-  void route_data(const DecodedFrame& frame);
+  /// `raw` is the datagram `frame` was decoded from (Data is forwarded
+  /// verbatim).
+  bool handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
+                    const DecodedFrame& frame);
+  /// Log the send, then forward `raw` to its destination, or log a drop.
+  void route_data(std::span<const std::uint8_t> raw, const DecodedFrame& frame);
   bool send_cmd(ProcessId p, CmdOp op, ProcessId target, std::uint64_t param,
                 std::uint64_t& cmd_seq);
   /// Send a command and pump until its CmdDone arrives.

@@ -8,6 +8,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <memory>
 #include <utility>
 
 #include "util/check.hpp"
@@ -87,21 +88,30 @@ Fd uds_accept(int listen_fd, int timeout_ms) {
 }
 
 RecvStatus recv_frame(int fd, WireBuffer& buf, int timeout_ms) {
-  pollfd pfd{fd, POLLIN, 0};
+  // One recv must take the whole datagram (the kernel drops what does not
+  // fit), so it lands in a staging area of the largest frame size first.
+  // The area is allocated on the thread's first receive and never
+  // value-initialised: a frame costs the bytes the kernel copies, not
+  // kMaxFrameBytes of zero-fill.
+  thread_local const std::unique_ptr<std::uint8_t[]> staging =
+      std::make_unique_for_overwrite<std::uint8_t[]>(kMaxFrameBytes);
   for (;;) {
+    const ssize_t n = ::recv(fd, staging.get(), kMaxFrameBytes, MSG_DONTWAIT);
+    if (n > 0) {
+      buf.assign(staging.get(), staging.get() + n);  // capacity reused
+      return RecvStatus::kFrame;
+    }
+    if (n == 0) return RecvStatus::kClosed;
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) return RecvStatus::kError;
+    // Nothing queued: wait only if the caller allows it.  A draining caller
+    // (timeout 0) pays one syscall per frame plus one for the empty socket.
+    if (timeout_ms == 0) return RecvStatus::kTimeout;
+    pollfd pfd{fd, POLLIN, 0};
     const int rc = ::poll(&pfd, 1, timeout_ms);
     if (rc < 0 && errno == EINTR) continue;
     if (rc == 0) return RecvStatus::kTimeout;
     if (rc < 0) return RecvStatus::kError;
-    buf.resize(kMaxFrameBytes);  // capacity reused across calls
-    const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN) continue;
-      return RecvStatus::kError;
-    }
-    if (n == 0) return RecvStatus::kClosed;
-    buf.resize(static_cast<std::size_t>(n));
-    return RecvStatus::kFrame;
   }
 }
 

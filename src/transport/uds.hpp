@@ -79,8 +79,11 @@ enum class RecvStatus : std::uint8_t {
 };
 
 /// Receive one datagram (<= kMaxFrameBytes) into `buf`, waiting at most
-/// `timeout_ms` (-1 = forever).  The buffer's capacity is reused across
-/// calls.
+/// `timeout_ms` (-1 = forever, 0 = only what is already queued).  On kFrame
+/// `buf.size()` is the datagram's size; its capacity is reused across
+/// calls, so a warm receive allocates nothing.  A queued frame costs one
+/// non-blocking recv(2); poll(2) runs only when the socket is empty and the
+/// caller is willing to wait.
 RecvStatus recv_frame(int fd, WireBuffer& buf, int timeout_ms);
 
 /// Send one datagram, blocking (with poll) up to `timeout_ms` on

@@ -176,7 +176,7 @@ void encode_data(WireBuffer& out, const FrameMeta& meta, const DataBody& b) {
   put_i32(out, b.send_interval);
   put_u64(out, b.bytes);
   put_ivec(out, b.dv);
-  put_uvec(out, b.control);  // v3: always written, possibly empty
+  put_uvec(out, b.control);  // always written, possibly empty
   seal_frame(out);
 }
 
@@ -270,8 +270,7 @@ WireError decode_frame(std::span<const std::uint8_t> bytes,
   r.get_u64(out.header.seq);
 
   if (magic != kWireMagic) return WireError::kBadMagic;
-  if (version < kWireMinVersion || version > kWireVersion)
-    return WireError::kBadVersion;
+  if (version != kWireVersion) return WireError::kBadVersion;
   if (length != bytes.size()) return WireError::kBadLength;
 
   WireError err = WireError::kOk;
@@ -284,14 +283,7 @@ WireError decode_frame(std::span<const std::uint8_t> bytes,
       if (!r.get_i32(out.data.send_interval)) return WireError::kTruncated;
       if (!r.get_u64(out.data.bytes)) return WireError::kTruncated;
       err = r.get_ivec(out.data.dv);
-      // v3 appended the protocol control words; an older frame has none
-      // (and must not see kTruncated for the missing field).
-      if (err == WireError::kOk) {
-        if (version >= 3)
-          err = r.get_uvec(out.data.control);
-        else
-          out.data.control.clear();
-      }
+      if (err == WireError::kOk) err = r.get_uvec(out.data.control);
       break;
     case FrameKind::kRecvAck:
       if (!r.get_i32(out.recv_ack.msg_src)) return WireError::kTruncated;
@@ -327,16 +319,12 @@ WireError decode_frame(std::span<const std::uint8_t> bytes,
       if (err == WireError::kOk) err = r.get_ivec(out.state.stored);
       break;
     case FrameKind::kRecoveryStart:
-      if (version < min_version_for_kind(FrameKind::kRecoveryStart))
-        return WireError::kBadKind;
       if (!r.get_u64(out.recovery_start.session)) return WireError::kTruncated;
       if (!r.get_u32(out.recovery_start.attempt)) return WireError::kTruncated;
       err = r.get_ivec(out.recovery_start.li);
       if (err == WireError::kOk) err = r.get_ivec(out.recovery_start.line);
       break;
     case FrameKind::kRolledBack:
-      if (version < min_version_for_kind(FrameKind::kRolledBack))
-        return WireError::kBadKind;
       if (!r.get_u64(out.rolled_back.session)) return WireError::kTruncated;
       if (!r.get_u32(out.rolled_back.attempt)) return WireError::kTruncated;
       if (!r.get_u8(out.rolled_back.rolled)) return WireError::kTruncated;

@@ -35,18 +35,13 @@
 namespace rdtgc::transport {
 
 inline constexpr std::uint32_t kWireMagic = 0x52445447;  // "RDTG"
-/// Current version, written by every encoder.  v2 added the recovery-session
+/// The only version written and accepted.  v2 added the recovery-session
 /// frames (kRecoveryStart / kRolledBack); v3 appends the checkpointing
 /// protocol's piggybacked control words to Data (sim::Message::control — the
-/// logical-clock CIC family rides its timestamps there).  The header layout
-/// is unchanged.
+/// logical-clock CIC family rides its timestamps there).  Frames are IPC
+/// between the binaries of one build and are never persisted, so no older
+/// sender exists and any other version is kBadVersion.
 inline constexpr std::uint16_t kWireVersion = 3;
-/// Oldest version the decoder still accepts.  v1 peers can speak every kind
-/// up to kState; the recovery kinds require v2 (a v1 frame claiming kind 8+
-/// is kBadKind, not UB).  A v1/v2 Data frame simply carries no control words
-/// — correct for the DV-only protocols, which are the only ones those
-/// versions ever shipped.
-inline constexpr std::uint16_t kWireMinVersion = 1;
 inline constexpr std::size_t kWireHeaderBytes = 32;
 /// Upper bound on one frame; a 4096-process State frame fits comfortably.
 inline constexpr std::size_t kMaxFrameBytes = 1 << 20;
@@ -64,16 +59,9 @@ enum class FrameKind : std::uint16_t {
   kCmd = 5,         ///< parent -> worker: workload command
   kCmdDone = 6,     ///< worker -> parent: command completed
   kState = 7,       ///< worker -> parent: final state digest (at shutdown)
-  // ---- v2 ----
   kRecoveryStart = 8,  ///< parent -> worker: recovery session (line + LI)
   kRolledBack = 9,     ///< worker -> parent: session ack + post-state digest
 };
-
-/// First kind that requires `version` on the given wire version.  Kinds up
-/// to kState decode on every accepted version; the recovery kinds need v2.
-inline constexpr std::uint16_t min_version_for_kind(FrameKind k) {
-  return static_cast<std::uint16_t>(k) >= 8 ? 2 : 1;
-}
 
 enum class WireError : std::uint8_t {
   kOk = 0,
@@ -112,8 +100,7 @@ struct HelloBody {
 /// An application message (sim::Message on the wire).  The sender's
 /// (src, incarnation, seq) triple is the cross-process message identity —
 /// worker-local sim::MessageIds do not survive the socket hop.  `control`
-/// (v3+) carries the sending protocol's piggybacked words verbatim; on a
-/// v1/v2 frame it decodes empty.
+/// carries the sending protocol's piggybacked words verbatim.
 struct DataBody {
   IntervalIndex send_interval = 0;
   std::uint64_t bytes = 0;

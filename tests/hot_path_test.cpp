@@ -4,9 +4,11 @@
 //    RdtLgc::on_new_dependencies vs on_new_dependency, whole-system batched
 //    vs per-peer delivery on randomized workloads);
 //  * a zero-allocation guarantee for the steady-state receive
-//    (merge_into + on_new_dependencies + CCB/store maintenance), enforced
+//    (merge_into + on_new_dependencies + CCB/store maintenance) and for the
+//    socket hop a fleet frame takes (send_frame + recv_frame), enforced
 //    with a global operator new/delete counting hook.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <cstdint>
@@ -21,6 +23,8 @@
 #include "core/uc_table.hpp"
 #include "harness/system.hpp"
 #include "helpers.hpp"
+#include "transport/uds.hpp"
+#include "transport/wire.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -541,6 +545,39 @@ TEST(HotPathAllocations, PersistentChurnIsAllocationFreeUnderEveryPolicy) {
           << "the measured window never exercised an inline group commit";
     }
   }
+}
+
+TEST(HotPathAllocations, WarmSocketHopIsAllocationFree) {
+  // The fleet's per-frame transport cost: once the receiving thread's
+  // staging area exists and the caller's buffer has held the largest frame,
+  // send_frame + recv_frame of an encoded Data frame never touch the heap.
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET | SOCK_CLOEXEC, 0, fds), 0);
+  const transport::Fd tx(fds[0]);
+  const transport::Fd rx(fds[1]);
+  transport::DataBody body;
+  body.send_interval = 3;
+  body.bytes = 1;
+  body.dv = {1, 4, 0, 2};
+  transport::WireBuffer frame;
+  transport::encode_data(frame, {0, 1, 0, 1}, body);
+  transport::WireBuffer in;
+  ASSERT_TRUE(transport::send_frame(tx.get(), frame, 1000));
+  ASSERT_EQ(transport::recv_frame(rx.get(), in, 1000),
+            transport::RecvStatus::kFrame);
+
+  const std::uint64_t before = g_allocation_count.load();
+  for (int round = 0; round < 200; ++round) {
+    ASSERT_TRUE(transport::send_frame(tx.get(), frame, 1000));
+    ASSERT_EQ(transport::recv_frame(rx.get(), in, 1000),
+              transport::RecvStatus::kFrame);
+    ASSERT_EQ(in.size(), frame.size());
+  }
+  EXPECT_EQ(transport::recv_frame(rx.get(), in, 0),
+            transport::RecvStatus::kTimeout);
+  EXPECT_EQ(g_allocation_count.load() - before, 0u)
+      << "a warm socket hop touched the heap";
+  EXPECT_EQ(in, frame);
 }
 
 }  // namespace

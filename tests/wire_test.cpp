@@ -15,6 +15,8 @@
 // treatment: it is the artifact a chaos failure leaves behind, so a parser
 // crash would destroy the evidence.
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <random>
 #include <string>
@@ -22,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "helpers.hpp"
 #include "transport/event_log.hpp"
 #include "transport/wire.hpp"
 
@@ -321,7 +324,7 @@ TEST(WireReject, BadMagicVersionKind) {
   EXPECT_EQ(decode_frame(frame, f), WireError::kBadKind);
 }
 
-// ---- Version-2 compatibility ----------------------------------------------
+// ---- Version policy -------------------------------------------------------
 
 WireBuffer recovery_start_frame() {
   WireBuffer buf;
@@ -347,7 +350,7 @@ WireBuffer rolled_back_frame() {
   return buf;
 }
 
-/// A Data frame exactly as a v1/v2 peer would emit it: the v3 encoder's
+/// A Data frame in the layout a v1/v2 peer emitted: the v3 encoder's
 /// trailing control section stripped (the empty-count u32), length re-sealed
 /// and the version re-stamped.
 WireBuffer downgraded_data_frame(std::uint8_t version) {
@@ -363,61 +366,32 @@ WireBuffer downgraded_data_frame(std::uint8_t version) {
   return buf;
 }
 
-// Backward compatibility: a frame produced by a version-1 peer (every
-// pre-recovery kind) still decodes under the current codec — total decoding
-// is preserved across the bumps.
-TEST(WireCompat, Version1FramesStillDecode) {
+// Only kWireVersion decodes.  Frames are IPC between the binaries of one
+// build, so a v1/v2 frame of any kind — a Data frame in the pre-v3 layout
+// without control words included — is kBadVersion, never a decode.
+TEST(WireCompat, OlderVersionsRejected) {
   DecodedFrame f;
-  WireBuffer frame = sample_frame();
-  frame[8] = 1;  // re-stamp as a v1 frame (version low byte; high is 0)
-  EXPECT_EQ(decode_frame(frame, f), WireError::kOk);
-  EXPECT_EQ(decode_frame(downgraded_data_frame(1), f), WireError::kOk);
-}
-
-// A v1/v2 Data frame has no control section: it must decode with an EMPTY
-// control vector even when the reused DecodedFrame still holds words from a
-// previous v3 decode — and a v3 frame without the section is kTruncated.
-TEST(WireCompat, PreV3DataDecodesWithoutControlWords) {
-  DecodedFrame f;
-  DataBody b;
-  b.send_interval = 1;
-  b.bytes = 2;
-  b.dv = {5, 6};
-  b.control = {41, 42};
-  WireBuffer v3;
-  encode_data(v3, meta(1, 0, 0, 8), b);
-  ASSERT_EQ(decode_frame(v3, f), WireError::kOk);
-  ASSERT_EQ(f.data.control, b.control);  // f now holds stale words
-
   for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
-    EXPECT_EQ(decode_frame(downgraded_data_frame(version), f), WireError::kOk);
-    EXPECT_TRUE(f.data.control.empty()) << "version " << int{version};
+    for (WireBuffer frame :
+         {sample_frame(), recovery_start_frame(), rolled_back_frame()}) {
+      frame[8] = version;  // version low byte; high is 0
+      EXPECT_EQ(decode_frame(frame, f), WireError::kBadVersion)
+          << "version " << int{version};
+    }
+    EXPECT_EQ(decode_frame(downgraded_data_frame(version), f),
+              WireError::kBadVersion)
+        << "version " << int{version};
   }
-
-  // The same bytes stamped v3 lack the mandatory control count.
-  WireBuffer bad = downgraded_data_frame(3);
-  DecodedFrame g;
-  EXPECT_EQ(decode_frame(bad, g), WireError::kTruncated);
-}
-
-// The recovery kinds (8, 9) did not exist in version 1: a v1 frame claiming
-// one is structurally impossible and must be kBadKind, never UB and never a
-// successful decode a v1-era consumer could misroute.
-TEST(WireCompat, Version1RecoveryKindsRejected) {
-  DecodedFrame f;
-  WireBuffer frame = recovery_start_frame();
-  frame[8] = 1;
-  EXPECT_EQ(decode_frame(frame, f), WireError::kBadKind);
-
-  frame = rolled_back_frame();
-  frame[8] = 1;
-  EXPECT_EQ(decode_frame(frame, f), WireError::kBadKind);
+  // The pre-v3 Data layout stamped with the current version lacks the
+  // mandatory control count.
+  EXPECT_EQ(decode_frame(downgraded_data_frame(kWireVersion), f),
+            WireError::kTruncated);
 }
 
 TEST(WireCompat, VersionZeroAndFutureRejected) {
   DecodedFrame f;
   WireBuffer frame = sample_frame();
-  frame[8] = 0;  // below kWireMinVersion
+  frame[8] = 0;
   EXPECT_EQ(decode_frame(frame, f), WireError::kBadVersion);
   frame[8] = kWireVersion + 1;
   EXPECT_EQ(decode_frame(frame, f), WireError::kBadVersion);
@@ -746,6 +720,64 @@ TEST(EventLogLines, RoundTripEveryKind) {
     EXPECT_EQ(back.stored, e.stored);
     EXPECT_EQ(back.seq, e.seq);
   }
+}
+
+// The exact bytes of every kind's line, integer extremes included: the log
+// is the artifact replay and people read, so its format is pinned apart
+// from the formatter that writes it (the parser is the reference here).
+const std::vector<std::string>& golden_lines() {
+  static const std::vector<std::string> lines = {
+      "attach p=2 inc=1 last=4 dv=0,0,5,1",
+      "attach p=0 inc=4294967295 last=-2147483648 dv=-2147483648,2147483647",
+      "send src=1 sinc=0 seq=3 dst=2 si=4 bytes=1 dv=0,4,2,1",
+      "send src=3 sinc=7 seq=9223372036854775807 dst=0 si=-1 "
+      "bytes=9223372036854775807 dv=",
+      "deliver dst=2 dinc=0 src=1 sinc=0 seq=3 ri=5 forced=1 dv=1,4,5,2",
+      "ckpt p=0 inc=0 idx=3 kind=255 dv=3,1,0,0",
+      "kill p=2",
+      "ukill p=2 at=17",
+      "drop src=1 sinc=0 seq=7 dst=2",
+      "state p=0 inc=0 last=6 basic=3 forced=2 sent=9 recv=8 rb=0 "
+      "dv=6,1,0,2 stored=0,2,6",
+      "rstart session=1 attempt=0 faulty=2 li=0,3,2 line=0,2,2",
+      "rback p=1 inc=0 session=1 attempt=0 rolled=1 last=2 dv=1,2,0 "
+      "stored=0,1,2",
+      "state p=3 inc=2 last=11 basic=4 forced=2 sent=19 recv=18 rb=0 "
+      "dv=12345,12345,12345,12345,12345,12345,12345,12345 stored=0,8,11",
+  };
+  return lines;
+}
+
+TEST(EventLogLines, LinesMatchTheDocumentedFormat) {
+  for (const std::string& line : golden_lines()) {
+    Event e;
+    ASSERT_TRUE(event_from_line(line, e)) << line;
+    EXPECT_EQ(event_to_line(e), line);
+  }
+}
+
+std::string file_contents(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// The writer streams: after each append the file holds exactly the lines
+// so far, each followed by a newline — a short line after a long one
+// carries no stale bytes.
+TEST(EventLogLines, WriterStreamsOneLinePerAppend) {
+  test::ScratchDir dir("event_log");
+  const std::string path = dir.path() + "/events.log";
+  std::string expected;
+  EventLogWriter writer(path);
+  for (const std::string& line : golden_lines()) {
+    Event e;
+    ASSERT_TRUE(event_from_line(line, e)) << line;
+    writer.append(e);
+    expected += line + "\n";
+    EXPECT_EQ(file_contents(path), expected);
+  }
+  EXPECT_EQ(writer.events_written(), golden_lines().size());
+  EXPECT_EQ(read_event_log(path).size(), golden_lines().size());
 }
 
 TEST(EventLogLines, EmptyDvRoundTrips) {
