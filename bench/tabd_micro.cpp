@@ -485,7 +485,7 @@ BENCHMARK(BM_BackendChurnLog)->Arg(4)->Arg(64);
 //    baseline the pipeline replaces — kSync write-through plus a
 //    durability point (flush: fsync/msync) after EVERY op, i.e. "durable
 //    when acknowledged" paid inline; k >= 1 batches k ops into one
-//    coalesced emit + durability point per touched stripe.  The /0 vs /16
+//    durability point per touched stripe.  The /0 vs /16
 //    ratio is the headline per-op saving of the pipeline.  These families
 //    block on media, so wall clock (UseRealTime) is the figure of merit —
 //    cpu_time would hide exactly the wait the pipeline removes;

@@ -30,7 +30,7 @@ cmake --build "${build_dir}" --target tabd_micro -j"$(nproc)"
 
 # The storage-backend families put their media under the platform temp dir
 # (bench_common.hpp honors TMPDIR).  A tmpfs there benches the store logic,
-# not the disk: the per-op pwrite/msync/fsync cost that group commit exists
+# not the disk: the per-op msync/fsync cost that group commit exists
 # to amortize is mostly RAM-speed, so durability-family ratios (e.g.
 # BM_GroupCommitLog/0 vs /16) understate what real media would show.  Detect
 # it, warn loudly, and tag the recorded baseline so comparisons never mix

@@ -3,8 +3,8 @@
 // blocks on media.
 //
 // The paper's model assumes checkpoints reach stable storage; the kSync
-// backends charge that cost to the protocol hot path (one pwrite per log
-// record, write-through mapped pages, fsync/msync inline).  Under a
+// backends charge that cost to the protocol hot path (write-through mapped
+// pages — the log's tail and the mmap segment — with fsync/msync inline).  Under a
 // non-kSync DurabilityPolicy the owning ShardedCheckpointStore splits the
 // two roles:
 //
@@ -18,9 +18,9 @@
 //     allocation-free), and a GROUP COMMIT replays a whole window of
 //     recorded ops, in acknowledgment order, into the stripe backends:
 //     each touched stripe is bracketed by begin_batch()/end_batch(true),
-//     so the log backend emits the window as ONE pwrite + one fsync and
-//     the mmap backend pays one msync — many per-op durability points
-//     coalesced into one.
+//     so each backend pays one durability point per window — one fsync
+//     (log) or msync (mmap) — many per-op durability points coalesced
+//     into one.
 //
 // Commit scheduling: kGroupCommit drains inline on the operation that
 // fills the window (every_k_ops; optionally every put with

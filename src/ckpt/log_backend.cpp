@@ -1,9 +1,13 @@
 #include "ckpt/log_backend.hpp"
 
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <cstddef>
 #include <cstring>
 #include <utility>
 
@@ -41,6 +45,15 @@ constexpr std::uint32_t kRecordMagic = 0x52435244u;  // "RCRD"
 constexpr std::uint16_t kRecPut = 1;
 constexpr std::uint16_t kRecCollect = 2;
 constexpr std::uint16_t kRecDiscard = 3;
+
+/// Largest step the tail reservation grows by.  Below it the reserve grows
+/// by the file's size: one page first, then doubling.
+constexpr std::uint64_t kMaxReserveStep = 64 * 1024;
+
+std::uint64_t page_size() {
+  static const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  return page;
+}
 
 [[noreturn]] void throw_errno(const std::string& what, const std::string& path) {
   throw util::IoError(what + " '" + path + "': " + std::strerror(errno));
@@ -111,7 +124,10 @@ LogStructuredBackend::LogStructuredBackend(ProcessId owner, std::string path,
 
 LogStructuredBackend::~LogStructuredBackend() {
   // Closing does NOT fsync: an unclean drop leaves whatever reached the
-  // page cache, which is exactly what the crash-recovery tests model.
+  // page cache (mapped stores included), which is exactly what the
+  // crash-recovery tests model.  The zero-filled reserve stays on the
+  // file for the next recover() to truncate, as after a real crash.
+  unmap_tail();
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -124,6 +140,7 @@ void LogStructuredBackend::open_fresh() {
   h.baseline_records = 0;
   pwrite_all(fd_, &h, sizeof(h), 0, path_);
   end_offset_ = sizeof(LogHeader);
+  reserved_ = end_offset_;
   log_records_ = 0;
   baseline_records_ = 0;
   dirty_ = true;
@@ -131,52 +148,104 @@ void LogStructuredBackend::open_fresh() {
 
 void LogStructuredBackend::ensure_width(std::size_t width) {
   if (dv_width_ == kWidthUnset) {
-    dv_width_ = static_cast<std::uint32_t>(width);
     // Persist the width so recover() can size put payloads.
-    LogHeader h{};
-    if (!pread_exact(fd_, &h, sizeof(h), 0, path_))
-      throw util::IoError("log '" + path_ + "' shorter than its header");
-    h.dv_width = dv_width_;
-    pwrite_all(fd_, &h, sizeof(h), 0, path_);
+    const auto width32 = static_cast<std::uint32_t>(width);
+    pwrite_all(fd_, &width32, sizeof(width32), offsetof(LogHeader, dv_width),
+               path_);
+    dv_width_ = width32;
     dirty_ = true;
     return;
   }
   RDTGC_EXPECTS(width == dv_width_);
 }
 
+std::byte* LogStructuredBackend::tail_for(std::size_t size) {
+  const std::uint64_t page = page_size();
+  const std::uint64_t begin = end_offset_;
+  const std::uint64_t end = begin + size;
+  if (end > reserved_) {
+    // Allocate before storing: a full disk is refused here, with an errno,
+    // and never later as a SIGBUS on a mapped page the filesystem cannot
+    // back.
+    const std::uint64_t base = reserved_ / page * page;
+    const std::uint64_t target =
+        std::max(base + std::clamp(base, page, kMaxReserveStep),
+                 (end + page - 1) / page * page);
+    const int err =
+        util::io_fallocate(fd_, static_cast<off_t>(reserved_),
+                           static_cast<off_t>(target - reserved_));
+    if (err != 0) {
+      errno = err;
+      throw_errno("fallocate", path_);
+    }
+    reserved_ = target;
+  }
+  // The window starts at the tail's page and spans the next one, which
+  // only a record straddling the boundary touches.  It follows the tail
+  // page by page, so about one page of it is resident at a time.
+  const std::uint64_t offset = begin / page * page;
+  const std::size_t span = static_cast<std::size_t>(
+      std::max(2 * page, (end - offset + page - 1) / page * page));
+  if (window_ == nullptr || offset != window_offset_ || span > window_size_) {
+    // Same size: slide in place, one mmap replacing the old window.
+    void* const hint = span <= window_size_ ? window_ : nullptr;
+    if (hint == nullptr) unmap_tail();
+    void* map = ::mmap(hint, hint != nullptr ? window_size_ : span,
+                       PROT_READ | PROT_WRITE,
+                       MAP_SHARED | (hint != nullptr ? MAP_FIXED : 0), fd_,
+                       static_cast<off_t>(offset));
+    if (map == MAP_FAILED) {
+      const int err = errno;
+      unmap_tail();  // a failed MAP_FIXED may have dropped the old window
+      errno = err;
+      throw_errno("mmap", path_);
+    }
+    if (hint == nullptr) window_size_ = span;
+    window_ = static_cast<std::byte*>(map);
+    window_offset_ = offset;
+  }
+  return window_ + (begin - window_offset_);
+}
+
+void LogStructuredBackend::unmap_tail() {
+  if (window_ != nullptr) ::munmap(window_, window_size_);
+  window_ = nullptr;
+  window_size_ = 0;
+}
+
 void LogStructuredBackend::append_record(std::uint16_t type,
                                          CheckpointIndex index,
                                          SimTime stored_at, std::uint64_t bytes,
                                          const causality::DependencyVector* dv) {
+  const std::size_t payload =
+      dv != nullptr ? dv->size() * sizeof(IntervalIndex) : 0;
+  std::byte* const out = tail_for(sizeof(RecordHeader) + payload);
   RecordHeader rec{};
   rec.magic = kRecordMagic;
   rec.type = type;
   rec.index = index;
   rec.stored_at = stored_at;
   rec.bytes = bytes;
-  const std::size_t payload =
-      dv != nullptr ? dv->size() * sizeof(IntervalIndex) : 0;
-  scratch_.resize(sizeof(rec) + payload);
-  std::memcpy(scratch_.data(), &rec, sizeof(rec));
+  // Publish magic-last into the zero-filled reserve: a process killed
+  // before the magic store leaves a zero-magic record, which recover()
+  // drops as a torn tail.  The fence keeps the compiler from sinking the
+  // body stores below it.
+  constexpr std::size_t kMagic = sizeof(rec.magic);
+  std::memcpy(out + kMagic, reinterpret_cast<const std::byte*>(&rec) + kMagic,
+              sizeof(rec) - kMagic);
   if (payload > 0)
-    std::memcpy(scratch_.data() + sizeof(rec), dv->entries().data(), payload);
-  if (batching_) {
-    // Group-commit drain: accumulate in memory, end_batch() emits the
-    // whole window with one pwrite.  end_offset_ advances at emit time.
-    batch_.insert(batch_.end(), scratch_.begin(), scratch_.end());
-  } else {
-    pwrite_all(fd_, scratch_.data(), scratch_.size(), end_offset_, path_);
-    end_offset_ += scratch_.size();
-    dirty_ = true;
-  }
+    std::memcpy(out + sizeof(rec), dv->entries().data(), payload);
+  std::atomic_signal_fence(std::memory_order_release);
+  std::memcpy(out, &rec.magic, kMagic);
+  end_offset_ += sizeof(rec) + payload;
+  dirty_ = true;
   ++log_records_;
 }
 
 // Mutation ordering: validate the mirror's contract first, append to the
-// medium second, update the mirror last.  A throw from the append (IoError,
-// e.g. ENOSPC) then leaves the mirror untouched and the log with at most a
-// partial record at the unchanged end_offset_ — a torn tail the next append
-// overwrites and recover() truncates — so mirror and medium never diverge.
+// medium second, update the mirror last.  An append throws (IoError, e.g.
+// ENOSPC from the reservation) before it stores any byte, so the throw
+// leaves mirror and log both unchanged and they never diverge.
 
 void LogStructuredBackend::put(StoredCheckpoint checkpoint) {
   RDTGC_EXPECTS(!pending_recover_);
@@ -223,13 +292,6 @@ void LogStructuredBackend::maybe_compact() {
 }
 
 void LogStructuredBackend::compact() {
-  // Any batched-but-unemitted records are subsumed by the rewrite: every
-  // buffered record's effect is already applied to the mirror by the time
-  // maybe_compact() runs (appends precede the mirror update on puts, and
-  // the compaction triggers — collect/discard — apply their own record
-  // before triggering), and compaction serializes the mirror wholesale.
-  // Emitting them afterwards would replay them twice on recover.
-  batch_.clear();
   const std::string tmp = path_ + ".tmp";
   const int tmp_fd = ::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
   if (tmp_fd < 0) throw_errno("open", tmp);
@@ -271,12 +333,15 @@ void LogStructuredBackend::compact() {
     off += scratch_.size();
   }
   if (::fsync(tmp_fd) != 0) throw_errno("fsync", tmp);
+  // The window maps the old file; the next append maps the new one.
+  unmap_tail();
   // Atomic swap: either the old log or the complete compacted one exists.
   if (::rename(tmp.c_str(), path_.c_str()) != 0) throw_errno("rename", tmp);
   ::close(fd_);
   fd_ = tmp_fd;  // tmp_fd now refers to the file at path_
   guard.fd = -1;  // success: the descriptor lives on as fd_
   end_offset_ = off;
+  reserved_ = off;
   log_records_ = mem_.count();
   baseline_records_ = mem_.count();
   ++compactions_;
@@ -326,10 +391,12 @@ std::size_t LogStructuredBackend::recover() {
       mem_.restore_stats(h.stats.to_stats());
     }
   }
-  // Drop the torn tail so subsequent appends extend a well-formed log.
+  // Drop the torn tail and the zero-filled reserve so subsequent appends
+  // extend a well-formed log.
   if (::ftruncate(fd_, static_cast<off_t>(off)) != 0)
     throw_errno("ftruncate", path_);
   end_offset_ = off;
+  reserved_ = off;
   log_records_ = records;
   pending_recover_ = false;
   dirty_ = true;  // the torn-tail ftruncate is an unsynced medium write
@@ -341,30 +408,6 @@ void LogStructuredBackend::flush() {
   if (util::io_fsync(fd_) != 0) throw_errno("fsync", path_);
   ++fsyncs_;
   dirty_ = false;
-}
-
-void LogStructuredBackend::begin_batch() {
-  RDTGC_ASSERT(!batching_);
-  // batch_ may be non-empty here: a previous end_batch() that failed with
-  // IoError (ENOSPC) keeps its bytes, and the next commit retries them
-  // ahead of the new window — end_offset_ never advanced, so the record
-  // stream stays contiguous.
-  batching_ = true;
-}
-
-void LogStructuredBackend::end_batch(bool durable) {
-  RDTGC_ASSERT(batching_);
-  batching_ = false;
-  if (!batch_.empty()) {
-    // The whole window in one pwrite.  A crash tearing it mid-write leaves
-    // a well-formed record prefix plus one torn record, exactly what
-    // recover() truncates away.
-    pwrite_all(fd_, batch_.data(), batch_.size(), end_offset_, path_);
-    end_offset_ += batch_.size();
-    batch_.clear();
-    dirty_ = true;
-  }
-  if (durable) flush();
 }
 
 }  // namespace rdtgc::ckpt

@@ -88,8 +88,7 @@
 // them, exactly as in in-memory mode), the persistent stripe backends hold
 // the DURABLE state, and a ckpt::DurabilityPipeline records each
 // acknowledged mutation and replays whole windows into the backends as
-// group commits — one coalesced pwrite+fsync (log) or msync (mmap) per
-// stripe per window instead of per operation (durability_pipeline.hpp has
+// group commits — one fsync (log) or msync (mmap) per stripe per window instead of per operation (durability_pipeline.hpp has
 // the full design: scheduling, locking discipline, crash semantics).
 // Dropping a pipelined store without flush() models a crash: the un-drained
 // window is discarded and recovery lands on the last commit's consistent

@@ -264,14 +264,15 @@ class StorageBackend {
   //
   // A DurabilityPipeline drain brackets the mutations it replays into one
   // stripe with begin_batch()/end_batch(): between the two the backend may
-  // buffer its medium writes, and end_batch() emits them with as few
-  // syscalls as it can manage (the log backend turns a whole window of
-  // records into ONE pwrite), then makes them durable when `durable` is
-  // set.  The default implementation is write-through (every mutation hits
-  // the medium as usual) with end_batch deferring to flush(), which is
-  // correct for every backend; overriding is purely an optimization.
-  // Batches never nest and end_batch always runs (the pipeline owns the
-  // bracket).
+  // defer work on its medium, and end_batch() makes the window durable
+  // when `durable` is set.  The default implementation is write-through
+  // (every mutation hits the medium as usual) with end_batch deferring to
+  // flush() — one durability point per window — which is correct for every
+  // backend.  Both persistent backends write through mapped pages, so
+  // neither buffers: the log backend keeps the default, and the mmap
+  // backend overrides end_batch() only to msync without marking the
+  // segment cleanly closed.  Batches never nest and end_batch always runs
+  // (the pipeline owns the bracket).
 
   virtual void begin_batch() {}
   virtual void end_batch(bool durable) {

@@ -149,34 +149,37 @@ bool token(std::istringstream& in, const char* key, std::string& value) {
   return true;
 }
 
-template <typename T>
-bool parse_int(std::istringstream& in, const char* key, T& out) {
-  std::string value;
-  if (!token(in, key, value)) return false;
-  try {
-    out = static_cast<T>(std::stoll(value));
-  } catch (...) {
-    return false;
-  }
-  return true;
+/// Parse all of `text` as a T: decimal digits, a leading '-' only on a
+/// signed T.  False on an empty field, a stray character, or a value
+/// outside T's range.
+template <std::integral T>
+bool parse_number(std::string_view text, T& out) {
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && ptr == end;
 }
 
-template <typename T>
+template <std::integral T>
+bool parse_int(std::istringstream& in, const char* key, T& out) {
+  std::string value;
+  return token(in, key, value) && parse_number(value, out);
+}
+
+template <std::integral T>
 bool parse_vec(std::istringstream& in, const char* key, std::vector<T>& out) {
   std::string value;
   if (!token(in, key, value)) return false;
   out.clear();
   if (value.empty()) return true;  // empty vector encodes as "dv="
-  std::istringstream items(value);
-  std::string item;
-  while (std::getline(items, item, ',')) {
-    try {
-      out.push_back(static_cast<T>(std::stoll(item)));
-    } catch (...) {
-      return false;
-    }
+  std::string_view rest = value;
+  for (;;) {
+    const std::size_t comma = rest.find(',');
+    T item{};
+    if (!parse_number(rest.substr(0, comma), item)) return false;
+    out.push_back(item);
+    if (comma == std::string_view::npos) return true;
+    rest.remove_prefix(comma + 1);
   }
-  return true;
 }
 
 }  // namespace

@@ -23,6 +23,7 @@ namespace {
 // failure injection on the main thread.
 std::atomic<int (*)(void*, std::size_t, int)> g_msync_override{nullptr};
 std::atomic<int (*)(int)> g_fsync_override{nullptr};
+std::atomic<int (*)(int, off_t, off_t)> g_fallocate_override{nullptr};
 
 }  // namespace
 
@@ -36,12 +37,22 @@ int io_fsync(int fd) {
   return fn != nullptr ? fn(fd) : ::fsync(fd);
 }
 
+int io_fallocate(int fd, off_t offset, off_t length) {
+  const auto fn = g_fallocate_override.load(std::memory_order_acquire);
+  return fn != nullptr ? fn(fd, offset, length)
+                       : ::posix_fallocate(fd, offset, length);
+}
+
 void set_io_msync_for_test(int (*fn)(void*, std::size_t, int)) {
   g_msync_override.store(fn, std::memory_order_release);
 }
 
 void set_io_fsync_for_test(int (*fn)(int)) {
   g_fsync_override.store(fn, std::memory_order_release);
+}
+
+void set_io_fallocate_for_test(int (*fn)(int, off_t, off_t)) {
+  g_fallocate_override.store(fn, std::memory_order_release);
 }
 
 MappedFile::MappedFile(const std::string& path, Mode mode,

@@ -18,6 +18,8 @@
 // ContractViolation they are environmental, not programmer error.
 #pragma once
 
+#include <sys/types.h>  // off_t
+
 #include <cstddef>
 #include <stdexcept>
 #include <string>
@@ -35,22 +37,28 @@ class IoError : public std::runtime_error {
 // ---- Durability-syscall seam ------------------------------------------
 //
 // Every *flush durability point* (MappedFile::sync's msync, the log
-// backend's flush fsync) goes through these two entry points instead of
-// calling the libc symbol directly, so tests can inject an fsync/msync
-// failure and assert the error surfaces as IoError with mirror and medium
-// still coherent (tests/durability_test.cpp).  Production behavior is
-// byte-identical: with no override installed they tail-call the real
-// syscall wrappers.
+// backend's flush fsync) and the log backend's tail reservation go through
+// these entry points instead of calling the libc symbol directly, so tests
+// can inject an fsync/msync/fallocate failure and assert the error surfaces
+// as IoError with mirror and medium still coherent
+// (tests/durability_test.cpp).  Production behavior is byte-identical: with
+// no override installed they tail-call the real syscall wrappers.
 
 /// msync(2) via the installed override, or the real call when none is set.
 int io_msync(void* addr, std::size_t length, int flags);
 /// fsync(2) via the installed override, or the real call when none is set.
 int io_fsync(int fd);
+/// posix_fallocate(3) via the installed override, or the real call when
+/// none is set.  Like posix_fallocate it returns 0 or an errno value
+/// (it does not set errno).
+int io_fallocate(int fd, off_t offset, off_t length);
 
-/// Install (or, with nullptr, remove) the msync/fsync overrides.  TEST
-/// SEAM ONLY — global, not thread-scoped; restore before the test returns.
+/// Install (or, with nullptr, remove) the msync/fsync/fallocate overrides.
+/// TEST SEAM ONLY — global, not thread-scoped; restore before the test
+/// returns.
 void set_io_msync_for_test(int (*fn)(void*, std::size_t, int));
 void set_io_fsync_for_test(int (*fn)(int));
+void set_io_fallocate_for_test(int (*fn)(int, off_t, off_t));
 
 class MappedFile {
  public:

@@ -13,6 +13,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <vector>
 
@@ -314,6 +316,115 @@ TEST(LogBackend, CompactionBoundsTheLogAndPreservesState) {
   EXPECT_EQ(reopened.recover(), reference.count());
   test::expect_stores_equal(reference, reopened);
   EXPECT_EQ(reopened.baseline_records(), backend.baseline_records());
+}
+
+// ---- Torn tails on log media ----------------------------------------------
+//
+// What an interrupted append can leave behind, and what recover() makes of
+// it.  The tail is located by reopening once: recover() truncates the file
+// to its last whole record.
+
+constexpr std::size_t kTornWidth = 3;
+constexpr std::uint64_t kLogHeaderBytes = 72;
+constexpr std::uint64_t kRecordHeaderBytes = 32;
+constexpr std::uint64_t kPutRecordBytes =
+    kRecordHeaderBytes + kTornWidth * sizeof(IntervalIndex);
+
+/// The DV stored with checkpoint `g`.
+causality::DependencyVector torn_dv(CheckpointIndex g) {
+  causality::DependencyVector dv(kTornWidth);
+  dv.at(0) = g;
+  dv.at(2) = 2 * g + 1;
+  return dv;
+}
+
+/// Puts [from, to) into `store`.
+template <typename Store>
+void put_range(Store& store, CheckpointIndex from, CheckpointIndex to) {
+  for (CheckpointIndex g = from; g < to; ++g)
+    store.put(g, torn_dv(g), static_cast<SimTime>(g + 1), 64);
+}
+
+/// Five puts, crash-dropped, then reopened once so the file ends exactly
+/// at the last whole record.  Returns that file size.
+std::uint64_t write_five_puts(const std::string& path) {
+  {
+    ckpt::LogStructuredBackend log(0, path, OpenMode::kFresh, 1024, 0.5);
+    put_range(log, 0, 5);
+  }
+  ckpt::LogStructuredBackend reopened(0, path, OpenMode::kAttach, 1024, 0.5);
+  EXPECT_EQ(reopened.recover(), 5u);
+  return std::filesystem::file_size(path);
+}
+
+/// What recover() must make of a log whose final put (index 4) is torn:
+/// the first four puts, and a file cut back to them.
+void expect_recovers_first_four(const std::string& path, std::uint64_t whole) {
+  CheckpointStore reference(0);
+  put_range(reference, 0, 4);
+  ckpt::LogStructuredBackend log(0, path, OpenMode::kAttach, 1024, 0.5);
+  EXPECT_EQ(log.recover(), 4u);
+  EXPECT_EQ(log.log_records(), 4u);
+  test::expect_stores_equal(reference, log);
+  EXPECT_EQ(std::filesystem::file_size(path), whole - kPutRecordBytes);
+}
+
+/// A process killed between storing a record's body and its magic leaves
+/// the body in place and the magic word zero.
+TEST(LogTornTail, ZeroMagicFinalPutIsDropped) {
+  ScratchDir dir("torn_magic");
+  const std::string path = dir.path() + "/p0_s0.log";
+  const std::uint64_t whole = write_five_puts(path);
+  ASSERT_EQ(whole, kLogHeaderBytes + 5 * kPutRecordBytes);
+  {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(static_cast<std::streamoff>(whole - kPutRecordBytes));
+    const std::uint32_t zero = 0;
+    file.write(reinterpret_cast<const char*>(&zero), sizeof(zero));
+    ASSERT_TRUE(file.good());
+  }
+  expect_recovers_first_four(path, whole);
+}
+
+/// A log cut inside the last record's DV payload.
+TEST(LogTornTail, CutInsideTheLastPayloadIsDropped) {
+  ScratchDir dir("torn_cut");
+  const std::string path = dir.path() + "/p0_s0.log";
+  const std::uint64_t whole = write_five_puts(path);
+  std::filesystem::resize_file(path, whole - 3);
+  expect_recovers_first_four(path, whole);
+}
+
+/// A crash-drop (no flush()) recovers exactly the appended records, cuts
+/// the file back to them, and the log keeps appending after the reopen.
+TEST(LogTornTail, CrashDropRecoversTheAppendsAndTruncatesTheReserve) {
+  ScratchDir dir("torn_drop");
+  const std::string path = dir.path() + "/p0_s0.log";
+  CheckpointStore reference(0);
+  put_range(reference, 0, 40);
+  for (CheckpointIndex g = 0; g < 30; g += 2) reference.collect(g);
+  {
+    ckpt::LogStructuredBackend log(0, path, OpenMode::kFresh, 1024, 0.5);
+    put_range(log, 0, 40);
+    for (CheckpointIndex g = 0; g < 30; g += 2) log.collect(g);
+  }
+  const std::uint64_t records_end =
+      kLogHeaderBytes + 40 * kPutRecordBytes + 15 * kRecordHeaderBytes;
+  // The drop left the zero-filled reserve behind the last record.
+  EXPECT_GT(std::filesystem::file_size(path), records_end);
+  {
+    ckpt::LogStructuredBackend log(0, path, OpenMode::kAttach, 1024, 0.5);
+    ASSERT_EQ(log.recover(), reference.count());
+    EXPECT_EQ(log.log_records(), 55u);
+    test::expect_stores_equal(reference, log);
+    EXPECT_EQ(std::filesystem::file_size(path), records_end);
+    put_range(log, 40, 41);
+    put_range(reference, 40, 41);
+  }
+  ckpt::LogStructuredBackend log(0, path, OpenMode::kAttach, 1024, 0.5);
+  ASSERT_EQ(log.recover(), reference.count());
+  test::expect_stores_equal(reference, log);
+  EXPECT_EQ(std::filesystem::file_size(path), records_end + kPutRecordBytes);
 }
 
 // ---- Whole-system runs over persistent storage ----------------------------

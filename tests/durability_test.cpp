@@ -10,7 +10,8 @@
 //  * dirty-flag skip — flush() with nothing written issues no syscall
 //    (regression for the fsyncs()/msyncs() counters);
 //  * flush error paths — an injected fsync/msync failure surfaces as
-//    util::IoError with mirror and medium still coherent;
+//    util::IoError with mirror and medium still coherent, and so does an
+//    injected ENOSPC while the log's mapped tail grows;
 //  * kill inside the window — dropping a store mid-window recovers a
 //    consistent PREFIX of the acknowledged schedule: deterministic (the last
 //    commit boundary) under kGroupCommit, some drain boundary under
@@ -23,6 +24,7 @@
 //  * the metrics::DurabilityLag probe and the sweep-summary plumbing.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <memory>
@@ -126,8 +128,8 @@ TEST(DurabilityEquivalence, AckedStateMatchesFlatReferenceUnderEveryPolicy) {
 
 // ---- Group-commit window math ---------------------------------------------
 
-/// k puts through a single-stripe log store must reach the medium as ONE
-/// coalesced pwrite + fsync per window, with the lag counting the open tail.
+/// k puts through a single-stripe log store must reach the medium with ONE
+/// fsync per window, with the lag counting the open tail.
 TEST(GroupCommitWindow, LogCoalescesKOpsIntoOneFsync) {
   constexpr std::size_t kEvery = 4;
   ScratchDir dir("gc_log");
@@ -306,6 +308,74 @@ TEST(FlushErrors, LogFsyncFailureSurfacesAsIoErrorAndKeepsStateCoherent) {
   LogStructuredBackend reopened(0, path, OpenMode::kAttach, 64, 0.5);
   ASSERT_EQ(reopened.recover(), 1u);
   EXPECT_TRUE(reopened.contains(0));
+}
+
+/// A full disk while the log's tail grows: the reservation fails before any
+/// byte is stored, so put() throws IoError (never a SIGBUS from the mapped
+/// tail), the mirror is unchanged, and the log still appends and recovers
+/// exactly the acknowledged puts.
+TEST(FlushErrors, LogTailGrowthFailureSurfacesAsIoErrorAndKeepsStateCoherent) {
+  ScratchDir dir("err_log_grow");
+  StorageConfig config;
+  config.kind = StorageBackendKind::kLogStructured;
+  config.directory = dir.path();
+  const std::string path = config.stripe_file(0, 0);
+  static std::atomic<int> refused{0};
+  refused = 0;
+  CheckpointStore reference(0);
+  {
+    LogStructuredBackend log(0, path, OpenMode::kFresh, 1024, 0.5);
+    causality::DependencyVector dv(4);
+    CheckpointIndex next = 0;
+    const auto put = [&] {
+      dv.at(1) = next;
+      log.put(next, dv, static_cast<SimTime>(next), 8);
+      reference.put(next, dv, static_cast<SimTime>(next), 8);
+      ++next;
+    };
+    put();  // the first reservation succeeds
+    log.collect(0);
+    reference.collect(0);
+
+    util::set_io_fallocate_for_test(+[](int, off_t, off_t) {
+      ++refused;
+      return ENOSPC;
+    });
+    // Puts land in the reserved space until the tail must grow again.
+    bool threw = false;
+    while (!threw && next < 10000) {
+      const std::size_t count = log.count();
+      const std::vector<CheckpointIndex> indices = log.stored_indices();
+      const ckpt::StoreStats stats = log.stats();
+      try {
+        dv.at(1) = next;
+        log.put(next, dv, static_cast<SimTime>(next), 8);
+      } catch (const util::IoError&) {
+        threw = true;
+        EXPECT_EQ(log.count(), count);
+        EXPECT_EQ(log.stored_indices(), indices);
+        EXPECT_EQ(log.stats().stored, stats.stored);
+        EXPECT_EQ(log.stats().peak_count, stats.peak_count);
+        EXPECT_EQ(log.stats().peak_bytes, stats.peak_bytes);
+        EXPECT_EQ(log.bytes(), reference.bytes());
+        break;
+      }
+      reference.put(next, dv, static_cast<SimTime>(next), 8);
+      ++next;
+    }
+    util::set_io_fallocate_for_test(nullptr);
+    ASSERT_TRUE(threw);
+    EXPECT_EQ(refused.load(), 1);
+    test::expect_stores_equal(reference, log);
+
+    put();  // the refused put, retried with space available
+    test::expect_stores_equal(reference, log);
+  }
+  // Dropped without flush(): the reopen recovers exactly the acknowledged
+  // puts, nothing of the refused attempt.
+  LogStructuredBackend reopened(0, path, OpenMode::kAttach, 1024, 0.5);
+  ASSERT_EQ(reopened.recover(), reference.count());
+  test::expect_stores_equal(reference, reopened);
 }
 
 TEST(FlushErrors, MmapMsyncFailureSurfacesAsIoErrorAndRollsTheCleanFlagBack) {

@@ -809,6 +809,119 @@ TEST(EventLogLines, MalformedLinesRejected) {
       "rback p=1 inc=0 session=1 attempt=0 rolled=1 last=2 dv=1,2", out));
 }
 
+void expect_events_equal(const Event& a, const Event& b) {
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.p, b.p);
+  EXPECT_EQ(a.incarnation, b.incarnation);
+  EXPECT_EQ(a.src, b.src);
+  EXPECT_EQ(a.src_incarnation, b.src_incarnation);
+  EXPECT_EQ(a.seq, b.seq);
+  EXPECT_EQ(a.dst, b.dst);
+  EXPECT_EQ(a.interval, b.interval);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.forced, b.forced);
+  EXPECT_EQ(a.index, b.index);
+  EXPECT_EQ(a.ckpt_kind, b.ckpt_kind);
+  EXPECT_EQ(a.basic, b.basic);
+  EXPECT_EQ(a.forced_count, b.forced_count);
+  EXPECT_EQ(a.sent, b.sent);
+  EXPECT_EQ(a.received, b.received);
+  EXPECT_EQ(a.rollbacks, b.rollbacks);
+  EXPECT_EQ(a.dv, b.dv);
+  EXPECT_EQ(a.stored, b.stored);
+  EXPECT_EQ(a.session, b.session);
+  EXPECT_EQ(a.attempt, b.attempt);
+  EXPECT_EQ(a.faulty, b.faulty);
+  EXPECT_EQ(a.li, b.li);
+  EXPECT_EQ(a.line, b.line);
+}
+
+/// One event of every kind with every field the kind writes at its type's
+/// minimum (`max == false`) or maximum.
+std::vector<Event> events_at_extremes(bool max) {
+  const auto pick = [max]<typename T>(T) {
+    return max ? std::numeric_limits<T>::max() : std::numeric_limits<T>::min();
+  };
+  const ProcessId p = pick(ProcessId{});
+  const std::uint32_t u32 = pick(std::uint32_t{});
+  const std::uint64_t u64 = pick(std::uint64_t{});
+  const std::int32_t i32 = pick(std::int32_t{});
+  const std::uint8_t u8 = pick(std::uint8_t{});
+  const std::vector<std::int32_t> vec = {i32, i32, i32};
+  return {
+      {.kind = EventKind::kAttach, .p = p, .incarnation = u32, .index = i32,
+       .dv = vec},
+      {.kind = EventKind::kSend, .src = p, .src_incarnation = u32, .seq = u64,
+       .dst = p, .interval = i32, .bytes = u64, .dv = vec},
+      {.kind = EventKind::kDeliver, .incarnation = u32, .src = p,
+       .src_incarnation = u32, .seq = u64, .dst = p, .interval = i32,
+       .forced = u8, .dv = vec},
+      {.kind = EventKind::kCheckpoint, .p = p, .incarnation = u32,
+       .index = i32, .ckpt_kind = u8, .dv = vec},
+      {.kind = EventKind::kKill, .p = p},
+      {.kind = EventKind::kUncleanKill, .p = p, .seq = u64},
+      {.kind = EventKind::kDrop, .src = p, .src_incarnation = u32, .seq = u64,
+       .dst = p},
+      {.kind = EventKind::kState, .p = p, .incarnation = u32, .index = i32,
+       .basic = u64, .forced_count = u64, .sent = u64, .received = u64,
+       .rollbacks = u64, .dv = vec, .stored = vec},
+      {.kind = EventKind::kRecoveryStart, .session = u64, .attempt = u32,
+       .faulty = vec, .li = vec, .line = vec},
+      {.kind = EventKind::kRolledBack, .p = p, .incarnation = u32,
+       .forced = u8, .index = i32, .dv = vec, .stored = vec, .session = u64,
+       .attempt = u32},
+  };
+}
+
+// Every field reads back what was written at both ends of its type: u64
+// fields at 2^64 - 1 (a send of UINT64_MAX bytes), i32 fields at -2^31.
+TEST(EventLogLines, EveryFieldRoundTripsAtItsExtremes) {
+  for (const bool max : {false, true}) {
+    for (const Event& e : events_at_extremes(max)) {
+      const std::string line = event_to_line(e);
+      Event back;
+      ASSERT_TRUE(event_from_line(line, back)) << line;
+      expect_events_equal(e, back);
+      EXPECT_EQ(event_to_line(back), line);
+    }
+  }
+}
+
+// A value that does not fit its field is refused rather than wrapped.
+TEST(EventLogLines, OutOfRangeValuesRejected) {
+  Event out;
+  // Baselines: the same lines with in-range values parse.
+  ASSERT_TRUE(event_from_line(
+      "send src=1 sinc=0 seq=3 dst=2 si=4 bytes=1 dv=0,4", out));
+  ASSERT_TRUE(event_from_line(
+      "deliver dst=2 dinc=0 src=1 sinc=0 seq=3 ri=5 forced=255 dv=1,4", out));
+  // A sign on an unsigned field.
+  EXPECT_FALSE(event_from_line(
+      "send src=1 sinc=0 seq=-1 dst=2 si=4 bytes=1 dv=0,4", out));
+  EXPECT_FALSE(event_from_line(
+      "send src=1 sinc=-1 seq=3 dst=2 si=4 bytes=1 dv=0,4", out));
+  // Overflow of u8, u32, u64 and i32 fields, and of a vector element.
+  EXPECT_FALSE(event_from_line(
+      "deliver dst=2 dinc=0 src=1 sinc=0 seq=3 ri=5 forced=300 dv=1,4", out));
+  EXPECT_FALSE(event_from_line("ckpt p=0 inc=0 idx=3 kind=256 dv=3", out));
+  EXPECT_FALSE(event_from_line(
+      "send src=1 sinc=4294967296 seq=3 dst=2 si=4 bytes=1 dv=0,4", out));
+  EXPECT_FALSE(event_from_line(
+      "send src=1 sinc=0 seq=18446744073709551616 dst=2 si=4 bytes=1 dv=0,4",
+      out));
+  EXPECT_FALSE(event_from_line("kill p=2147483648", out));
+  EXPECT_FALSE(event_from_line("kill p=-2147483649", out));
+  EXPECT_FALSE(event_from_line(
+      "send src=1 sinc=0 seq=3 dst=2 si=4 bytes=1 dv=0,2147483648", out));
+  // Stray characters and empty vector elements.
+  EXPECT_FALSE(event_from_line("kill p=+2", out));
+  EXPECT_FALSE(event_from_line("kill p=2x", out));
+  EXPECT_FALSE(event_from_line(
+      "send src=1 sinc=0 seq=3 dst=2 si=4 bytes=1 dv=0,,4", out));
+  EXPECT_FALSE(event_from_line(
+      "send src=1 sinc=0 seq=3 dst=2 si=4 bytes=1 dv=0,4,", out));
+}
+
 TEST(EventLogLines, FuzzedLinesNeverCrash) {
   std::mt19937_64 rng(99);
   std::uniform_int_distribution<int> ch(32, 126);
