@@ -302,6 +302,56 @@ void BM_UdsHop(benchmark::State& state) {
 }
 BENCHMARK(BM_UdsHop)->Arg(4)->Arg(64)->Arg(1024);
 
+// The RecvAck record every delivery sends back to the parent: the
+// receiver's post-merge DV at width Arg.
+transport::RecvAckBody recv_ack_at_width(std::size_t n) {
+  transport::RecvAckBody body;
+  body.msg_src = 0;
+  body.msg_incarnation = 0;
+  body.msg_seq = 42;
+  body.recv_interval = 9;
+  body.forced = 1;
+  for (std::size_t j = 0; j < n; ++j)
+    body.dv_after.push_back(static_cast<IntervalIndex>(j * 3 + 1));
+  return body;
+}
+
+constexpr transport::FrameMeta kAckMeta{1, -1, 0, 7};
+
+void BM_WireRecvAckEncode(benchmark::State& state) {
+  const transport::RecvAckBody body =
+      recv_ack_at_width(static_cast<std::size_t>(state.range(0)));
+  transport::WireBuffer frame;
+  for (auto _ : state) {
+    transport::encode_recv_ack(frame, kAckMeta, body);
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(frame.size()));
+}
+BENCHMARK(BM_WireRecvAckEncode)->Arg(4)->Arg(64)->Arg(1024);
+
+void BM_WireRecvAckDecode(benchmark::State& state) {
+  transport::WireBuffer frame;
+  transport::encode_recv_ack(
+      frame, kAckMeta,
+      recv_ack_at_width(static_cast<std::size_t>(state.range(0))));
+  transport::DecodedFrame decoded;
+  for (auto _ : state) {
+    if (transport::decode_frame(frame, decoded) != transport::WireError::kOk) {
+      state.SkipWithError("RecvAck frame failed to decode");
+      break;
+    }
+    benchmark::DoNotOptimize(decoded.recv_ack.dv_after.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(frame.size()));
+}
+BENCHMARK(BM_WireRecvAckDecode)->Arg(4)->Arg(64)->Arg(1024);
+
+
 // ---- Sharded store put/collect access patterns ---------------------------
 //
 // The striped/contended pair measures the stripe function's effect on the

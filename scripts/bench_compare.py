@@ -42,8 +42,9 @@ import sys
 # async-durability-pipeline families (per-op cost vs the sync write-through
 # baseline at every_k=0, the background acknowledged cost, and the lag
 # probe's sampling tax); BM_Uds*/BM_Wire* are the fleet transport's socket
-# hop and Data codec (a receive path that zero-fills or copies per maximum
-# frame instead of per received byte shows up in BM_UdsHop).
+# hop and its Data and RecvAck codecs (a receive path that zero-fills or
+# copies per maximum frame instead of per received byte shows up in
+# BM_UdsHop).
 TRACKED = re.compile(
     r"^(BM_DvMerge|BM_ReceivePath)\b"
     r"|^BM_Rollback|^BM_Sharded|^BM_Backend|^BM_FleetRunner"

@@ -1,7 +1,7 @@
 #include "transport/proc_fleet.hpp"
 
-#include <poll.h>
 #include <signal.h>
+#include <sys/epoll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -34,6 +34,7 @@ ProcFleet::ProcFleet(FleetConfig config) : config_(std::move(config)) {
                 !config_.worker_binary.empty());
   RDTGC_EXPECTS(config_.backend != ckpt::StorageBackendKind::kInMemory);
   workers_.resize(config_.process_count);
+  events_.resize(config_.process_count);
   out_.resize(config_.process_count);
   mirror_.resize(config_.process_count);
   socket_path_ = config_.scratch_dir + "/fleet.sock";
@@ -41,8 +42,9 @@ ProcFleet::ProcFleet(FleetConfig config) : config_(std::move(config)) {
 }
 
 ProcFleet::~ProcFleet() {
-  for (Worker& w : workers_) {
-    if (w.pid > 0 && w.alive) kill_process(w);
+  // Spawned workers whose Hello never arrived (a failed start) too.
+  for (std::size_t p = 0; p < workers_.size(); ++p) {
+    if (workers_[p].pid > 0) kill_process(static_cast<ProcessId>(p));
   }
   if (!socket_path_.empty()) ::unlink(socket_path_.c_str());
 }
@@ -54,6 +56,11 @@ std::string ProcFleet::storage_dir(ProcessId p) const {
 std::uint32_t ProcFleet::incarnation(ProcessId p) const {
   RDTGC_EXPECTS(p >= 0 && static_cast<std::size_t>(p) < workers_.size());
   return workers_[static_cast<std::size_t>(p)].incarnation;
+}
+
+pid_t ProcFleet::pid(ProcessId p) const {
+  RDTGC_EXPECTS(p >= 0 && static_cast<std::size_t>(p) < workers_.size());
+  return workers_[static_cast<std::size_t>(p)].pid;
 }
 
 bool ProcFleet::fail(const std::string& what) {
@@ -71,6 +78,8 @@ bool ProcFleet::start() {
   listener_ = uds_listen(socket_path_,
                          static_cast<int>(config_.process_count) + 4);
   if (!listener_.valid()) return fail("bind/listen failed: " + socket_path_);
+  epoll_ = Fd(::epoll_create1(EPOLL_CLOEXEC));
+  if (!epoll_.valid()) return fail("epoll_create1 failed");
   for (std::size_t p = 0; p < config_.process_count; ++p) {
     if (!spawn(static_cast<ProcessId>(p), 0)) return false;
   }
@@ -134,88 +143,131 @@ bool ProcFleet::await_hello(ProcessId expected) {
   if (w.alive) return fail("duplicate Hello");
   if (frame_.header.incarnation != w.incarnation)
     return fail("Hello carries the wrong incarnation");
+  const HelloBody& hello = frame_.hello;
+  if (!check_width(p, "Hello", hello.dv)) return false;
+  // A fresh worker has stored s^0 only.  A re-attached one resumes at a
+  // checkpoint the log already holds — or, after an unclean kill, at most
+  // unlogged_checkpoints past the last one the log saw.
+  DvMirror& m = mirror_[static_cast<std::size_t>(p)];
+  const std::int64_t max_last =
+      w.incarnation == 0
+          ? 0
+          : m.last() + static_cast<std::int64_t>(w.unlogged_checkpoints);
+  if (hello.last_index < 0 || hello.last_index > max_last) {
+    return fail("Hello frame from p" + std::to_string(p) +
+                " claims last checkpoint index " +
+                std::to_string(hello.last_index) + ", at most " +
+                std::to_string(max_last) + " is possible");
+  }
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u32 = static_cast<std::uint32_t>(p);
+  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, fd.get(), &ev) != 0)
+    return fail("epoll_ctl(ADD) failed");
   w.fd = std::move(fd);
   w.alive = true;
   w.draining = false;
+  w.unlogged_checkpoints = 0;
 
   // Mirror the recovered lineage: checkpoint-DV rows above the recovered
   // position die with the volatile interval (exactly the recorder's
   // truncation on restart).  Missing rows are padded from the Hello DV —
   // only possible after an unclean kill persisted a checkpoint whose frame
   // never surfaced, and such runs are liveness-only anyway.
-  DvMirror& m = mirror_[static_cast<std::size_t>(p)];
-  const auto rows = static_cast<std::size_t>(frame_.hello.last_index) + 1;
+  const auto rows = static_cast<std::size_t>(hello.last_index) + 1;
   while (m.ckpt_dvs.size() < rows) {
-    std::vector<IntervalIndex> row = frame_.hello.dv;
+    std::vector<IntervalIndex> row = hello.dv;
     row[static_cast<std::size_t>(p)] =
         static_cast<IntervalIndex>(m.ckpt_dvs.size());
     m.ckpt_dvs.push_back(std::move(row));
   }
   m.ckpt_dvs.resize(rows);
-  m.current = frame_.hello.dv;
+  m.current = hello.dv;
 
   Event e;
   e.kind = EventKind::kAttach;
   e.p = p;
   e.incarnation = w.incarnation;
-  e.index = frame_.hello.last_index;
-  e.dv = frame_.hello.dv;
+  e.index = hello.last_index;
+  e.dv = hello.dv;
   log_->append(e);
   return true;
 }
 
-bool ProcFleet::pump(int wait_ms) {
-  std::vector<pollfd> fds;
-  std::vector<ProcessId> owner;
-  for (std::size_t p = 0; p < workers_.size(); ++p) {
-    Worker& w = workers_[p];
-    if (!w.alive) continue;
-    short events = POLLIN;
-    if (!out_[p].empty()) events |= POLLOUT;
-    fds.push_back(pollfd{w.fd.get(), events, 0});
-    owner.push_back(static_cast<ProcessId>(p));
+bool ProcFleet::flush(ProcessId p) {
+  Worker& w = workers_[static_cast<std::size_t>(p)];
+  FrameQueue& queue = out_[static_cast<std::size_t>(p)];
+  if (queue.empty() || !w.fd.valid()) return true;
+  const int rc = queue.flush(w.fd.get());
+  if (rc < 0) {
+    // A draining worker's close surfaces on its next read.
+    return w.draining || fail("worker socket died mid-write");
   }
-  if (fds.empty()) return true;
-  int rc = ::poll(fds.data(), fds.size(), wait_ms);
-  if (rc < 0 && errno != EINTR) return fail("poll failed");
-  if (rc <= 0) return true;
+  const bool backed_up = rc == 0;
+  if (backed_up != w.out_armed) {
+    epoll_event ev{};
+    ev.events = backed_up ? EPOLLIN | EPOLLOUT : EPOLLIN;
+    ev.data.u32 = static_cast<std::uint32_t>(p);
+    if (::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, w.fd.get(), &ev) != 0)
+      return fail("epoll_ctl(MOD) failed");
+    w.out_armed = backed_up;
+  }
+  return true;
+}
 
-  for (std::size_t i = 0; i < fds.size(); ++i) {
-    const ProcessId p = owner[i];
-    Worker& w = workers_[static_cast<std::size_t>(p)];
-    if (!w.alive) continue;  // killed while handling an earlier fd
-    if (fds[i].revents & POLLOUT) {
-      auto& queue = out_[static_cast<std::size_t>(p)];
-      while (!queue.empty()) {
-        const int sent = try_send_frame(w.fd.get(), queue.front());
-        if (sent == 0) break;
-        if (sent < 0) {
-          if (!w.draining) return fail("worker socket died mid-write");
-          break;
-        }
-        queue.pop_front();
-      }
+bool ProcFleet::flush_all() {
+  for (std::size_t p = 0; p < workers_.size(); ++p) {
+    if (!flush(static_cast<ProcessId>(p))) return false;
+  }
+  return true;
+}
+
+bool ProcFleet::drain(ProcessId p) {
+  Worker& w = workers_[static_cast<std::size_t>(p)];
+  while (w.alive) {
+    const RecvStatus status = recv_frame(w.fd.get(), in_, 0);
+    if (status == RecvStatus::kTimeout) return true;  // the socket is empty
+    if (status == RecvStatus::kClosed || status == RecvStatus::kError) {
+      // Expected after a Shutdown command completed; fatal otherwise.
+      if (!w.state_received && !w.draining)
+        return fail("worker p" + std::to_string(p) + " died unexpectedly");
+      w.alive = false;
+      close_socket(p);
+      return true;
     }
-    if (fds[i].revents & (POLLIN | POLLHUP | POLLERR)) {
-      for (;;) {
-        const RecvStatus status = recv_frame(w.fd.get(), in_, 0);
-        if (status == RecvStatus::kTimeout) break;
-        if (status == RecvStatus::kClosed || status == RecvStatus::kError) {
-          // Expected after a Shutdown command completed; fatal otherwise.
-          if (!w.state_received && !w.draining)
-            return fail("worker p" + std::to_string(p) + " died unexpectedly");
-          w.alive = false;
-          w.fd.reset();
-          break;
-        }
-        const WireError err = decode_frame(in_, frame_);
-        if (err != WireError::kOk)
-          return fail(std::string("bad frame from worker: ") +
-                      wire_error_name(err));
-        if (!handle_frame(p, in_, frame_)) return false;
-        if (!w.alive) break;  // frame handling can retire the worker
-      }
-    }
+    const WireError err = decode_frame(in_, frame_);
+    if (err != WireError::kOk)
+      return fail(std::string("bad frame from worker: ") +
+                  wire_error_name(err));
+    if (!handle_frame(p, in_, frame_)) return false;
+  }
+  return true;
+}
+
+void ProcFleet::close_socket(ProcessId p) {
+  Worker& w = workers_[static_cast<std::size_t>(p)];
+  if (w.fd.valid()) {
+    // Explicitly: a child between fork and exec still holds the socket, so
+    // close alone would leave it registered.
+    ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, w.fd.get(), nullptr);
+    w.fd.reset();
+  }
+  w.out_armed = false;
+  out_[static_cast<std::size_t>(p)].clear();
+}
+
+bool ProcFleet::pump(int wait_ms) {
+  if (!flush_all()) return false;
+  const int ready = ::epoll_wait(epoll_.get(), events_.data(),
+                                 static_cast<int>(events_.size()), wait_ms);
+  if (ready < 0) return errno == EINTR || fail("epoll_wait failed");
+  for (int i = 0; i < ready; ++i) {
+    const epoll_event& ev = events_[static_cast<std::size_t>(i)];
+    const auto p = static_cast<ProcessId>(ev.data.u32);
+    if (!workers_[static_cast<std::size_t>(p)].alive) continue;
+    if ((ev.events & EPOLLOUT) && !flush(p)) return false;
+    if ((ev.events & (EPOLLIN | EPOLLHUP | EPOLLERR)) && !drain(p))
+      return false;
   }
   return true;
 }
@@ -234,25 +286,55 @@ bool ProcFleet::pump_until(Pred done, const char* what) {
   return true;
 }
 
+bool ProcFleet::check_width(ProcessId p, const char* kind,
+                            const std::vector<IntervalIndex>& dv) {
+  if (dv.size() == config_.process_count) return true;
+  return fail(std::string(kind) + " frame from p" + std::to_string(p) +
+              " carries a DV of width " + std::to_string(dv.size()) +
+              ", expected " + std::to_string(config_.process_count));
+}
+
 bool ProcFleet::handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
                              const DecodedFrame& frame) {
   if (frame.header.src != p)
     return fail("frame src does not match its socket");
+  const auto in_range = [&](ProcessId q) {
+    return q >= 0 && static_cast<std::size_t>(q) < config_.process_count;
+  };
+  DvMirror& m = mirror_[static_cast<std::size_t>(p)];
   switch (frame.header.kind()) {
     case FrameKind::kData:
+      if (!in_range(frame.header.dst) || frame.header.dst == p)
+        return fail("Data frame from p" + std::to_string(p) +
+                    " addressed to p" + std::to_string(frame.header.dst));
+      if (!check_width(p, "Data", frame.data.dv)) return false;
       route_data(raw, frame);
       return true;
     case FrameKind::kRecvAck: {
+      const RecvAckBody& ack = frame.recv_ack;
+      if (!check_width(p, "RecvAck", ack.dv_after)) return false;
+      if (!in_range(ack.msg_src))
+        return fail("RecvAck frame from p" + std::to_string(p) +
+                    " names sender p" + std::to_string(ack.msg_src));
+      // The receive stays in the current interval — or, forced, follows
+      // the checkpoint that closes it, in the next one.
+      const auto lineage = static_cast<std::int64_t>(m.ckpt_dvs.size()) +
+                           (ack.forced != 0 ? 1 : 0);
+      if (ack.recv_interval != lineage)
+        return fail("RecvAck frame from p" + std::to_string(p) +
+                    " puts its receive in interval " +
+                    std::to_string(ack.recv_interval) + ", its lineage in " +
+                    std::to_string(lineage));
       Event e;
       e.kind = EventKind::kDeliver;
       e.dst = p;
       e.incarnation = frame.header.incarnation;
-      e.src = frame.recv_ack.msg_src;
-      e.src_incarnation = frame.recv_ack.msg_incarnation;
-      e.seq = frame.recv_ack.msg_seq;
-      e.interval = frame.recv_ack.recv_interval;
-      e.forced = frame.recv_ack.forced;
-      e.dv = frame.recv_ack.dv_after;
+      e.src = ack.msg_src;
+      e.src_incarnation = ack.msg_incarnation;
+      e.seq = ack.msg_seq;
+      e.interval = ack.recv_interval;
+      e.forced = ack.forced;
+      e.dv = ack.dv_after;
       log_->append(e);
       const MsgKey key{e.src, e.src_incarnation, e.seq};
       if (const auto it = outstanding_.find(key); it != outstanding_.end()) {
@@ -261,52 +343,61 @@ bool ProcFleet::handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
                                           e.interval});
         outstanding_.erase(it);
       }
-      DvMirror& m = mirror_[static_cast<std::size_t>(p)];
-      if (frame.recv_ack.forced) {
+      if (ack.forced != 0) {
         // The forced checkpoint stored the receiver's pre-event DV (the
-        // mirror's current); its index is the pre-event interval.
-        RDTGC_ASSERT(m.ckpt_dvs.size() + 1 ==
-                     static_cast<std::size_t>(e.interval));
+        // mirror's current) at the pre-event interval.
         m.ckpt_dvs.push_back(m.current);
+        prune_delivered_below_checkpoint(p);
       }
-      m.current = frame.recv_ack.dv_after;
+      m.current = ack.dv_after;
       return true;
     }
     case FrameKind::kCheckpoint: {
+      const CheckpointBody& ckpt = frame.checkpoint;
+      if (!check_width(p, "Checkpoint", ckpt.dv)) return false;
+      if (ckpt.index < 0 ||
+          static_cast<std::size_t>(ckpt.index) != m.ckpt_dvs.size())
+        return fail("Checkpoint frame from p" + std::to_string(p) +
+                    " has index " + std::to_string(ckpt.index) +
+                    ", its lineage " + std::to_string(m.ckpt_dvs.size()));
       Event e;
       e.kind = EventKind::kCheckpoint;
       e.p = p;
       e.incarnation = frame.header.incarnation;
-      e.index = frame.checkpoint.index;
-      e.ckpt_kind = frame.checkpoint.kind;
-      e.dv = frame.checkpoint.dv;
+      e.index = ckpt.index;
+      e.ckpt_kind = ckpt.kind;
+      e.dv = ckpt.dv;
       log_->append(e);
-      DvMirror& m = mirror_[static_cast<std::size_t>(p)];
-      RDTGC_ASSERT(m.ckpt_dvs.size() ==
-                   static_cast<std::size_t>(frame.checkpoint.index));
-      m.ckpt_dvs.push_back(frame.checkpoint.dv);
-      m.current = frame.checkpoint.dv;
+      m.ckpt_dvs.push_back(ckpt.dv);
+      m.current = ckpt.dv;
       m.current[static_cast<std::size_t>(p)] += 1;
+      prune_delivered_below_checkpoint(p);
       return true;
     }
     case FrameKind::kRolledBack: {
+      const RolledBackBody& rb = frame.rolled_back;
+      if (!check_width(p, "RolledBack", rb.dv)) return false;
+      // A session restores a checkpoint the mirror holds (or keeps the
+      // last one): it never moves the lineage forward.
+      if (rb.last_index < 0 || rb.last_index > m.last())
+        return fail("RolledBack frame from p" + std::to_string(p) +
+                    " restores index " + std::to_string(rb.last_index) +
+                    ", its lineage ends at " + std::to_string(m.last()));
       Worker& w = workers_[static_cast<std::size_t>(p)];
-      w.acked_session = frame.rolled_back.session;
-      w.acked_attempt = frame.rolled_back.attempt;
-      DvMirror& m = mirror_[static_cast<std::size_t>(p)];
-      m.ckpt_dvs.resize(
-          static_cast<std::size_t>(frame.rolled_back.last_index) + 1);
-      m.current = frame.rolled_back.dv;
+      w.acked_session = rb.session;
+      w.acked_attempt = rb.attempt;
+      m.ckpt_dvs.resize(static_cast<std::size_t>(rb.last_index) + 1);
+      m.current = rb.dv;
       Event e;
       e.kind = EventKind::kRolledBack;
       e.p = p;
       e.incarnation = frame.header.incarnation;
-      e.session = frame.rolled_back.session;
-      e.attempt = frame.rolled_back.attempt;
-      e.forced = frame.rolled_back.rolled;
-      e.index = frame.rolled_back.last_index;
-      e.dv = frame.rolled_back.dv;
-      e.stored = frame.rolled_back.stored;
+      e.session = rb.session;
+      e.attempt = rb.attempt;
+      e.forced = rb.rolled;
+      e.index = rb.last_index;
+      e.dv = rb.dv;
+      e.stored = rb.stored;
       log_->append(e);
       return true;
     }
@@ -316,6 +407,7 @@ bool ProcFleet::handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
       return true;
     }
     case FrameKind::kState: {
+      if (!check_width(p, "State", frame.state.dv)) return false;
       Worker& w = workers_[static_cast<std::size_t>(p)];
       w.state_received = true;
       w.state = frame.state;
@@ -339,6 +431,13 @@ bool ProcFleet::handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
   }
 }
 
+void ProcFleet::prune_delivered_below_checkpoint(ProcessId p) {
+  const CheckpointIndex last = mirror_[static_cast<std::size_t>(p)].last();
+  std::erase_if(delivered_, [&](const DeliveredRec& r) {
+    return r.src == p && r.send_interval <= last;
+  });
+}
+
 void ProcFleet::route_data(std::span<const std::uint8_t> raw,
                            const DecodedFrame& frame) {
   // The send happened regardless of the destination's fate: it is part of
@@ -355,10 +454,8 @@ void ProcFleet::route_data(std::span<const std::uint8_t> raw,
   log_->append(e);
 
   const ProcessId dst = frame.header.dst;
-  Worker* w = (dst >= 0 && static_cast<std::size_t>(dst) < workers_.size())
-                  ? &workers_[static_cast<std::size_t>(dst)]
-                  : nullptr;
-  if (w == nullptr || !w->alive || w->draining) {
+  const Worker& w = workers_[static_cast<std::size_t>(dst)];
+  if (!w.alive || w.draining) {
     // In transit to a dead process: lost, exactly like the simulator's
     // disconnect drop (the replay purges it the same way).
     Event d;
@@ -374,7 +471,7 @@ void ProcFleet::route_data(std::span<const std::uint8_t> raw,
   // The destination gets the sender's exact bytes.  The header already
   // carries the destination and the (src, incarnation, seq) identity the
   // parent would stamp, so a re-encode could only reproduce them.
-  out_[static_cast<std::size_t>(dst)].emplace_back(raw.begin(), raw.end());
+  out_[static_cast<std::size_t>(dst)].push(raw);
   outstanding_[MsgKey{e.src, e.src_incarnation, e.seq}] =
       InFlight{dst, frame.data.send_interval};
 }
@@ -394,7 +491,7 @@ bool ProcFleet::send_cmd(ProcessId p, CmdOp op, ProcessId target,
   meta.incarnation = w.incarnation;
   meta.seq = cmd_seq;
   encode_cmd(scratch_, meta, body);
-  out_[static_cast<std::size_t>(p)].push_back(scratch_);
+  out_[static_cast<std::size_t>(p)].push(scratch_);
   return true;
 }
 
@@ -402,9 +499,18 @@ bool ProcFleet::run_cmd(ProcessId p, CmdOp op, ProcessId target,
                         std::uint64_t param) {
   std::uint64_t cmd_seq = 0;
   if (!send_cmd(p, op, target, param, cmd_seq)) return false;
-  Worker& w = workers_[static_cast<std::size_t>(p)];
-  return pump_until([&] { return w.last_done_seq >= cmd_seq; },
-                    "command completion");
+  const Worker& w = workers_[static_cast<std::size_t>(p)];
+  const auto done = [&] { return w.last_done_seq >= cmd_seq; };
+  // Reply first: read p's socket before waiting.  The woken worker has
+  // often answered by the time the send returns, and then the call makes
+  // no wait syscall at all.
+  if (!flush_all() || !drain(p)) return false;
+  if (!done() && !pump_until(done, "command completion")) return false;
+  // Deferred RecvAcks keep their deliveries outstanding; past the bound,
+  // read them now (waiting only if they have not been produced yet).
+  return outstanding_.size() <= kMaxOutstanding ||
+         pump_until([&] { return outstanding_.size() <= kMaxOutstanding; },
+                    "deferred delivery acknowledgements");
 }
 
 bool ProcFleet::send_app(ProcessId src, ProcessId dst, std::uint64_t bytes) {
@@ -423,7 +529,8 @@ bool ProcFleet::outstanding_from(ProcessId p) const {
   return false;
 }
 
-void ProcFleet::drop_outstanding_to(ProcessId dead) {
+std::uint64_t ProcFleet::drop_outstanding_to(ProcessId dead) {
+  std::uint64_t dropped = 0;
   for (auto it = outstanding_.begin(); it != outstanding_.end();) {
     if (it->second.dst == dead) {
       Event d;
@@ -433,22 +540,25 @@ void ProcFleet::drop_outstanding_to(ProcessId dead) {
       d.seq = it->first.seq;
       d.dst = dead;
       log_->append(d);
-      ++dropped_;
+      ++dropped;
       it = outstanding_.erase(it);
     } else {
       ++it;
     }
   }
+  dropped_ += dropped;
+  return dropped;
 }
 
-void ProcFleet::kill_process(Worker& w) {
+void ProcFleet::kill_process(ProcessId p) {
+  Worker& w = workers_[static_cast<std::size_t>(p)];
   if (w.pid > 0) {
     ::kill(w.pid, SIGKILL);
     int status = 0;
     ::waitpid(w.pid, &status, 0);
     w.pid = -1;
   }
-  w.fd.reset();
+  close_socket(p);
   w.alive = false;
 }
 
@@ -478,7 +588,7 @@ bool ProcFleet::quiesced_kill_respawn(ProcessId p) {
   e.kind = EventKind::kKill;
   e.p = p;
   log_->append(e);
-  kill_process(w);
+  kill_process(p);
   if (!spawn(p, w.incarnation + 1)) return false;
   return await_hello(p);
 }
@@ -606,7 +716,7 @@ bool ProcFleet::run_recovery_session(std::vector<ProcessId> faulty) {
         meta.incarnation = w.incarnation;
         meta.seq = ++w.next_cmd_seq;
         encode_recovery_start(scratch_, meta, body);
-        out_[q].push_back(scratch_);
+        out_[q].push(scratch_);
       }
     };
     const auto acked = [&] {
@@ -677,9 +787,8 @@ bool ProcFleet::kill_unclean(ProcessId p) {
   e.seq = log_->events_written();
   log_->append(e);
   w.draining = true;  // silence "died unexpectedly" while we tear it down
-  kill_process(w);
-  out_[static_cast<std::size_t>(p)].clear();
-  drop_outstanding_to(p);
+  kill_process(p);
+  w.unlogged_checkpoints = drop_outstanding_to(p);
   return true;
 }
 
@@ -721,13 +830,14 @@ bool ProcFleet::shutdown() {
           "final State digests")) {
     return false;
   }
-  for (Worker& w : workers_) {
+  for (std::size_t p = 0; p < workers_.size(); ++p) {
+    Worker& w = workers_[p];
     if (w.pid > 0) {
       int status = 0;
       ::waitpid(w.pid, &status, 0);
       w.pid = -1;
     }
-    w.fd.reset();
+    close_socket(static_cast<ProcessId>(p));
     w.alive = false;
   }
   return true;

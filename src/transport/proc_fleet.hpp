@@ -6,10 +6,28 @@
 // the parent), drives the workload through Cmd frames, and streams the
 // merged event log to disk as frames arrive.  Because every worker socket
 // is FIFO and a worker flushes the frames an event produced before it reads
-// its next command, the parent's frame-arrival order is a valid
+// its next frame, the parent's frame-processing order is a valid
 // linearization of the execution — the event log is replayable through the
 // deterministic simulator (transport/replay.hpp) and the replay must agree
 // bit-for-bit.
+//
+// The socket loop spends only the syscalls a call needs.  Worker sockets
+// sit in one epoll set (EPOLLOUT armed only while a worker's out-queue is
+// backed up); before any wait every queued frame is sent, and a readable
+// socket is drained with non-blocking receives until it is empty.
+// A command reads the commanded worker's socket right after the send — on
+// a shared CPU the woken worker has often replied already, and the call
+// then makes no wait syscall.  Other workers' RecvAck frames are read when
+// those workers are next commanded, by a wait, or once more than
+// kMaxOutstanding deliveries are outstanding.  A deferred RecvAck only
+// moves its deliver event later in the log: still after its send (routed
+// before the receiver could see the message) and before the receiver's
+// later frames (same FIFO socket), so the log stays a valid linearization.
+//
+// Every frame a worker sends is checked before the parent acts on it: DV
+// widths against process_count, lineage indices against the parent's
+// mirror of the sender.  A rogue or corrupted worker fails the run with an
+// error() naming the frame kind — never an out-of-bounds access.
 //
 // Failure injection is REAL here.  kill_and_restart(p) performs a
 // *quiesced* SIGKILL: the parent stops routing new traffic to p (dropping
@@ -31,8 +49,9 @@
 // hanging CI, and the destructor SIGKILLs whatever is still alive.
 #pragma once
 
+#include <sys/epoll.h>
+
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <span>
@@ -120,6 +139,8 @@ class ProcFleet {
   /// Messages the parent dropped because their destination was dead.
   std::uint64_t dropped() const { return dropped_; }
   std::uint32_t incarnation(ProcessId p) const;
+  /// OS process id of p's worker (-1 while none is spawned).
+  pid_t pid(ProcessId p) const;
   /// Recovery sessions completed (kill_and_restart found orphaned
   /// deliveries and drove the paper's session over the wire).
   std::uint64_t recovery_sessions() const { return recovery_sessions_; }
@@ -128,6 +149,17 @@ class ProcFleet {
   /// Delivered messages whose send died with a killed worker's volatile
   /// interval — the orphan condition each session exists to repair.
   std::uint64_t orphans_repaired() const { return orphans_repaired_; }
+
+  /// Bound on deliveries routed but not yet acknowledged in the log: past
+  /// it, a command does not return until deferred RecvAcks bring the count
+  /// back under it.
+  static constexpr std::size_t kMaxOutstanding = 64;
+  /// Messages routed whose RecvAck (or drop) the parent has not yet logged.
+  std::size_t outstanding() const { return outstanding_.size(); }
+  /// Delivery records kept for the orphan scan.  A record is dropped once
+  /// its sender holds a checkpoint at or past its send interval, so the
+  /// count stays bounded in a steady run.
+  std::size_t delivered_records() const { return delivered_.size(); }
 
  private:
   struct Worker {
@@ -142,6 +174,11 @@ class ProcFleet {
     StateBody state;
     std::uint64_t acked_session = 0;   ///< last recovery session acked
     std::uint32_t acked_attempt = 0;   ///< attempt of that ack
+    bool out_armed = false;  ///< EPOLLOUT registered (out-queue backed up)
+    /// Checkpoints the worker may have stored without the log seeing them:
+    /// deliveries dropped at its unclean kill (each may have forced one).
+    /// Bounds the next Hello's last_index above the mirror's.
+    std::uint64_t unlogged_checkpoints = 0;
   };
 
   /// Identity of an in-flight application message.
@@ -159,9 +196,9 @@ class ProcFleet {
   };
 
   /// A delivery that completed: the send/receive pair the CCP now contains.
-  /// Kept until one endpoint dies (rollback or process death) so the orphan
-  /// condition — a live receive of a dead send — is detectable after every
-  /// kill.
+  /// Kept until its sender checkpoints past the send or one endpoint dies
+  /// (rollback or process death), so the orphan condition — a live receive
+  /// of a dead send — is detectable after every kill.
   struct DeliveredRec {
     ProcessId src = -1;
     std::uint32_t src_incarnation = 0;
@@ -188,8 +225,16 @@ class ProcFleet {
   bool fail(const std::string& what);
   bool spawn(ProcessId p, std::uint32_t incarnation);
   bool await_hello(ProcessId p);
-  /// Process readable frames and flush out-queues once, waiting at most
-  /// `wait_ms` for activity.  False only on a fleet-level failure.
+  /// Send p's queued frames without blocking, arming EPOLLOUT while the
+  /// socket stays full.  False only on a fleet-level failure.
+  bool flush(ProcessId p);
+  bool flush_all();
+  /// Read and handle every frame queued on p's socket, without waiting.
+  bool drain(ProcessId p);
+  /// Leave the epoll set and close p's socket; its unsent frames die too.
+  void close_socket(ProcessId p);
+  /// Flush every out-queue, then wait at most `wait_ms` for activity and
+  /// handle it once.  False only on a fleet-level failure.
   bool pump(int wait_ms);
   template <typename Pred>
   bool pump_until(Pred done, const char* what);
@@ -197,14 +242,23 @@ class ProcFleet {
   /// verbatim).
   bool handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
                     const DecodedFrame& frame);
+  /// fail() unless `dv` is process_count wide.
+  bool check_width(ProcessId p, const char* kind,
+                   const std::vector<IntervalIndex>& dv);
   /// Log the send, then forward `raw` to its destination, or log a drop.
   void route_data(std::span<const std::uint8_t> raw, const DecodedFrame& frame);
+  /// Drop delivery records of sender p that its newest checkpoint made
+  /// safe: a later kill resumes at or above it, so they cannot orphan.
+  void prune_delivered_below_checkpoint(ProcessId p);
   bool send_cmd(ProcessId p, CmdOp op, ProcessId target, std::uint64_t param,
                 std::uint64_t& cmd_seq);
-  /// Send a command and pump until its CmdDone arrives.
+  /// Send a command, read the worker's socket before waiting, pump until
+  /// its CmdDone arrives, then hold outstanding deliveries to the bound.
   bool run_cmd(ProcessId p, CmdOp op, ProcessId target, std::uint64_t param);
-  void drop_outstanding_to(ProcessId dead);
-  void kill_process(Worker& w);
+  /// Log a drop for every message outstanding to `dead`; returns how many.
+  std::uint64_t drop_outstanding_to(ProcessId dead);
+  /// SIGKILL and reap p's process (spawned or live), then close_socket.
+  void kill_process(ProcessId p);
   bool outstanding_from(ProcessId p) const;
 
   /// Quiesced SIGKILL + respawn + Hello, no session logic (the body the old
@@ -229,12 +283,15 @@ class ProcFleet {
   std::string socket_path_;
   std::string log_path_;
   Fd listener_;
+  /// Every live worker socket, keyed by process id (epoll_event.data.u32).
+  Fd epoll_;
+  std::vector<epoll_event> events_;
   std::vector<Worker> workers_;
-  /// Per-worker parent->worker frame queues (drained non-blocking).
-  std::vector<std::deque<WireBuffer>> out_;
+  /// Per-worker parent->worker frame queues (sent non-blocking).
+  std::vector<FrameQueue> out_;
   /// In-flight application messages: key -> routing state.
   std::map<MsgKey, InFlight> outstanding_;
-  /// Completed deliveries with both endpoints still live.
+  /// Completed deliveries a kill of their sender could still orphan.
   std::vector<DeliveredRec> delivered_;
   /// Per-worker DV history mirror (indexed by process id).
   std::vector<DvMirror> mirror_;

@@ -2,10 +2,12 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <memory>
@@ -16,6 +18,8 @@
 namespace rdtgc::transport {
 
 namespace {
+
+using Clock = std::chrono::steady_clock;
 
 bool fill_sockaddr(const std::string& path, sockaddr_un& addr) {
   if (path.size() >= sizeof(addr.sun_path)) return false;
@@ -28,6 +32,32 @@ bool fill_sockaddr(const std::string& path, sockaddr_un& addr) {
 void sleep_ms(int ms) {
   timespec ts{ms / 1000, static_cast<long>(ms % 1000) * 1000000L};
   ::nanosleep(&ts, nullptr);
+}
+
+/// The absolute end of a wait of `timeout_ms` (-1 = no end) starting now.
+Clock::time_point deadline_after(int timeout_ms) {
+  return timeout_ms < 0 ? Clock::time_point::max()
+                        : Clock::now() + std::chrono::milliseconds(timeout_ms);
+}
+
+/// poll(2) `fd` for `events` until `deadline`.  A signal does not restart
+/// the full timeout: each retry waits only for what is left, rounded up to
+/// the next millisecond.  > 0 ready, 0 deadline, < 0 poll failed.
+int poll_until(int fd, short events, Clock::time_point deadline) {
+  pollfd pfd{fd, events, 0};
+  for (;;) {
+    int wait_ms = -1;
+    if (deadline != Clock::time_point::max()) {
+      const auto left = deadline - Clock::now();
+      wait_ms = left <= Clock::duration::zero()
+                    ? 0
+                    : static_cast<int>(
+                          std::chrono::ceil<std::chrono::milliseconds>(left)
+                              .count());
+    }
+    const int rc = ::poll(&pfd, 1, wait_ms);
+    if (rc >= 0 || errno != EINTR) return rc;
+  }
 }
 
 }  // namespace
@@ -76,11 +106,9 @@ Fd uds_connect(const std::string& path, int max_attempts, int backoff_ms) {
 }
 
 Fd uds_accept(int listen_fd, int timeout_ms) {
-  pollfd pfd{listen_fd, POLLIN, 0};
+  const Clock::time_point deadline = deadline_after(timeout_ms);
   for (;;) {
-    const int rc = ::poll(&pfd, 1, timeout_ms);
-    if (rc < 0 && errno == EINTR) continue;
-    if (rc <= 0) return Fd();  // timeout or poll error
+    if (poll_until(listen_fd, POLLIN, deadline) <= 0) return Fd();
     const int fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0 && (errno == EINTR || errno == EAGAIN)) continue;
     return Fd(fd);
@@ -95,7 +123,8 @@ RecvStatus recv_frame(int fd, WireBuffer& buf, int timeout_ms) {
   // kMaxFrameBytes of zero-fill.
   thread_local const std::unique_ptr<std::uint8_t[]> staging =
       std::make_unique_for_overwrite<std::uint8_t[]>(kMaxFrameBytes);
-  for (;;) {
+  Clock::time_point deadline{};  // set by the first wait
+  for (bool waited = false;;) {
     const ssize_t n = ::recv(fd, staging.get(), kMaxFrameBytes, MSG_DONTWAIT);
     if (n > 0) {
       buf.assign(staging.get(), staging.get() + n);  // capacity reused
@@ -104,26 +133,26 @@ RecvStatus recv_frame(int fd, WireBuffer& buf, int timeout_ms) {
     if (n == 0) return RecvStatus::kClosed;
     if (errno == EINTR) continue;
     if (errno != EAGAIN && errno != EWOULDBLOCK) return RecvStatus::kError;
-    // Nothing queued: wait only if the caller allows it.  A draining caller
-    // (timeout 0) pays one syscall per frame plus one for the empty socket.
+    // Nothing queued: wait only if the caller allows it.
     if (timeout_ms == 0) return RecvStatus::kTimeout;
-    pollfd pfd{fd, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, timeout_ms);
-    if (rc < 0 && errno == EINTR) continue;
+    if (!waited) deadline = deadline_after(timeout_ms);
+    waited = true;
+    const int rc = poll_until(fd, POLLIN, deadline);
     if (rc == 0) return RecvStatus::kTimeout;
     if (rc < 0) return RecvStatus::kError;
   }
 }
 
 bool send_frame(int fd, std::span<const std::uint8_t> frame, int timeout_ms) {
-  for (;;) {
+  Clock::time_point deadline{};  // set by the first wait
+  for (bool waited = false;;) {
     const int rc = try_send_frame(fd, frame);
     if (rc > 0) return true;
     if (rc < 0) return false;
-    pollfd pfd{fd, POLLOUT, 0};
-    const int prc = ::poll(&pfd, 1, timeout_ms);
-    if (prc < 0 && errno == EINTR) continue;
-    if (prc <= 0) return false;  // deadline: the peer is stuck
+    if (!waited) deadline = deadline_after(timeout_ms);
+    waited = true;
+    // A deadline without room: the peer is stuck.
+    if (poll_until(fd, POLLOUT, deadline) <= 0) return false;
   }
 }
 
@@ -138,6 +167,91 @@ int try_send_frame(int fd, std::span<const std::uint8_t> frame) {
   if (errno == EAGAIN || errno == EWOULDBLOCK) return 0;
   if (errno == EINTR) return 0;  // retried on the next flush
   return -1;
+}
+
+void FrameQueue::push(std::span<const std::uint8_t> frame) {
+  if (count_ == slots_.size()) {
+    // Full ring: unroll it oldest-first, then double it.
+    std::rotate(slots_.begin(),
+                slots_.begin() + static_cast<std::ptrdiff_t>(head_),
+                slots_.end());
+    head_ = 0;
+    slots_.resize(std::max<std::size_t>(8, 2 * slots_.size()));
+  }
+  slot(count_).assign(frame.begin(), frame.end());
+  ++count_;
+}
+
+int FrameQueue::flush(int fd) {
+  // One send per frame: the fleet's flushes hold one or two frames, and a
+  // sendmmsg(2) of two did not beat two sends in the fleet benchmark.
+  while (count_ > 0) {
+    const int rc = try_send_frame(fd, slot(0));
+    if (rc <= 0) return rc;
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    --count_;
+  }
+  head_ = 0;
+  return 1;
+}
+
+bool FrameQueue::flush_blocking(int fd, int timeout_ms) {
+  Clock::time_point deadline{};  // set by the first wait
+  for (bool waited = false;;) {
+    const int rc = flush(fd);
+    if (rc != 0) return rc > 0;
+    if (!waited) deadline = deadline_after(timeout_ms);
+    waited = true;
+    if (poll_until(fd, POLLOUT, deadline) <= 0) return false;
+  }
+}
+
+TimedReceiver::TimedReceiver(int fd, int timeout_ms)
+    : fd_(fd),
+      timeout_(std::chrono::milliseconds(timeout_ms)),
+      staging_(std::make_unique_for_overwrite<std::uint8_t[]>(kMaxFrameBytes)) {
+  RDTGC_EXPECTS(fd >= 0 && timeout_ms > 0);
+  const bool armed = set_timeout(timeout_);
+  RDTGC_EXPECTS(armed);  // `fd` is a socket
+}
+
+bool TimedReceiver::set_timeout(std::chrono::microseconds timeout) {
+  // A zero timeval would mean "no timeout": never pass less than 1 us.
+  const auto us = std::max<std::int64_t>(1, timeout.count());
+  const timeval tv{static_cast<time_t>(us / 1000000),
+                   static_cast<suseconds_t>(us % 1000000)};
+  return ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv) == 0;
+}
+
+RecvStatus TimedReceiver::recv() {
+  const Clock::time_point deadline = Clock::now() + timeout_;
+  RecvStatus status = RecvStatus::kError;
+  for (;;) {
+    const ssize_t n = ::recv(fd_, staging_.get(), kMaxFrameBytes, 0);
+    if (n > 0) {
+      size_ = static_cast<std::size_t>(n);
+      status = RecvStatus::kFrame;
+      break;
+    }
+    if (n == 0) {
+      status = RecvStatus::kClosed;
+      break;
+    }
+    if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) break;
+    // A signal cut the wait short, or SO_RCVTIMEO (counted in kernel
+    // ticks) ended it up to a tick early: wait again for what is left of
+    // the deadline only.
+    const auto left = std::chrono::ceil<std::chrono::microseconds>(
+        deadline - Clock::now());
+    if (left <= std::chrono::microseconds::zero()) {
+      status = RecvStatus::kTimeout;
+      break;
+    }
+    if (!set_timeout(left)) break;
+    shortened_ = true;
+  }
+  if (shortened_ && set_timeout(timeout_)) shortened_ = false;
+  return status;
 }
 
 UdsTransport::UdsTransport(int fd, ProcessId self, std::uint32_t incarnation)
@@ -169,8 +283,7 @@ sim::MessageId UdsTransport::send(sim::Message m) {
   meta.incarnation = incarnation_;
   meta.seq = next_seq();
   encode_data(scratch_, meta, data_scratch_);
-  enqueue_frame(scratch_);
-  flush();  // opportunistic; never blocks
+  enqueue_frame(scratch_);  // leaves with the command's CmdDone
   recycled_ = std::move(m);  // hand the DV buffer back to the next sender
   return recycled_.id;
 }
@@ -187,36 +300,6 @@ void UdsTransport::deliver(sim::Message m) {
   RDTGC_EXPECTS(sink_ != nullptr && m.dst == self_);
   sink_(m);
   recycled_ = std::move(m);
-}
-
-void UdsTransport::enqueue_frame(const WireBuffer& frame) {
-  WireBuffer slot;
-  if (!spare_.empty()) {
-    slot = std::move(spare_.front());
-    spare_.pop_front();
-  }
-  slot.assign(frame.begin(), frame.end());
-  out_.push_back(std::move(slot));
-}
-
-bool UdsTransport::flush() {
-  while (!out_.empty()) {
-    const int rc = try_send_frame(fd_, out_.front());
-    if (rc == 0) return true;  // backpressure: keep buffering
-    if (rc < 0) return false;
-    spare_.push_back(std::move(out_.front()));
-    out_.pop_front();
-  }
-  return true;
-}
-
-bool UdsTransport::flush_blocking(int timeout_ms) {
-  while (!out_.empty()) {
-    if (!send_frame(fd_, out_.front(), timeout_ms)) return false;
-    spare_.push_back(std::move(out_.front()));
-    out_.pop_front();
-  }
-  return true;
 }
 
 }  // namespace rdtgc::transport

@@ -11,14 +11,27 @@
 //
 // The free functions wrap the syscalls with the retry/deadline discipline
 // the chaos tests need (bounded EADDRINUSE rebinds, connect retries while
-// the parent is still coming up, poll timeouts everywhere so a hung peer
-// fails the run instead of hanging CI).
+// the parent is still coming up, a deadline on every wait so a hung peer
+// fails the run instead of hanging CI).  A deadline is absolute: a wait cut
+// short by a signal resumes for what remains of it, never for the full
+// timeout again.
+//
+// The fleet's steady-state I/O spends only the syscalls a frame needs:
+// FrameQueue holds the frames bound for one socket until the owner sends
+// them (one non-blocking send(2) each), the parent drains a socket with
+// recv_frame(fd, buf, 0) until it is empty, and TimedReceiver is the
+// worker's wait — one blocking recv(2) per frame, bounded by SO_RCVTIMEO
+// instead of a poll(2) in front of it.
 #pragma once
 
+#include <sys/socket.h>
+
+#include <chrono>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "transport/transport.hpp"
 #include "transport/wire.hpp"
@@ -93,15 +106,75 @@ bool send_frame(int fd, std::span<const std::uint8_t> frame, int timeout_ms);
 /// One non-blocking send attempt: 1 = sent, 0 = would block, -1 = dead peer.
 int try_send_frame(int fd, std::span<const std::uint8_t> frame);
 
+/// FIFO of encoded frames bound for one socket.
+///
+/// A ring of buffers: a sent frame's slot keeps its capacity for the next
+/// push, so a warm queue allocates nothing.  flush() sends the frames in
+/// order, one datagram each, and stops at backpressure with the unsent
+/// tail still queued, in order.
+class FrameQueue {
+ public:
+  /// Queue a copy of `frame` behind everything already queued.
+  void push(std::span<const std::uint8_t> frame);
+  /// Send queued frames without blocking: 1 = the queue is empty, 0 = the
+  /// socket is full (the rest stays queued), -1 = the peer is gone.
+  int flush(int fd);
+  /// flush(), waiting up to `timeout_ms` in all for the socket to drain
+  /// whenever it fills.  False on a dead peer or at the deadline.
+  bool flush_blocking(int fd, int timeout_ms);
+  bool empty() const { return count_ == 0; }
+  std::size_t size() const { return count_; }
+  /// Forget every queued frame (their slots stay allocated).
+  void clear() { head_ = count_ = 0; }
+
+ private:
+  WireBuffer& slot(std::size_t i) {
+    return slots_[(head_ + i) & (slots_.size() - 1)];
+  }
+
+  std::vector<WireBuffer> slots_;  ///< power-of-two ring
+  std::size_t head_ = 0;
+  std::size_t count_ = 0;
+};
+
+/// The worker's receive: one blocking recv(2) per frame, bounded by the
+/// socket's SO_RCVTIMEO, so a frame that is already queued or arrives
+/// during the wait costs one syscall and no poll(2).  A signal that cuts
+/// the wait short resumes it for what is left of the deadline (the
+/// shortened SO_RCVTIMEO is restored for the next wait).
+class TimedReceiver {
+ public:
+  /// Sets SO_RCVTIMEO on `fd` (which must stay blocking) to `timeout_ms`.
+  TimedReceiver(int fd, int timeout_ms);
+
+  /// Wait for one datagram: kFrame (frame() holds it), kTimeout once the
+  /// timeout has passed on the steady clock with none arriving, kClosed
+  /// once the peer closed and every queued frame was returned, kError on a
+  /// socket error.
+  RecvStatus recv();
+  std::span<const std::uint8_t> frame() const {
+    return {staging_.get(), size_};
+  }
+
+ private:
+  bool set_timeout(std::chrono::microseconds timeout);
+
+  int fd_;
+  std::chrono::microseconds timeout_;
+  bool shortened_ = false;  ///< SO_RCVTIMEO currently below timeout_
+  std::unique_ptr<std::uint8_t[]> staging_;
+  std::size_t size_ = 0;
+};
+
 /// Worker-side Transport over the single socket to the fleet parent.
 ///
 /// The endpoint serves exactly one process: connect() registers the local
 /// Node's sink, send() encodes the outgoing sim::Message as a Data frame
-/// stamped (self, incarnation, seq) and hands it to the send buffer.  The
-/// hot path NEVER blocks on the socket: frames go out with non-blocking
-/// writes and queue in `out_` under backpressure (Micro-Checkpointing's
-/// output-buffering discipline); the worker loop flushes the queue whenever
-/// the socket drains, and flush_blocking() empties it at quiesce points.
+/// stamped (self, incarnation, seq) and queues it.  The hot path NEVER
+/// touches the socket: frames wait in `out_` until the worker loop calls
+/// flush_blocking() once per handled frame, so everything one command
+/// produces (Data + CmdDone, Checkpoint + CmdDone) leaves together, before
+/// the next receive (Micro-Checkpointing's output-buffering discipline).
 class UdsTransport final : public Transport {
  public:
   UdsTransport(int fd, ProcessId self, std::uint32_t incarnation);
@@ -118,13 +191,13 @@ class UdsTransport final : public Transport {
 
   /// Queue an already-encoded non-Data frame behind everything already
   /// buffered, preserving the event order the parent's log relies on.
-  void enqueue_frame(const WireBuffer& frame);
+  void enqueue_frame(const WireBuffer& frame) { out_.push(frame); }
 
-  /// Push queued frames with non-blocking writes; false if the peer died.
-  bool flush();
-  /// Drain the queue completely, blocking up to `timeout_ms` per frame.
-  bool flush_blocking(int timeout_ms);
-  bool pending() const { return !out_.empty(); }
+  /// Send everything queued, waiting up to `timeout_ms` in all on
+  /// backpressure; false if the peer died or stayed full.
+  bool flush_blocking(int timeout_ms) {
+    return out_.flush_blocking(fd_, timeout_ms);
+  }
 
   std::uint64_t next_seq() { return ++seq_; }
   std::uint64_t last_seq() const { return seq_; }
@@ -137,10 +210,7 @@ class UdsTransport final : public Transport {
   std::uint32_t incarnation_;
   std::uint64_t seq_ = 0;  ///< per-incarnation frame sequence (1-based)
   DeliveryFn sink_;
-  std::deque<WireBuffer> out_;
-  /// Spare buffers recycled from flushed frames, so steady-state sends
-  /// allocate nothing once the queue's high-water mark is reached.
-  std::deque<WireBuffer> spare_;
+  FrameQueue out_;
   WireBuffer scratch_;
   DataBody data_scratch_;
   sim::Message recycled_;

@@ -21,7 +21,7 @@ class Worker {
       : config_(config),
         recorder_(config.process_count),
         transport_(fd, config.self, config.incarnation),
-        fd_(fd) {
+        rx_(fd, config.idle_timeout_ms) {
     ckpt::Node::Config node_config;
     node_config.checkpoint_bytes = config.checkpoint_bytes;
     node_config.storage.kind = config.backend;
@@ -43,18 +43,21 @@ class Worker {
   int run() {
     send_hello();
     DecodedFrame frame;
-    for (;;) {
-      if (!transport_.flush()) return kWorkerSendFailed;
-      const RecvStatus status =
-          recv_frame(fd_, in_, config_.idle_timeout_ms);
+    for (int exit_code = -1;;) {
+      // Everything the last frame produced leaves before the next
+      // receive: the parent's log order depends on it.
+      if (!transport_.flush_blocking(config_.idle_timeout_ms))
+        return kWorkerSendFailed;
+      if (exit_code >= 0) return exit_code;
+      const RecvStatus status = rx_.recv();
       if (status == RecvStatus::kTimeout) return kWorkerIdleTimeout;
       if (status == RecvStatus::kClosed || status == RecvStatus::kError)
         return kWorkerParentGone;
-      if (decode_frame(in_, frame) != WireError::kOk) return kWorkerBadFrame;
+      if (decode_frame(rx_.frame(), frame) != WireError::kOk)
+        return kWorkerBadFrame;
       // Advance the logical clock one tick per processed frame — event
       // timestamps stay ordered for debugging, and no algorithm reads them.
       simulator_.run_until(simulator_.now() + 1);
-      int exit_code = -1;
       switch (frame.header.kind()) {
         case FrameKind::kData:
           exit_code = handle_data(frame);
@@ -66,9 +69,10 @@ class Worker {
           exit_code = handle_recovery(frame);
           break;
         default:
-          exit_code = kWorkerBadFrame;  // Data, Cmd, RecoveryStart only
+          return kWorkerBadFrame;  // Data, Cmd, RecoveryStart only
       }
-      if (exit_code >= 0) return exit_code;
+      // A bad frame exits at once; kWorkerOk only after the flush above.
+      if (exit_code == kWorkerBadFrame) return exit_code;
     }
   }
 
@@ -165,8 +169,6 @@ class Worker {
     ack.stored = node_->store().stored_indices();
     encode_rolled_back(scratch_, meta_to_parent(), ack);
     transport_.enqueue_frame(scratch_);
-    if (!transport_.flush_blocking(config_.idle_timeout_ms))
-      return kWorkerSendFailed;
     return -1;
   }
 
@@ -214,9 +216,7 @@ class Worker {
         state.stored = node_->store().stored_indices();
         encode_state(scratch_, meta_to_parent(), state);
         transport_.enqueue_frame(scratch_);
-        if (!transport_.flush_blocking(config_.idle_timeout_ms))
-          return kWorkerSendFailed;
-        return kWorkerOk;
+        return kWorkerOk;  // after the State has left
       }
       default:
         return kWorkerBadFrame;
@@ -226,8 +226,6 @@ class Worker {
     done.cmd_seq = frame.header.seq;
     encode_cmd_done(scratch_, meta_to_parent(), done);
     transport_.enqueue_frame(scratch_);
-    if (!transport_.flush_blocking(config_.idle_timeout_ms))
-      return kWorkerSendFailed;
     return -1;
   }
 
@@ -235,9 +233,8 @@ class Worker {
   sim::Simulator simulator_;
   ccp::CcpRecorder recorder_;
   UdsTransport transport_;
-  int fd_;
+  TimedReceiver rx_;
   std::unique_ptr<ckpt::Node> node_;
-  WireBuffer in_;
   WireBuffer scratch_;
 };
 

@@ -19,6 +19,10 @@
 //                          SIGKILL drain point)
 //   * kCmd kShutdown    -> State digest, flush, exit 0
 //
+// Handlers only queue frames; the loop sends what one frame produced
+// before it waits for the next frame, in one blocking recv bounded by
+// SO_RCVTIMEO (transport::TimedReceiver).
+//
 // Incarnation 0 opens its store kFresh; incarnation > 0 opens kAttach and
 // re-seeds its empty recorder from the media (ckpt::Node's fresh-process
 // attach path) — this is the real kill -9 recovery the simulator's warm
@@ -44,7 +48,7 @@ struct WorkerConfig {
   ckpt::StorageBackendKind backend = ckpt::StorageBackendKind::kMmapFile;
   std::string storage_dir;
   std::uint64_t checkpoint_bytes = 1;
-  int idle_timeout_ms = 30000;
+  int idle_timeout_ms = 30000;  ///< > 0
 };
 
 /// Exit codes of a worker process (the fleet reports them on failure).

@@ -5,8 +5,9 @@
 //    vs per-peer delivery on randomized workloads);
 //  * a zero-allocation guarantee for the steady-state receive
 //    (merge_into + on_new_dependencies + CCB/store maintenance) and for the
-//    socket hop a fleet frame takes (send_frame + recv_frame), enforced
-//    with a global operator new/delete counting hook.
+//    socket hops a fleet frame takes (send_frame + recv_frame, and a
+//    FrameQueue flush drained by recv_frame), enforced with a global
+//    operator new/delete counting hook.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
@@ -577,6 +578,44 @@ TEST(HotPathAllocations, WarmSocketHopIsAllocationFree) {
             transport::RecvStatus::kTimeout);
   EXPECT_EQ(g_allocation_count.load() - before, 0u)
       << "a warm socket hop touched the heap";
+  EXPECT_EQ(in, frame);
+}
+
+TEST(HotPathAllocations, WarmQueuedHopIsAllocationFree) {
+  // The fleet's hop: frames wait in a FrameQueue until the loop flushes
+  // it, and the receiver drains them with recv_frame until the socket is
+  // empty.  Once the queue's ring and slot buffers have held a flush's
+  // frames, a hop never touches the heap.
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET | SOCK_CLOEXEC, 0, fds), 0);
+  const transport::Fd tx(fds[0]);
+  const transport::Fd rx(fds[1]);
+  transport::DataBody body;
+  body.send_interval = 3;
+  body.bytes = 1;
+  body.dv = {1, 4, 0, 2};
+  transport::WireBuffer frame;
+  transport::encode_data(frame, {0, 1, 0, 1}, body);
+  transport::FrameQueue queue;
+  transport::WireBuffer in;
+  const std::size_t frames = 8;
+  const auto hop = [&] {
+    for (std::size_t i = 0; i < frames; ++i) queue.push(frame);
+    ASSERT_EQ(queue.flush(tx.get()), 1);
+    for (std::size_t i = 0; i < frames; ++i) {
+      ASSERT_EQ(transport::recv_frame(rx.get(), in, 0),
+                transport::RecvStatus::kFrame);
+      ASSERT_EQ(in.size(), frame.size());
+    }
+    ASSERT_EQ(transport::recv_frame(rx.get(), in, 0),
+              transport::RecvStatus::kTimeout);
+  };
+  hop();
+
+  const std::uint64_t before = g_allocation_count.load();
+  for (int round = 0; round < 200; ++round) hop();
+  EXPECT_EQ(g_allocation_count.load() - before, 0u)
+      << "a warm queued hop touched the heap";
   EXPECT_EQ(in, frame);
 }
 

@@ -26,14 +26,26 @@
 // unclean SIGKILL case checks liveness (re-attach works) and that the
 // replay certifies exactly the clean prefix, stopping at the tagged
 // uncertifiable position; a tamper test shows the oracle actually bites.
+// The parent's own bookkeeping is pinned too: its delivery records and
+// outstanding deliveries stay bounded over 2000-call runs, kill/restart
+// cycles leave no descriptor or epoll registration behind, and a rogue
+// worker's malformed frames fail the run by name.
 // Every fleet wait is deadline-bounded, so a hung worker fails fast
 // instead of hanging CI (ctest adds a TIMEOUT belt on top).
+#include <signal.h>
+
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -507,6 +519,192 @@ TEST(Transport, TamperedLogFailsReplay) {
   ReplayResult caught = replay_events(events, replay_config(tamper_dir, n));
   EXPECT_FALSE(caught.ok);
   EXPECT_NE(caught.error.find("deliver"), std::string::npos) << caught.error;
+}
+
+// ---- The parent's bookkeeping stays bounded -------------------------------
+
+// A delivery record is kept only until its sender checkpoints past the
+// send, so a steady run holds a handful of records, not one per delivery.
+TEST(Transport, DeliveryRecordsStayBoundedInASteadyRun) {
+  ASSERT_FALSE(proc_bin().empty()) << "RDTGC_PROC_BIN not set";
+  const std::size_t n = 4;
+  ScratchDir dir("transport_steady_records");
+  ProcFleet fleet(fleet_config(dir, n));
+  ASSERT_TRUE(fleet.start()) << fleet.error();
+  std::mt19937_64 rng(7);
+  std::uniform_int_distribution<int> roll(0, 99);
+  std::uniform_int_distribution<std::size_t> proc(0, n - 1);
+  std::size_t peak = 0;
+  for (int call = 0; call < 2000; ++call) {
+    const auto p = static_cast<ProcessId>(proc(rng));
+    if (roll(rng) < 80) {
+      const auto dst =
+          static_cast<ProcessId>((p + 1 + proc(rng) % (n - 1)) % n);
+      ASSERT_TRUE(fleet.send_app(p, dst)) << fleet.error();
+    } else {
+      ASSERT_TRUE(fleet.basic_checkpoint(p)) << fleet.error();
+    }
+    peak = std::max(peak, fleet.delivered_records());
+  }
+  // Observed 16-17; without pruning, one per delivery (about 1600).
+  EXPECT_LE(peak, 32u);
+  ASSERT_TRUE(fleet.shutdown()) << fleet.error();
+  certify(fleet, dir, n);
+}
+
+// A receiver that falls behind holds its deliveries outstanding.  p1 is
+// stopped, so it cannot acknowledge: the call that passes the bound must
+// not return before p1 resumes and its RecvAcks bring the count back.
+// After that p1 only receives, and the count stays within the bound.
+TEST(Transport, ReceiveOnlyWorkerKeepsOutstandingAtTheBound) {
+  ASSERT_FALSE(proc_bin().empty()) << "RDTGC_PROC_BIN not set";
+  const std::size_t n = 3;
+  ScratchDir dir("transport_receive_only");
+  ProcFleet fleet(fleet_config(dir, n));
+  ASSERT_TRUE(fleet.start()) << fleet.error();
+  const pid_t receiver = fleet.pid(1);
+  ASSERT_EQ(::kill(receiver, SIGSTOP), 0);
+  for (std::size_t i = 1; i <= ProcFleet::kMaxOutstanding; ++i) {
+    ASSERT_TRUE(fleet.send_app(i % 2 == 0 ? 0 : 2, 1)) << fleet.error();
+    ASSERT_EQ(fleet.outstanding(), i);
+  }
+  std::atomic<bool> resumed{false};
+  std::thread resume([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    resumed = true;
+    ::kill(receiver, SIGCONT);
+  });
+  const bool sent = fleet.send_app(0, 1);
+  const bool waited = resumed.load();
+  resume.join();
+  ASSERT_TRUE(sent) << fleet.error();
+  EXPECT_TRUE(waited) << "returned past the bound before p1 could acknowledge";
+  EXPECT_LE(fleet.outstanding(), ProcFleet::kMaxOutstanding);
+
+  std::size_t peak = 0;
+  for (int call = 0; call < 2000; ++call) {
+    ASSERT_TRUE(fleet.send_app(call % 2 == 0 ? 0 : 2, 1)) << fleet.error();
+    peak = std::max(peak, fleet.outstanding());
+  }
+  EXPECT_LE(peak, ProcFleet::kMaxOutstanding);
+  ASSERT_TRUE(fleet.shutdown()) << fleet.error();
+  EXPECT_EQ(fleet.outstanding(), 0u);
+  certify(fleet, dir, n);
+}
+
+/// This process's open descriptors: number -> target, socket inodes masked
+/// (a respawned worker's socket is a new one under the same number).
+std::map<int, std::string> open_descriptors() {
+  std::map<int, std::string> fds;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    std::string target = std::filesystem::read_symlink(entry.path(), ec);
+    if (ec || target.starts_with("/proc/")) continue;  // the listing itself
+    if (target.starts_with("socket:")) target = "socket";
+    fds[std::stoi(entry.path().filename().string())] = target;
+  }
+  return fds;
+}
+
+/// Descriptors registered with this process's epoll instances.
+std::size_t epoll_registrations() {
+  std::size_t count = 0;
+  for (const auto& [fd, target] : open_descriptors()) {
+    if (target != "anon_inode:[eventpoll]") continue;
+    std::ifstream info("/proc/self/fdinfo/" + std::to_string(fd));
+    for (std::string line; std::getline(info, line);)
+      if (line.starts_with("tfd:")) ++count;
+  }
+  return count;
+}
+
+TEST(Transport, KillRestartCyclesLeaveNoDescriptorBehind) {
+  ASSERT_FALSE(proc_bin().empty()) << "RDTGC_PROC_BIN not set";
+  const std::size_t n = 3;
+  ScratchDir dir("transport_fd_cycles");
+  ProcFleet fleet(fleet_config(dir, n));
+  ASSERT_TRUE(fleet.start()) << fleet.error();
+  const std::map<int, std::string> at_start = open_descriptors();
+  EXPECT_EQ(epoll_registrations(), n);
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    const auto victim = static_cast<ProcessId>(cycle % n);
+    const auto peer = static_cast<ProcessId>((victim + 1) % n);
+    ASSERT_TRUE(fleet.send_app(peer, victim)) << fleet.error();
+    // Every other cycle the victim's send orphans and runs a session.
+    ASSERT_TRUE(fleet.send_app(victim, peer)) << fleet.error();
+    if (cycle % 2 == 0)
+      ASSERT_TRUE(fleet.basic_checkpoint(victim)) << fleet.error();
+    ASSERT_TRUE(fleet.kill_and_restart(victim)) << fleet.error();
+  }
+  EXPECT_GT(fleet.recovery_sessions(), 0u);
+  EXPECT_EQ(open_descriptors(), at_start);
+  EXPECT_EQ(epoll_registrations(), n);
+  ASSERT_TRUE(fleet.shutdown()) << fleet.error();
+  EXPECT_EQ(epoll_registrations(), 0u);
+  certify(fleet, dir, n);
+}
+
+// ---- A rogue worker's frames fail the run by name -------------------------
+
+std::string rogue_bin() {
+  const char* env = std::getenv("RDTGC_ROGUE_BIN");
+  return env != nullptr ? env : "";
+}
+
+/// Sets RDTGC_ROGUE_MODE for the workers spawned in its scope.
+class RogueMode {
+ public:
+  explicit RogueMode(const char* mode) {
+    ::setenv("RDTGC_ROGUE_MODE", mode, 1);
+  }
+  ~RogueMode() { ::unsetenv("RDTGC_ROGUE_MODE"); }
+  RogueMode(const RogueMode&) = delete;
+  RogueMode& operator=(const RogueMode&) = delete;
+};
+
+FleetConfig rogue_config(const ScratchDir& dir) {
+  FleetConfig config = fleet_config(dir, 3);
+  config.worker_binary = rogue_bin();
+  config.step_timeout_ms = 5000;
+  return config;
+}
+
+TEST(Transport, RogueHelloFailsStartByName) {
+  ASSERT_FALSE(rogue_bin().empty()) << "RDTGC_ROGUE_BIN not set";
+  for (const char* mode : {"short-hello", "huge-hello-index"}) {
+    const RogueMode rogue(mode);
+    ScratchDir dir(std::string("transport_rogue_") + mode);
+    ProcFleet fleet(rogue_config(dir));
+    EXPECT_FALSE(fleet.start()) << mode;
+    EXPECT_NE(fleet.error().find("Hello frame from p"), std::string::npos)
+        << mode << ": " << fleet.error();
+  }
+}
+
+TEST(Transport, RogueFramesFailTheCallByName) {
+  ASSERT_FALSE(rogue_bin().empty()) << "RDTGC_ROGUE_BIN not set";
+  const struct {
+    const char* mode;
+    const char* error;
+  } cases[] = {
+      {"short-recv-ack", "RecvAck frame from p1 carries a DV of width 2"},
+      {"forced-ack-lineage", "RecvAck frame from p1 puts its receive in"},
+      {"short-checkpoint", "Checkpoint frame from p0 carries a DV of width 2"},
+  };
+  for (const auto& c : cases) {
+    const RogueMode rogue(c.mode);
+    ScratchDir dir(std::string("transport_rogue_") + c.mode);
+    ProcFleet fleet(rogue_config(dir));
+    ASSERT_TRUE(fleet.start()) << c.mode << ": " << fleet.error();
+    // p1's RecvAck for p0's message is read no later than p1's own next
+    // command: its socket is FIFO.
+    const bool ok = fleet.send_app(0, 1) && fleet.send_app(1, 0) &&
+                    fleet.basic_checkpoint(0);
+    EXPECT_FALSE(ok) << c.mode;
+    EXPECT_NE(fleet.error().find(c.error), std::string::npos)
+        << c.mode << ": " << fleet.error();
+  }
 }
 
 // ---- Deadline guard: a fleet that cannot spawn fails fast, never hangs ----

@@ -7,11 +7,21 @@
 //  * timeout 0 never waits, a positive timeout waits for a late frame, and
 //    frames queued before the peer closed all arrive before kClosed;
 //  * send_frame gives up on a full socket at its deadline and on a closed
-//    peer at once.
+//    peer at once;
+//  * a FrameQueue flush keeps frame order and datagram boundaries, and
+//    under backpressure leaves the unsent tail queued, in order;
+//  * the worker's TimedReceiver returns queued frames first, kTimeout at
+//    its deadline and kClosed once the peer closed;
+//  * a wait keeps its deadline while signals keep interrupting it.
+#include <signal.h>
 #include <sys/socket.h>
+#include <time.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -137,6 +147,203 @@ TEST(UdsSend, FullSocketMissesTheDeadlineAndClosedPeerFails) {
   s.rx.reset();
   EXPECT_EQ(try_send_frame(s.tx.get(), frame), -1);
   EXPECT_FALSE(send_frame(s.tx.get(), frame, kWaitMs));
+}
+
+// ---- Queued frames --------------------------------------------------------
+
+/// Frame i of a test stream: its index in the first four bytes, then a
+/// pattern, `size` bytes in all.
+WireBuffer numbered(std::uint32_t i, std::size_t size) {
+  WireBuffer frame = pattern(size, static_cast<std::uint8_t>(i));
+  std::memcpy(frame.data(), &i, sizeof i);
+  return frame;
+}
+
+TEST(UdsFrameQueue, FlushKeepsOrderAndBoundaries) {
+  SocketPair s = seqpacket_pair();
+  // More frames than the ring's first size, from 4 bytes to 4 KiB.
+  std::vector<WireBuffer> frames;
+  for (std::uint32_t i = 0; i < 41; ++i)
+    frames.push_back(numbered(i, 4 + (i * 977) % 4096));
+  FrameQueue queue;
+  for (const WireBuffer& frame : frames) queue.push(frame);
+  EXPECT_EQ(queue.size(), frames.size());
+  ASSERT_EQ(queue.flush(s.tx.get()), 1);
+  EXPECT_TRUE(queue.empty());
+  WireBuffer buf;
+  for (const WireBuffer& frame : frames) {
+    ASSERT_EQ(recv_frame(s.rx.get(), buf, kWaitMs), RecvStatus::kFrame);
+    EXPECT_EQ(buf, frame);
+  }
+  EXPECT_EQ(recv_frame(s.rx.get(), buf, 0), RecvStatus::kTimeout);
+  // An empty queue flushes without a syscall, even on a dead socket.
+  s.rx.reset();
+  EXPECT_EQ(queue.flush(s.tx.get()), 1);
+  queue.push(frames[0]);
+  EXPECT_EQ(queue.flush(s.tx.get()), -1);
+}
+
+TEST(UdsFrameQueue, BackpressureLeavesTheUnsentTailQueuedInOrder) {
+  SocketPair s = seqpacket_pair();
+  constexpr std::uint32_t kFrames = 2000;  // far more than the socket holds
+  FrameQueue queue;
+  for (std::uint32_t i = 0; i < kFrames; ++i) queue.push(numbered(i, 4096));
+  ASSERT_EQ(queue.flush(s.tx.get()), 0);
+  ASSERT_GT(queue.size(), 0u);
+  ASSERT_LT(queue.size(), kFrames);
+
+  // Alternate draining the receiver and flushing the rest: every frame
+  // arrives once, whole, in push order.
+  WireBuffer buf;
+  std::uint32_t next = 0;
+  int rounds = 0;
+  while (next < kFrames) {
+    ASSERT_LT(++rounds, 10000);
+    while (recv_frame(s.rx.get(), buf, 0) == RecvStatus::kFrame) {
+      ASSERT_EQ(buf, numbered(next, 4096)) << "frame " << next;
+      ++next;
+    }
+    const int rc = queue.flush(s.tx.get());
+    ASSERT_GE(rc, 0);
+    EXPECT_EQ(rc == 1, queue.empty());
+    EXPECT_LE(next + queue.size(), kFrames);
+  }
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(UdsTimedReceiver, QueuedFramesThenTimeoutThenClosed) {
+  SocketPair s = seqpacket_pair();
+  const std::vector<WireBuffer> frames = {pattern(68, 1), pattern(1, 2),
+                                          pattern(70000, 3)};
+  for (const WireBuffer& frame : frames)
+    ASSERT_TRUE(send_frame(s.tx.get(), frame, kWaitMs));
+  {
+    TimedReceiver rx(s.rx.get(), 50);
+    for (const WireBuffer& frame : frames) {
+      ASSERT_EQ(rx.recv(), RecvStatus::kFrame);
+      EXPECT_EQ(WireBuffer(rx.frame().begin(), rx.frame().end()), frame);
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(rx.recv(), RecvStatus::kTimeout);
+    const auto waited = std::chrono::steady_clock::now() - t0;
+    EXPECT_GE(waited, std::chrono::milliseconds(50));
+    EXPECT_LT(waited, std::chrono::milliseconds(2000));
+  }
+
+  // A frame that arrives during the wait ends it.
+  TimedReceiver rx(s.rx.get(), kWaitMs);
+  const WireBuffer late = pattern(100, 4);
+  std::thread sender([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_TRUE(send_frame(s.tx.get(), late, kWaitMs));
+  });
+  ASSERT_EQ(rx.recv(), RecvStatus::kFrame);
+  sender.join();
+  EXPECT_EQ(WireBuffer(rx.frame().begin(), rx.frame().end()), late);
+
+  ASSERT_TRUE(send_frame(s.tx.get(), pattern(30, 5), kWaitMs));
+  s.tx.reset();
+  ASSERT_EQ(rx.recv(), RecvStatus::kFrame);
+  EXPECT_EQ(rx.frame().size(), 30u);
+  EXPECT_EQ(rx.recv(), RecvStatus::kClosed);
+}
+
+// ---- Deadlines under signals ---------------------------------------------
+
+std::atomic<int> g_ticks{0};
+timer_t g_timer{};
+
+void on_tick(int) {
+  if (g_ticks.fetch_add(1) + 1 >= 100) {
+    const itimerspec off{};
+    ::timer_settime(g_timer, 0, &off, nullptr);  // async-signal-safe
+  }
+}
+
+/// SIGALRM every 5 ms at the calling thread, disarmed by its handler after
+/// 100 ticks (half a second).  The handler is installed without
+/// SA_RESTART, so each tick interrupts a blocking call with EINTR.
+class SignalStorm {
+ public:
+  SignalStorm() {
+    g_ticks = 0;
+    struct sigaction sa{};
+    sa.sa_handler = on_tick;
+    sigemptyset(&sa.sa_mask);
+    EXPECT_EQ(::sigaction(SIGALRM, &sa, &old_), 0);
+    sigevent sev{};
+    sev.sigev_notify = SIGEV_THREAD_ID;
+    sev.sigev_signo = SIGALRM;
+    sev._sigev_un._tid = ::gettid();
+    EXPECT_EQ(::timer_create(CLOCK_MONOTONIC, &sev, &g_timer), 0);
+    const timespec every{0, 5'000'000};
+    const itimerspec spec{every, every};
+    EXPECT_EQ(::timer_settime(g_timer, 0, &spec, nullptr), 0);
+  }
+  ~SignalStorm() {
+    ::timer_delete(g_timer);
+    ::sigaction(SIGALRM, &old_, nullptr);
+  }
+  SignalStorm(const SignalStorm&) = delete;
+  SignalStorm& operator=(const SignalStorm&) = delete;
+
+ private:
+  struct sigaction old_{};
+};
+
+/// Runs `wait` (a 100 ms wait that must time out) under a SignalStorm and
+/// returns how long it took; fails the test unless signals really landed
+/// inside the wait.
+template <typename Wait>
+std::chrono::milliseconds time_under_signals(Wait wait) {
+  SignalStorm storm;
+  const auto t0 = std::chrono::steady_clock::now();
+  const int ticks_before = g_ticks.load();
+  wait();
+  const auto took = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - t0);
+  EXPECT_GE(g_ticks.load() - ticks_before, 2) << "no signal hit the wait";
+  return took;
+}
+
+// Signals every 5 ms for half a second: a wait that restarted its full
+// timeout after each one would end about 100 ms after the last signal,
+// near 600 ms, instead of at its own 100 ms deadline.
+TEST(UdsDeadline, RecvFrameKeepsItsDeadlineUnderSignals) {
+  SocketPair s = seqpacket_pair();
+  WireBuffer buf;
+  const auto took = time_under_signals([&] {
+    EXPECT_EQ(recv_frame(s.rx.get(), buf, 100), RecvStatus::kTimeout);
+  });
+  EXPECT_GE(took, std::chrono::milliseconds(95));
+  EXPECT_LT(took, std::chrono::milliseconds(300));
+}
+
+TEST(UdsDeadline, WorkerReceiveKeepsItsDeadlineUnderSignals) {
+  SocketPair s = seqpacket_pair();
+  TimedReceiver rx(s.rx.get(), 100);
+  // kTimeout only once the deadline has passed on the steady clock, even
+  // where SO_RCVTIMEO's tick-granular wait ends early.
+  const auto took = time_under_signals(
+      [&] { EXPECT_EQ(rx.recv(), RecvStatus::kTimeout); });
+  EXPECT_GE(took, std::chrono::milliseconds(100));
+  EXPECT_LT(took, std::chrono::milliseconds(300));
+  // The shortened SO_RCVTIMEO was restored: the next wait is a full one.
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(rx.recv(), RecvStatus::kTimeout);
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(100));
+}
+
+TEST(UdsDeadline, SendFrameOnAFullSocketKeepsItsDeadlineUnderSignals) {
+  SocketPair s = seqpacket_pair();
+  const WireBuffer frame = pattern(4096, 6);
+  while (try_send_frame(s.tx.get(), frame) == 1) {
+  }
+  const auto took = time_under_signals(
+      [&] { EXPECT_FALSE(send_frame(s.tx.get(), frame, 100)); });
+  EXPECT_GE(took, std::chrono::milliseconds(95));
+  EXPECT_LT(took, std::chrono::milliseconds(300));
 }
 
 }  // namespace

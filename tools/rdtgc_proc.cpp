@@ -48,7 +48,8 @@ int main(int argc, char** argv) {
   config.checkpoint_bytes = static_cast<std::uint64_t>(parse_ll(argv[8], ok));
   config.idle_timeout_ms = static_cast<int>(parse_ll(argv[9], ok));
   if (!ok || config.self < 0 || config.process_count < 2 ||
-      static_cast<std::size_t>(config.self) >= config.process_count) {
+      static_cast<std::size_t>(config.self) >= config.process_count ||
+      config.idle_timeout_ms <= 0) {
     std::fprintf(stderr, "rdtgc_proc: malformed argv\n");
     return 64;
   }
