@@ -170,7 +170,7 @@ class CcpRecorder {
   /// record_rollback, while the surviving rows stay in place so the
   /// Theorem-1 oracle keeps certifying the GLOBAL recovery line across the
   /// restart instead of forgetting the pre-crash checkpoints.  The restarted
-  /// Node re-validates its recovered per-stripe DVs against these rows.
+  /// Node re-validates its recovered DVs against these rows.
   /// Counted in stats().restarts, not stats().rollbacks.
   void record_restart(ProcessId p, CheckpointIndex ri, SimTime t);
 

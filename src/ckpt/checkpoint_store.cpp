@@ -17,11 +17,9 @@ void CheckpointStore::put(StoredCheckpoint checkpoint) {
   RDTGC_EXPECTS(checkpoint.index >= 0);
   RDTGC_EXPECTS(indices_.empty() || checkpoint.index > indices_.back());
   bytes_ += checkpoint.bytes;
-  ++stats_.stored;
   indices_.push_back(checkpoint.index);
   checkpoints_.push_back(std::move(checkpoint));
-  stats_.peak_count = std::max(stats_.peak_count, indices_.size());
-  stats_.peak_bytes = std::max(stats_.peak_bytes, bytes_);
+  stats_.note_put(indices_.size(), bytes_);
 }
 
 bool CheckpointStore::contains(CheckpointIndex index) const {

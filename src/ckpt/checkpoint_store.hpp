@@ -11,15 +11,12 @@
 // at most n+1 checkpoints are live, so erase shifts are tiny and the
 // GC-elimination path never allocates.
 //
-// This flat store is also the building block and reference implementation of
-// the index-striped ShardedCheckpointStore (sharded_checkpoint_store.hpp):
-// each stripe there is one StorageBackend, this class being the in-memory
-// one, and tests/store_test.cpp property-tests the two for observable
-// equivalence.  Nodes hold the sharded store; use this one directly for
-// single-stripe scenarios and as the equivalence oracle — the persistent
-// backends (mmap_backend.hpp, log_backend.hpp) embed one of these as their
-// in-memory mirror, so "backend X matches the flat store" is the single
-// equivalence contract everything reduces to.
+// This is the read store of every process: ShardedCheckpointStore
+// (sharded_checkpoint_store.hpp) holds exactly one, and it is the only
+// in-memory copy of each checkpoint and the only read path, whatever
+// medium (storage_backend.hpp) persists the mutations underneath.  The
+// media replay into one of these on recover().  Tests also use it on its
+// own as the reference the whole stack is compared against.
 #pragma once
 
 #include <cstdint>
@@ -31,82 +28,71 @@
 
 namespace rdtgc::ckpt {
 
-class CheckpointStore final : public StorageBackend {
+class CheckpointStore {
  public:
   explicit CheckpointStore(ProcessId owner) : owner_(owner) {}
 
   /// Owning process id.  O(1), never allocates.
-  ProcessId owner() const override { return owner_; }
-
-  /// In-memory reference backend.
-  StorageBackendKind kind() const override {
-    return StorageBackendKind::kInMemory;
-  }
+  ProcessId owner() const { return owner_; }
 
   /// Store a new checkpoint; indices arrive in strictly increasing order
   /// within a lineage (rollback may reintroduce previously-used indices
   /// after discard_after()).  Amortized allocation-free: push_back only,
   /// no heap traffic once the vectors reached steady-state capacity.
-  void put(StoredCheckpoint checkpoint) override;
+  void put(StoredCheckpoint checkpoint);
 
   /// Copy-in variant for the hot checkpoint path: the dependency vector is
   /// copied into the buffer recycled by the most recent collect(), so
   /// steady-state checkpoint-and-collect churn never touches the heap.
   void put(CheckpointIndex index, const causality::DependencyVector& dv,
-           SimTime stored_at, std::uint64_t bytes) override;
+           SimTime stored_at, std::uint64_t bytes);
 
   /// Membership test; one binary search.  Never allocates.
-  bool contains(CheckpointIndex index) const override;
+  bool contains(CheckpointIndex index) const;
   /// Reference into the flat store — invalidated by the next mutation
   /// (put/collect/discard_after); copy before interleaving.  Never
   /// allocates; throws ContractViolation when absent.
-  const StoredCheckpoint& get(CheckpointIndex index) const override;
+  const StoredCheckpoint& get(CheckpointIndex index) const;
 
   /// View of the stored DV (into this store's owning vector).  Never
   /// allocates; invalidated by the next mutation.
-  causality::DvView dv_view(CheckpointIndex index) const override {
+  causality::DvView dv_view(CheckpointIndex index) const {
     return get(index).dv.view();
   }
 
   /// Garbage-collection elimination of an obsolete checkpoint.
   /// Allocation-free.
-  void collect(CheckpointIndex index) override;
+  void collect(CheckpointIndex index);
 
   /// Rollback discard of every checkpoint with index > ri (Algorithm 3
   /// line 4).  Returns how many were discarded.  Allocation-free (suffix
   /// resize only).
-  std::size_t discard_after(CheckpointIndex ri) override;
+  std::size_t discard_after(CheckpointIndex ri);
 
   /// Currently stored indices, ascending.  O(1): a live view of the store's
   /// flat index, invalidated by the next mutation — snapshot (copy) before
   /// interleaving with put/collect/discard_after.
-  const std::vector<CheckpointIndex>& stored_indices() const override {
+  const std::vector<CheckpointIndex>& stored_indices() const {
     return indices_;
   }
 
   /// Highest stored index; store is never empty after the initial checkpoint.
   /// O(1), never allocates; throws ContractViolation on an empty store.
-  CheckpointIndex last_index() const override;
+  CheckpointIndex last_index() const;
 
   /// Live checkpoints.  O(1), never allocates.
-  std::size_t count() const override { return indices_.size(); }
+  std::size_t count() const { return indices_.size(); }
   /// Bytes currently held.  O(1), never allocates.
-  std::uint64_t bytes() const override { return bytes_; }
+  std::uint64_t bytes() const { return bytes_; }
 
   using Stats = StoreStats;
   /// Lifetime counters (see StoreStats fields).  O(1), never allocates.
-  const Stats& stats() const override { return stats_; }
+  const Stats& stats() const { return stats_; }
 
-  /// Nothing is persistent here: recover() is the documented no-op of the
-  /// trait, returning the live count.
-  std::size_t recover() override { return count(); }
-  /// No durability point either.
-  void flush() override {}
-
-  /// Overwrite the lifetime counters.  ONLY for backend recovery paths
-  /// (mmap/log backends replay their medium into a mirror of this class and
-  /// then restore the persisted counters, whose history — peaks included —
-  /// a live-set replay cannot reconstruct).
+  /// Overwrite the lifetime counters.  ONLY for medium recovery (a medium
+  /// replays its live set into this store and then restores the persisted
+  /// counters, whose history — peaks included — a live-set replay cannot
+  /// reconstruct).
   void restore_stats(const Stats& stats) { stats_ = stats; }
 
  private:

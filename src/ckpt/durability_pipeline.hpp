@@ -1,26 +1,24 @@
-// Asynchronous durability for a sharded checkpoint store: group commit and
-// an optional background writer, so the zero-alloc protocol hot path never
+// Asynchronous durability for a checkpoint store: group commit and an
+// optional background writer, so the zero-alloc protocol hot path never
 // blocks on media.
 //
-// The paper's model assumes checkpoints reach stable storage; the kSync
-// backends charge that cost to the protocol hot path (write-through mapped
-// pages — the log's tail and the mmap segment — with fsync/msync inline).  Under a
-// non-kSync DurabilityPolicy the owning ShardedCheckpointStore splits the
-// two roles:
+// The paper's model assumes checkpoints reach stable storage; under kSync
+// the store charges that cost to the protocol hot path (write-through
+// mapped pages — the log's tail and the mmap segment — with fsync/msync at
+// flush()).  Under a non-kSync DurabilityPolicy the owning
+// ShardedCheckpointStore splits the two roles:
 //
-//   * the ACKNOWLEDGED state lives in the store's flat in-memory stripes —
-//     the same zero-allocation CheckpointStore path as the in-memory
-//     backend — and serves every read and every protocol decision;
-//   * the DURABLE state lives in the persistent stripe backends, which no
-//     longer see mutations directly.  Each acknowledged mutation is
-//     recorded in this pipeline's bounded ring (preallocated slots, DV
-//     payload buffers reused across wraps — steady-state enqueue is
-//     allocation-free), and a GROUP COMMIT replays a whole window of
-//     recorded ops, in acknowledgment order, into the stripe backends:
-//     each touched stripe is bracketed by begin_batch()/end_batch(true),
-//     so each backend pays one durability point per window — one fsync
-//     (log) or msync (mmap) — many per-op durability points coalesced
-//     into one.
+//   * the ACKNOWLEDGED state is the store's read store (a flat
+//     CheckpointStore, the same zero-allocation path as in-memory storage),
+//     which serves every read and every protocol decision;
+//   * the DURABLE state is the store's one medium, which no longer sees
+//     mutations directly.  Each acknowledged mutation is recorded in this
+//     pipeline's bounded ring (preallocated slots, DV payload buffers
+//     reused across wraps — steady-state enqueue is allocation-free), and a
+//     GROUP COMMIT replays a whole window of recorded ops, in
+//     acknowledgment order, into the medium and ends on one
+//     StorageBackend::commit() — one fsync (log) or msync (mmap) per window
+//     instead of one per op.
 //
 // Commit scheduling: kGroupCommit drains inline on the operation that
 // fills the window (every_k_ops; optionally every put with
@@ -29,11 +27,10 @@
 // the ring (every_k_ops bounds a pass) and the hot path NEVER syncs;
 // producers only spin when the bounded ring is full (backpressure).
 //
-// Locking discipline (all leaf-level util::SpinLocks, fixed order):
+// Locking discipline (both leaf-level util::SpinLocks, fixed order):
 //   ring_lock_  — guards the ring indices and slot publication.  Held for
 //                 nanoseconds: slot fill on enqueue, index reads/advance on
-//                 claim/free.  May be taken while the store holds a stripe
-//                 lock (stripe -> ring order, never the reverse).
+//                 claim/free.
 //   drain_lock_ — serializes whole drains (writer passes, inline commits,
 //                 flush()).  I/O happens under drain_lock_ but NEVER under
 //                 ring_lock_, so producers keep enqueueing while a commit
@@ -46,12 +43,11 @@
 // un-drained window is discarded (the destructor stops the writer after
 // its in-flight pass; it does not drain), so recovery lands on the state
 // after some prefix of the acknowledged operations: never a reordering,
-// never a gap.  The store-global meta counters are published at commit
-// time from a replica maintained in drain order (not from the acknowledged
-// counters), so recovered stats always match the recovered prefix.  As
-// with the mmap backend's in-place compaction, a commit is not atomic
-// against an OS crash mid-drain; the model — here and in the tests — is
-// dropping the object between operations.
+// never a gap.  The medium counts what it is given, so the counters its
+// header persists always match the recovered prefix.  As with the mmap
+// segment's in-place compaction, a commit is not atomic against an OS
+// crash mid-drain; the model — here and in the tests — is dropping the
+// object between operations.
 //
 // Observability: acknowledged-vs-synced op counts and checkpoint indices
 // are maintained as atomics, snapshot by status() — the durability-lag
@@ -60,8 +56,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -87,15 +81,10 @@ struct DurabilityStatus {
 
 class DurabilityPipeline {
  public:
-  /// `stripes` are the persistent backends the drains write into (owned by
-  /// the store, which destroys this pipeline first); `mask` is the store's
-  /// shard mask; `publish_meta` stores the durable-replica counters into
-  /// the store's mapped meta header at each commit.  Policy mode must not
-  /// be kSync.  Starts the writer thread in kBackground mode.
-  DurabilityPipeline(DurabilityPolicy policy,
-                     std::vector<std::unique_ptr<StorageBackend>>& stripes,
-                     std::size_t mask,
-                     std::function<void(const StoreStats&)> publish_meta);
+  /// `medium` is the store's persistent medium the drains write into
+  /// (owned by the store, which destroys this pipeline first).  Policy
+  /// mode must not be kSync.  Starts the writer thread in kBackground mode.
+  DurabilityPipeline(DurabilityPolicy policy, StorageBackend& medium);
 
   /// Stops the writer after its in-flight pass and DISCARDS whatever is
   /// still enqueued — dropping the store without flush() models a crash.
@@ -104,18 +93,16 @@ class DurabilityPipeline {
   DurabilityPipeline(const DurabilityPipeline&) = delete;
   DurabilityPipeline& operator=(const DurabilityPipeline&) = delete;
 
-  // ---- Recording (called by the store, under the owning stripe's lock
-  // in striped mode so the per-stripe replay order matches the mirror).
-  // Each returns true when the policy calls for an inline group commit;
-  // the caller invokes commit() AFTER releasing its stripe lock.  Spins
-  // when the bounded ring is full (kBackground backpressure); steady-state
+  // ---- Recording (called by the store after its read store accepted the
+  // mutation).  Each returns true when the policy calls for an inline
+  // group commit, which the caller runs with commit().  Spins when the
+  // bounded ring is full (kBackground backpressure); steady-state
   // allocation-free once every slot's DV buffer is sized. ----
 
   bool record_put(CheckpointIndex index, const causality::DependencyVector& dv,
                   SimTime stored_at, std::uint64_t bytes);
-  bool record_collect(CheckpointIndex index, std::uint64_t freed);
-  bool record_discard(CheckpointIndex ri, std::size_t discarded,
-                      std::uint64_t freed);
+  bool record_collect(CheckpointIndex index);
+  bool record_discard(CheckpointIndex ri);
 
   /// Drain every currently recorded op as one group commit (inline mode;
   /// harmless no-op when another thread's drain already took them).
@@ -126,11 +113,9 @@ class DurabilityPipeline {
   /// mutators to be quiescent, like every store-level flush.
   void flush();
 
-  /// Reset the pipeline after the owning store recovered from media: the
-  /// durable replica adopts the recovered counters/occupancy and the lag
-  /// collapses to zero.
-  void reset_after_recover(CheckpointIndex last_index, const StoreStats& stats,
-                           std::size_t count, std::uint64_t bytes);
+  /// Reset the pipeline after the owning store recovered from its medium:
+  /// the lag collapses to zero at `last_index`.
+  void reset_after_recover(CheckpointIndex last_index);
 
   /// Acked-vs-synced snapshot; safe to call concurrently with a
   /// background drain.
@@ -148,12 +133,8 @@ class DurabilityPipeline {
     enum class Kind : std::uint8_t { kPut, kCollect, kDiscardAfter };
     Kind kind = Kind::kPut;
     CheckpointIndex index = 0;
-    SimTime stored_at = 0;
-    /// kPut: checkpoint payload bytes.  kCollect/kDiscardAfter: bytes the
-    /// operation freed (captured at acknowledgment time so the drain can
-    /// maintain the durable stats replica without consulting the mirror).
-    std::uint64_t bytes = 0;
-    std::size_t discarded = 0;  ///< kDiscardAfter: checkpoints dropped
+    SimTime stored_at = 0;   ///< kPut only
+    std::uint64_t bytes = 0;  ///< kPut only
     /// kPut: the DV payload, copied into a buffer reused across ring
     /// wraps (sized on first use; allocation-free thereafter).
     std::vector<IntervalIndex> dv;
@@ -167,16 +148,14 @@ class DurabilityPipeline {
   bool enqueue(Slot::Kind kind, bool is_put, FillFn&& fill);
 
   /// One serialized drain pass: claim up to `max_ops` recorded ops, apply
-  /// them in order to the stripe backends inside batch brackets, publish
-  /// the durable meta, free the slots.  Returns how many ops it applied.
+  /// them in order to the medium, commit it, free the slots.  Returns how
+  /// many ops it applied.
   std::size_t drain_some(std::size_t max_ops);
 
   void writer_main();
 
   DurabilityPolicy policy_;
-  std::vector<std::unique_ptr<StorageBackend>>& stripes_;
-  std::size_t shard_mask_;
-  std::function<void(const StoreStats&)> publish_meta_;
+  StorageBackend& medium_;
 
   // Bounded ring: capacity is a power of two; head_/tail_ are free-running
   // sequence numbers (occupancy = head_ - tail_).  Slots in [tail_, head_)
@@ -192,17 +171,9 @@ class DurabilityPipeline {
   /// take ring_lock_ only in the claim/free windows, never across I/O).
   util::SpinLock drain_lock_;
 
-  // ---- Drain-side state (touched only under drain_lock_) ----
-  /// Durable-state stats replica, advanced in drain order; published to
-  /// the meta header at each commit so recovered counters always match the
-  /// recovered prefix.
-  StoreStats durable_stats_;
-  std::size_t durable_count_ = 0;
-  std::uint64_t durable_bytes_ = 0;
-  /// Reusable DV for replaying puts into the backends (copy-in target).
+  /// Reusable DV for replaying puts into the medium (drain side only,
+  /// under drain_lock_).
   causality::DependencyVector scratch_dv_;
-  /// Per-stripe "touched in this drain" marks (begin_batch bookkeeping).
-  std::vector<std::uint8_t> touched_;
 
   // ---- Lag counters (atomics: probe reads race a background drain) ----
   std::atomic<std::uint64_t> acked_ops_{0};

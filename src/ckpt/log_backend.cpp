@@ -11,6 +11,7 @@
 #include <cstring>
 #include <utility>
 
+#include "ckpt/checkpoint_store.hpp"
 #include "util/check.hpp"
 #include "util/mapped_file.hpp"  // util::IoError
 
@@ -39,7 +40,7 @@ struct LogStructuredBackend::RecordHeader {
 namespace {
 
 constexpr std::uint64_t kLogMagic = 0x31474f4c434754ffull;  // "RDTGCLOG1"-ish
-constexpr std::uint32_t kLogVersion = 1;
+constexpr std::uint32_t kLogVersion = 2;
 constexpr std::uint32_t kRecordMagic = 0x52435244u;  // "RCRD"
 
 constexpr std::uint16_t kRecPut = 1;
@@ -101,7 +102,7 @@ LogStructuredBackend::LogStructuredBackend(ProcessId owner, std::string path,
                                            OpenMode mode,
                                            std::size_t compact_min_records,
                                            double compact_dead_ratio)
-    : mem_(owner),
+    : owner_(owner),
       path_(std::move(path)),
       compact_min_records_(compact_min_records),
       compact_dead_ratio_(compact_dead_ratio) {
@@ -135,7 +136,7 @@ void LogStructuredBackend::open_fresh() {
   LogHeader h{};
   h.magic = kLogMagic;
   h.version = kLogVersion;
-  h.owner = mem_.owner();
+  h.owner = owner_;
   h.dv_width = kWidthUnset;
   h.baseline_records = 0;
   pwrite_all(fd_, &h, sizeof(h), 0, path_);
@@ -213,10 +214,9 @@ void LogStructuredBackend::unmap_tail() {
   window_size_ = 0;
 }
 
-void LogStructuredBackend::append_record(std::uint16_t type,
-                                         CheckpointIndex index,
-                                         SimTime stored_at, std::uint64_t bytes,
-                                         const causality::DependencyVector* dv) {
+std::uint64_t LogStructuredBackend::append_record(
+    std::uint16_t type, CheckpointIndex index, SimTime stored_at,
+    std::uint64_t bytes, const causality::DependencyVector* dv) {
   const std::size_t payload =
       dv != nullptr ? dv->size() * sizeof(IntervalIndex) : 0;
   std::byte* const out = tail_for(sizeof(RecordHeader) + payload);
@@ -237,56 +237,66 @@ void LogStructuredBackend::append_record(std::uint16_t type,
     std::memcpy(out + sizeof(rec), dv->entries().data(), payload);
   std::atomic_signal_fence(std::memory_order_release);
   std::memcpy(out, &rec.magic, kMagic);
+  const std::uint64_t offset = end_offset_;
   end_offset_ += sizeof(rec) + payload;
   dirty_ = true;
   ++log_records_;
+  return offset;
 }
 
-// Mutation ordering: validate the mirror's contract first, append to the
-// medium second, update the mirror last.  An append throws (IoError, e.g.
-// ENOSPC from the reservation) before it stores any byte, so the throw
-// leaves mirror and log both unchanged and they never diverge.
-
-void LogStructuredBackend::put(StoredCheckpoint checkpoint) {
-  RDTGC_EXPECTS(!pending_recover_);
-  RDTGC_EXPECTS(checkpoint.index >= 0);
-  RDTGC_EXPECTS(mem_.count() == 0 || checkpoint.index > mem_.last_index());
-  ensure_width(checkpoint.dv.size());
-  append_record(kRecPut, checkpoint.index, checkpoint.stored_at,
-                checkpoint.bytes, &checkpoint.dv);
-  mem_.put(std::move(checkpoint));
+std::size_t LogStructuredBackend::live_position(CheckpointIndex index) const {
+  const auto it = std::lower_bound(
+      live_.begin(), live_.end(), index,
+      [](const LiveRecord& e, CheckpointIndex g) { return e.index < g; });
+  if (it == live_.end() || it->index != index) return live_.size();
+  return static_cast<std::size_t>(it - live_.begin());
 }
+
+// Mutation ordering: compact if due, then append, then update the live
+// table and counters.  A compaction or an append throws (IoError, e.g.
+// ENOSPC from the reservation) before this mutation's record is stored, so
+// the throw leaves the log holding exactly what it held before.
 
 void LogStructuredBackend::put(CheckpointIndex index,
                                const causality::DependencyVector& dv,
                                SimTime stored_at, std::uint64_t bytes) {
   RDTGC_EXPECTS(!pending_recover_);
-  RDTGC_EXPECTS(index >= 0);
-  RDTGC_EXPECTS(mem_.count() == 0 || index > mem_.last_index());
+  RDTGC_EXPECTS(live_.empty() || index > live_.back().index);
+  maybe_compact();
   ensure_width(dv.size());
-  append_record(kRecPut, index, stored_at, bytes, &dv);
-  mem_.put(index, dv, stored_at, bytes);
+  const std::uint64_t offset =
+      append_record(kRecPut, index, stored_at, bytes, &dv);
+  live_.push_back({index, offset, bytes});
+  live_bytes_ += bytes;
+  stats_.note_put(live_.size(), live_bytes_);
 }
 
 void LogStructuredBackend::collect(CheckpointIndex index) {
   RDTGC_EXPECTS(!pending_recover_);
-  if (!mem_.contains(index)) mem_.collect(index);  // the canonical throw
+  const std::size_t pos = live_position(index);
+  RDTGC_EXPECTS(pos != live_.size());
+  maybe_compact();  // moves offsets, never positions
   append_record(kRecCollect, index, 0, 0, nullptr);
-  mem_.collect(index);
-  maybe_compact();
+  live_bytes_ -= live_[pos].bytes;
+  live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(pos));
+  ++stats_.collected;
 }
 
-std::size_t LogStructuredBackend::discard_after(CheckpointIndex ri) {
+void LogStructuredBackend::discard_after(CheckpointIndex ri) {
   RDTGC_EXPECTS(!pending_recover_);
-  append_record(kRecDiscard, ri, 0, 0, nullptr);
-  const std::size_t discarded = mem_.discard_after(ri);
   maybe_compact();
-  return discarded;
+  append_record(kRecDiscard, ri, 0, 0, nullptr);
+  const auto first = std::upper_bound(
+      live_.begin(), live_.end(), ri,
+      [](CheckpointIndex g, const LiveRecord& e) { return g < e.index; });
+  for (auto it = first; it != live_.end(); ++it) live_bytes_ -= it->bytes;
+  stats_.discarded += static_cast<std::uint64_t>(live_.end() - first);
+  live_.erase(first, live_.end());
 }
 
 void LogStructuredBackend::maybe_compact() {
   if (log_records_ < compact_min_records_) return;
-  const double live = static_cast<double>(mem_.count());
+  const double live = static_cast<double>(live_.size());
   const double dead_fraction = 1.0 - live / static_cast<double>(log_records_);
   if (dead_fraction >= compact_dead_ratio_) compact();
 }
@@ -305,33 +315,36 @@ void LogStructuredBackend::compact() {
     }
   } guard{tmp_fd};
 
+  // The new log in one buffer: a fresh header, then the live put records
+  // copied out of the log itself.  One pread takes the log from the first
+  // live record to the tail (the tail window's stores are visible through
+  // the shared page cache) in behind the header, and each live record
+  // slides toward the front — never past a later one — so one pwrite
+  // writes the whole new log.
   LogHeader h{};
   h.magic = kLogMagic;
   h.version = kLogVersion;
-  h.owner = mem_.owner();
+  h.owner = owner_;
   h.dv_width = dv_width_;
-  h.baseline_records = mem_.count();
-  h.stats = PersistedStoreStats::from(mem_.stats());
-  pwrite_all(tmp_fd, &h, sizeof(h), 0, tmp);
-
-  std::uint64_t off = sizeof(LogHeader);
-  for (const CheckpointIndex g : mem_.stored_indices()) {
-    const StoredCheckpoint& checkpoint = mem_.get(g);
-    RecordHeader rec{};
-    rec.magic = kRecordMagic;
-    rec.type = kRecPut;
-    rec.index = checkpoint.index;
-    rec.stored_at = checkpoint.stored_at;
-    rec.bytes = checkpoint.bytes;
-    const std::size_t payload = dv_width_ * sizeof(IntervalIndex);
-    scratch_.resize(sizeof(rec) + payload);
-    std::memcpy(scratch_.data(), &rec, sizeof(rec));
-    if (payload > 0)
-      std::memcpy(scratch_.data() + sizeof(rec),
-                  checkpoint.dv.entries().data(), payload);
-    pwrite_all(tmp_fd, scratch_.data(), scratch_.size(), off, tmp);
-    off += scratch_.size();
+  h.baseline_records = live_.size();
+  h.stats = PersistedStoreStats::from(stats_);
+  const std::size_t record =
+      sizeof(RecordHeader) + dv_width_ * sizeof(IntervalIndex);
+  const std::uint64_t from = live_.empty() ? end_offset_ : live_[0].offset;
+  scratch_.resize(sizeof(h) + static_cast<std::size_t>(end_offset_ - from));
+  std::memcpy(scratch_.data(), &h, sizeof(h));
+  std::byte* const records = scratch_.data() + sizeof(h);
+  if (!pread_exact(fd_, records, scratch_.size() - sizeof(h), from, path_))
+    throw util::IoError("log '" + path_ + "' ends inside a live record");
+  for (std::size_t k = 0; k < live_.size(); ++k) {
+    const std::byte* const src = records + (live_[k].offset - from);
+    RecordHeader rec;
+    std::memcpy(&rec, src, sizeof(rec));
+    RDTGC_ASSERT(rec.type == kRecPut && rec.index == live_[k].index);
+    std::memmove(records + k * record, src, record);
   }
+  const std::uint64_t off = sizeof(h) + live_.size() * record;
+  pwrite_all(tmp_fd, scratch_.data(), static_cast<std::size_t>(off), 0, tmp);
   if (::fsync(tmp_fd) != 0) throw_errno("fsync", tmp);
   // The window maps the old file; the next append maps the new one.
   unmap_tail();
@@ -340,10 +353,12 @@ void LogStructuredBackend::compact() {
   ::close(fd_);
   fd_ = tmp_fd;  // tmp_fd now refers to the file at path_
   guard.fd = -1;  // success: the descriptor lives on as fd_
+  for (std::size_t k = 0; k < live_.size(); ++k)
+    live_[k].offset = sizeof(LogHeader) + k * record;
   end_offset_ = off;
   reserved_ = off;
-  log_records_ = mem_.count();
-  baseline_records_ = mem_.count();
+  log_records_ = live_.size();
+  baseline_records_ = live_.size();
   ++compactions_;
   // The compacted data was fsync'd before the rename, but the rename
   // itself (the directory entry) was not — conservatively keep the log
@@ -351,17 +366,24 @@ void LogStructuredBackend::compact() {
   dirty_ = true;
 }
 
-std::size_t LogStructuredBackend::recover() {
-  if (!pending_recover_) return mem_.count();
+std::size_t LogStructuredBackend::recover(CheckpointStore& store) {
+  RDTGC_EXPECTS(pending_recover_);
+  RDTGC_EXPECTS(store.count() == 0);
   LogHeader h{};
   if (!pread_exact(fd_, &h, sizeof(h), 0, path_))
     throw util::IoError("log '" + path_ + "' shorter than its header");
   RDTGC_EXPECTS(h.magic == kLogMagic);
   RDTGC_EXPECTS(h.version == kLogVersion);
-  RDTGC_EXPECTS(h.owner == mem_.owner());
+  RDTGC_EXPECTS(h.owner == owner_);
   dv_width_ = h.dv_width;
   baseline_records_ = h.baseline_records;
 
+  // The baseline puts are the compaction copy of a live set whose history
+  // the header's snapshot carries; replaying them must not recount it, so
+  // the snapshot replaces the counters once the baseline is in (at once
+  // for an empty baseline — a fresh log's snapshot is all zeros).
+  const StoreStats snapshot = h.stats.to_stats();
+  if (baseline_records_ == 0) store.restore_stats(snapshot);
   std::uint64_t off = sizeof(LogHeader);
   std::uint64_t records = 0;
   causality::DependencyVector dv(dv_width_ == kWidthUnset ? 0 : dv_width_);
@@ -375,21 +397,20 @@ std::size_t LogStructuredBackend::recover() {
       if (payload > 0 && !pread_exact(fd_, &dv.at(0), payload, next, path_))
         break;  // torn put payload
       next += payload;
-      mem_.put(rec.index, dv, rec.stored_at, rec.bytes);
+      store.put(rec.index, dv, rec.stored_at, rec.bytes);
+      live_.push_back({rec.index, off, rec.bytes});
     } else if (rec.type == kRecCollect) {
-      mem_.collect(rec.index);
+      store.collect(rec.index);
+      live_.erase(live_.begin() +
+                  static_cast<std::ptrdiff_t>(live_position(rec.index)));
     } else if (rec.type == kRecDiscard) {
-      mem_.discard_after(rec.index);
+      store.discard_after(rec.index);
+      live_.resize(store.count());  // the store kept the same prefix
     } else {
       break;  // unknown type: treat as torn tail
     }
     off = next;
-    ++records;
-    if (records == baseline_records_) {
-      // The baseline puts are the compaction rewrite of a live set whose
-      // history the snapshot carries; replaying them must not recount it.
-      mem_.restore_stats(h.stats.to_stats());
-    }
+    if (++records == baseline_records_) store.restore_stats(snapshot);
   }
   // Drop the torn tail and the zero-filled reserve so subsequent appends
   // extend a well-formed log.
@@ -398,9 +419,11 @@ std::size_t LogStructuredBackend::recover() {
   end_offset_ = off;
   reserved_ = off;
   log_records_ = records;
+  live_bytes_ = store.bytes();
+  stats_ = store.stats();
   pending_recover_ = false;
   dirty_ = true;  // the torn-tail ftruncate is an unsynced medium write
-  return mem_.count();
+  return live_.size();
 }
 
 void LogStructuredBackend::flush() {

@@ -156,11 +156,7 @@ void Node::on_receive(const sim::Message& m) {
   // Piggybacked protocol knowledge merges after the forced checkpoint, so a
   // BCS/FI forced checkpoint conceptually carries the message's timestamp.
   protocol_->on_deliver(m);
-  if (config_.batched_gc_path) {
-    gc_->on_new_dependencies(gc_scratch_.span());
-  } else {
-    for (const ProcessId j : gc_scratch_) gc_->on_new_dependency(j);
-  }
+  gc_->on_new_dependencies(gc_scratch_.span());
 }
 
 void Node::take_checkpoint(ccp::CheckpointKind kind) {

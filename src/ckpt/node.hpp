@@ -8,9 +8,9 @@
 //   on receiving m   : (protocol decides) take forced checkpoint BEFORE the
 //                      receipt is processed; then for every j with
 //                      m.DV[j] > DV[j]: DV[j] <- m.DV[j]; GC hook(j) — the
-//                      hooks are delivered as one batched call by default
-//                      (Config::batched_gc_path), allocation-free in steady
-//                      state
+//                      hooks are delivered as one batched call
+//                      (GarbageCollector::on_new_dependencies),
+//                      allocation-free in steady state
 //   on checkpoint    : store DV with the checkpoint; GC hook(DV[self]);
 //                      DV[self] <- DV[self]+1; sent <- false
 // The ordering matters: a forced checkpoint is "supposed to have been taken
@@ -38,25 +38,21 @@ class Node {
  public:
   struct Config {
     std::uint64_t checkpoint_bytes;  ///< synthetic size per checkpoint
-    /// Drive the GC through the batched on_new_dependencies entry point
-    /// (allocation-free).  false selects the per-peer on_new_dependency
-    /// reference path, kept for equivalence tests and benchmarks.
-    bool batched_gc_path;
     /// Stable-storage backend of this process's checkpoint store (default:
     /// in-memory).  The open mode selects the construction path:
     ///  * OpenMode::kFresh — cold start: a fresh lineage, s^0 stored at
     ///    construction (§2.2);
     ///  * OpenMode::kAttach — warm restart over a persistent kind: the node
-    ///    reopens the media (ShardedCheckpointStore::recover()), restores
+    ///    reopens its medium (ShardedCheckpointStore::recover()), restores
     ///    its dependency vector from the last surviving checkpoint, resumes
     ///    interval numbering past the highest persisted index, and rebuilds
-    ///    the collector's state from the recovered per-stripe DV views
+    ///    the collector's state from the recovered DVs
     ///    (GarbageCollector::on_attach).  A cluster-wide restart couples
     ///    this with recovery::recovery_line_from_storage: attach every
     ///    process, compute the Lemma-1 line over the recovered stores, then
     ///    rollback_to() the line members.
     StorageConfig storage;
-    Config() : checkpoint_bytes(1), batched_gc_path(true) {}
+    Config() : checkpoint_bytes(1) {}
   };
 
   struct Counters {

@@ -1,370 +1,95 @@
 #include "ckpt/sharded_checkpoint_store.hpp"
 
-#include <algorithm>
-#include <mutex>
 #include <utility>
 
 #include "util/check.hpp"
 
 namespace rdtgc::ckpt {
 
-/// Store-global lifetime counters, persisted write-through so a crash loses
-/// nothing but the msync point.  Kept outside the stripes because the peaks
-/// are peaks of the GLOBAL occupancy — per-stripe peaks at different times
-/// do not sum to them.
-struct ShardedCheckpointStore::MetaHeader {
-  std::uint64_t magic;
-  std::uint32_t version;
-  std::int32_t owner;
-  std::uint64_t shard_count;
-  PersistedStoreStats stats;
-};
-
-namespace {
-constexpr std::uint64_t kMetaMagic = 0x3141544d434754ffull;  // "RDTGCMTA1"-ish
-constexpr std::uint32_t kMetaVersion = 1;
-}  // namespace
-
-ShardedCheckpointStore::MetaHeader* ShardedCheckpointStore::meta_header() {
-  return reinterpret_cast<MetaHeader*>(meta_->data());
-}
-const ShardedCheckpointStore::MetaHeader* ShardedCheckpointStore::meta_header()
-    const {
-  return reinterpret_cast<const MetaHeader*>(meta_->data());
-}
-
 ShardedCheckpointStore::ShardedCheckpointStore(ProcessId owner,
                                                std::size_t shard_count,
                                                StoreConcurrency concurrency,
                                                const StorageConfig& storage)
-    : owner_(owner),
-      concurrency_(concurrency),
-      storage_(storage),
-      mask_(shard_count - 1) {
-  static_assert(sizeof(MetaHeader) == 64, "on-disk meta layout");
-  RDTGC_EXPECTS(shard_count >= 1);
-  RDTGC_EXPECTS((shard_count & (shard_count - 1)) == 0);  // power of two
-  if (storage_.kind == StorageBackendKind::kInMemory) {
-    // The stripes live inline and contiguous, exactly the pre-trait layout.
-    flat_shards_.assign(shard_count, CheckpointStore(owner));
-  } else {
-    backend_shards_.reserve(shard_count);
-    for (std::size_t s = 0; s < shard_count; ++s)
-      backend_shards_.push_back(make_backend(storage_, owner, s));
-    if (storage_.durability.mode != DurabilityMode::kSync) {
-      // Acknowledged mirror: with a pipeline the hot paths and every read
-      // run against these flat stripes at in-memory speed; the persistent
-      // backends above become the durable side, fed only at group commits.
-      flat_shards_.assign(shard_count, CheckpointStore(owner));
-    }
-  }
-  if (striped()) stripe_locks_ = std::make_unique<StripeLock[]>(shard_count);
-  if (storage_.kind != StorageBackendKind::kInMemory) {
-    if (storage_.open_mode == OpenMode::kFresh) {
-      meta_ = std::make_unique<util::MappedFile>(
-          storage_.meta_file(owner), util::MappedFile::Mode::kCreate,
-          sizeof(MetaHeader));
-      MetaHeader* h = meta_header();
-      h->magic = kMetaMagic;
-      h->version = kMetaVersion;
-      h->owner = owner;
-      h->shard_count = shard_count;
-      sync_meta();
-    } else {
-      meta_ = std::make_unique<util::MappedFile>(
-          storage_.meta_file(owner), util::MappedFile::Mode::kOpenExisting, 0);
-      meta_pending_recover_ = true;
-    }
-    if (storage_.durability.mode != DurabilityMode::kSync) {
-      pipeline_ = std::make_unique<DurabilityPipeline>(
-          storage_.durability, backend_shards_, mask_,
-          [this](const StoreStats& durable) {
-            meta_header()->stats = PersistedStoreStats::from(durable);
-          });
-    }
-  }
+    : store_(owner) {
+  RDTGC_EXPECTS(shard_count == kDefaultShardCount);
+  RDTGC_EXPECTS(concurrency == StoreConcurrency::kUnsynchronized);
+  medium_ = make_backend(storage, owner);
+  if (medium_ == nullptr) return;
+  pending_recover_ = storage.open_mode == OpenMode::kAttach;
+  if (storage.durability.mode != DurabilityMode::kSync)
+    pipeline_ =
+        std::make_unique<DurabilityPipeline>(storage.durability, *medium_);
 }
 
-void ShardedCheckpointStore::sync_meta() {
-  // Pipelined: meta carries the DURABLE counters, published by the drain
-  // from its replica at each commit — write-through of the acknowledged
-  // stats_ here would let a crash recover counters ahead of the media.
-  if (!meta_ || pipeline_) return;
-  meta_header()->stats = PersistedStoreStats::from(stats_);
+bool ShardedCheckpointStore::writes_through() const {
+  RDTGC_EXPECTS(!pending_recover_);
+  return pipeline_ == nullptr;
 }
 
-void ShardedCheckpointStore::note_put(std::uint64_t bytes) {
-  // The count_/bytes_ bumps happen under the stats guard too (a no-op
-  // single-threaded): with them outside, a concurrent collect could shrink
-  // the occupancy between a put's bump and its peak update and the true
-  // momentary peak would never be recorded.
-  MaybeGuard guard(striped() ? &stats_lock_ : nullptr);
-  bump(bytes_, bytes);
-  bump(count_, std::size_t{1});
-  ++stats_.stored;
-  stats_.peak_count =
-      std::max(stats_.peak_count, count_.load(std::memory_order_relaxed));
-  stats_.peak_bytes =
-      std::max(stats_.peak_bytes, bytes_.load(std::memory_order_relaxed));
-  sync_meta();
-  merged_dirty_.store(true, std::memory_order_release);
-}
+// Mutation order with a medium: validate against the read store, write the
+// medium (kSync), then change the read store — a medium write that throws
+// leaves both as they were.  Under a pipeline the read store changes first
+// and the op is recorded for the next group commit.
 
 void ShardedCheckpointStore::put(StoredCheckpoint checkpoint) {
-  RDTGC_EXPECTS(checkpoint.index >= 0);
-  // Global strict increase over the *currently stored* set, exactly the
-  // flat store's contract; the per-shard check is then trivially satisfied.
-  // In striped mode verifying it would serialize every stripe, so only the
-  // per-stripe check (inside the shard's put) runs — the cross-shard order
-  // is the caller's contract.
-  RDTGC_EXPECTS(striped() || count() == 0 || checkpoint.index > last_index());
-  RDTGC_EXPECTS(pipeline_ == nullptr || !meta_pending_recover_);
-  const std::uint64_t bytes = checkpoint.bytes;
-  const CheckpointIndex index = checkpoint.index;
-  const SimTime stored_at = checkpoint.stored_at;
-  const std::size_t s = shard_of(index);
-  bool commit_now = false;
-  {
-    MaybeGuard guard(stripe_lock(s));
-    if (!flat_shards_.empty())
-      flat_shards_[s].put(std::move(checkpoint));
-    else
-      backend_shards_[s]->put(std::move(checkpoint));
-    // Record under the stripe lock so the pipeline's replay order matches
-    // this stripe's mirror order; the DV now lives in the mirror (the
-    // checkpoint was moved), so read it back from there.
-    if (pipeline_ != nullptr)
-      commit_now = pipeline_->record_put(index, flat_shards_[s].get(index).dv,
-                                         stored_at, bytes);
-  }
-  note_put(bytes);
-  if (commit_now) pipeline_->commit();
+  if (medium_ == nullptr) return store_.put(std::move(checkpoint));
+  put(checkpoint.index, checkpoint.dv, checkpoint.stored_at, checkpoint.bytes);
 }
 
 void ShardedCheckpointStore::put(CheckpointIndex index,
                                  const causality::DependencyVector& dv,
                                  SimTime stored_at, std::uint64_t bytes) {
-  RDTGC_EXPECTS(index >= 0);
-  RDTGC_EXPECTS(striped() || count() == 0 || index > last_index());
-  RDTGC_EXPECTS(pipeline_ == nullptr || !meta_pending_recover_);
-  const std::size_t s = shard_of(index);
-  bool commit_now = false;
-  {
-    // The shard's copy-in put reuses the DV buffer recycled by that shard's
-    // last collect() — the per-shard recycler invariant.
-    MaybeGuard guard(stripe_lock(s));
-    if (!flat_shards_.empty())
-      flat_shards_[s].put(index, dv, stored_at, bytes);
-    else
-      backend_shards_[s]->put(index, dv, stored_at, bytes);
-    if (pipeline_ != nullptr)
-      commit_now = pipeline_->record_put(index, dv, stored_at, bytes);
+  if (medium_ != nullptr) {
+    RDTGC_EXPECTS(index >= 0);
+    RDTGC_EXPECTS(count() == 0 || index > last_index());
+    if (writes_through()) medium_->put(index, dv, stored_at, bytes);
   }
-  note_put(bytes);
-  if (commit_now) pipeline_->commit();
-}
-
-bool ShardedCheckpointStore::contains(CheckpointIndex index) const {
-  const std::size_t s = shard_of(index);
-  MaybeGuard guard(stripe_lock(s));
-  if (!flat_shards_.empty()) return flat_shards_[s].contains(index);
-  return backend_shards_[s]->contains(index);
-}
-
-const StoredCheckpoint& ShardedCheckpointStore::get(
-    CheckpointIndex index) const {
-  return backend_at(shard_of(index)).get(index);
-}
-
-causality::DvView ShardedCheckpointStore::dv_view(CheckpointIndex index) const {
-  return backend_at(shard_of(index)).dv_view(index);
+  store_.put(index, dv, stored_at, bytes);
+  if (pipeline_ != nullptr &&
+      pipeline_->record_put(index, dv, stored_at, bytes))
+    pipeline_->commit();
 }
 
 void ShardedCheckpointStore::collect(CheckpointIndex index) {
-  RDTGC_EXPECTS(pipeline_ == nullptr || !meta_pending_recover_);
-  const std::size_t s = shard_of(index);
-  std::uint64_t freed = 0;
-  bool commit_now = false;
-  {
-    MaybeGuard guard(stripe_lock(s));
-    if (!flat_shards_.empty()) {
-      CheckpointStore& flat = flat_shards_[s];
-      const std::uint64_t before = flat.bytes();
-      flat.collect(index);  // throws if absent, before global bookkeeping
-      freed = before - flat.bytes();
-    } else {
-      StorageBackend& shard = *backend_shards_[s];
-      const std::uint64_t before = shard.bytes();
-      shard.collect(index);
-      freed = before - shard.bytes();
-    }
-    if (pipeline_ != nullptr)
-      commit_now = pipeline_->record_collect(index, freed);
+  if (medium_ != nullptr) {
+    RDTGC_EXPECTS(contains(index));
+    if (writes_through()) medium_->collect(index);
   }
-  {
-    MaybeGuard guard(striped() ? &stats_lock_ : nullptr);
-    bump(bytes_, std::uint64_t{0} - freed);
-    bump(count_, std::size_t{0} - std::size_t{1});
-    ++stats_.collected;
-    sync_meta();
-  }
-  merged_dirty_.store(true, std::memory_order_release);
-  if (commit_now) pipeline_->commit();
+  store_.collect(index);
+  if (pipeline_ != nullptr && pipeline_->record_collect(index))
+    pipeline_->commit();
 }
 
 std::size_t ShardedCheckpointStore::discard_after(CheckpointIndex ri) {
-  RDTGC_EXPECTS(pipeline_ == nullptr || !meta_pending_recover_);
-  std::size_t discarded = 0;
-  std::uint64_t freed = 0;
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    MaybeGuard guard(stripe_lock(s));
-    StorageBackend& shard = backend_at(s);
-    const std::uint64_t before = shard.bytes();
-    discarded += shard.discard_after(ri);
-    freed += before - shard.bytes();
-  }
-  // Rollback runs quiesced (see above), so recording outside the stripe
-  // locks cannot interleave with a racing put/collect on any stripe.
-  bool commit_now = false;
-  if (pipeline_ != nullptr)
-    commit_now = pipeline_->record_discard(ri, discarded, freed);
-  {
-    MaybeGuard guard(striped() ? &stats_lock_ : nullptr);
-    bump(bytes_, std::uint64_t{0} - freed);
-    bump(count_, std::size_t{0} - discarded);
-    stats_.discarded += discarded;
-    sync_meta();
-  }
-  merged_dirty_.store(true, std::memory_order_release);
-  if (commit_now) pipeline_->commit();
+  if (medium_ != nullptr && writes_through()) medium_->discard_after(ri);
+  const std::size_t discarded = store_.discard_after(ri);
+  if (pipeline_ != nullptr && pipeline_->record_discard(ri))
+    pipeline_->commit();
   return discarded;
 }
 
-void ShardedCheckpointStore::rebuild_merged() const {
-  merged_.clear();
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    MaybeGuard guard(stripe_lock(s));
-    const std::vector<CheckpointIndex>& part =
-        !flat_shards_.empty() ? flat_shards_[s].stored_indices()
-                              : backend_shards_[s]->stored_indices();
-    merged_.insert(merged_.end(), part.begin(), part.end());
-  }
-  // Each shard is sorted but low-bit striping interleaves them globally;
-  // with <= n+1 live checkpoints an in-place sort beats a k-way merge and
-  // keeps the rebuild allocation-free once the cache capacity is warm.
-  std::sort(merged_.begin(), merged_.end());
-}
-
-void ShardedCheckpointStore::refresh_merged_locked() const {
-  if (!striped()) {
-    // Single-threaded mode: plain relaxed load/store, honoring the
-    // no-atomic-RMW contract of kUnsynchronized.
-    if (merged_dirty_.load(std::memory_order_relaxed)) {
-      rebuild_merged();
-      merged_dirty_.store(false, std::memory_order_relaxed);
-    }
-    return;
-  }
-  // Guarded lazy rebuild: without the lock two const readers would rebuild
-  // the shared cache concurrently — the data race this mode fixes.  A
-  // mutation sneaking in between the exchange and the shard reads simply
-  // re-marks the cache dirty for the next reader.  Caller holds
-  // merged_lock_.
-  if (merged_dirty_.exchange(false, std::memory_order_acq_rel))
-    rebuild_merged();
-}
-
-const std::vector<CheckpointIndex>& ShardedCheckpointStore::stored_indices()
-    const {
-  MaybeGuard guard(striped() ? &merged_lock_ : nullptr);
-  refresh_merged_locked();
-  return merged_;
-}
-
-void ShardedCheckpointStore::snapshot_stored_indices(
-    std::vector<CheckpointIndex>& out) const {
-  MaybeGuard guard(striped() ? &merged_lock_ : nullptr);
-  refresh_merged_locked();
-  out.assign(merged_.begin(), merged_.end());
-}
-
-CheckpointIndex ShardedCheckpointStore::last_index() const {
-  RDTGC_EXPECTS(count() > 0);
-  // Branch once, not per stripe: this sits on every put (the strict-increase
-  // precondition), and the flat loop devirtualizes and inlines completely.
-  CheckpointIndex last = kNoCheckpoint;
-  if (!flat_shards_.empty()) {
-    for (const CheckpointStore& shard : flat_shards_)
-      if (shard.count() > 0) last = std::max(last, shard.last_index());
-  } else {
-    for (const auto& backend : backend_shards_)
-      if (backend->count() > 0) last = std::max(last, backend->last_index());
-  }
-  return last;
-}
-
 std::size_t ShardedCheckpointStore::recover() {
-  const bool attach_pipelined = pipeline_ != nullptr && meta_pending_recover_;
-  std::size_t live = 0;
-  std::uint64_t live_bytes = 0;
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    // Pipelined: the durable backends recover (backend_at would hand back
-    // the acknowledged mirror), then the mirror is rebuilt from them —
-    // after a crash the acknowledged state IS the recovered durable prefix.
-    StorageBackend& stripe = pipeline_ != nullptr ? *backend_shards_[s]
-                                                  : backend_at(s);
-    stripe.recover();
-    if (attach_pipelined) {
-      CheckpointStore& flat = flat_shards_[s];
-      RDTGC_EXPECTS(flat.count() == 0);  // attach: no mutation before recover
-      for (CheckpointIndex index : stripe.stored_indices()) {
-        const StoredCheckpoint& checkpoint = stripe.get(index);
-        flat.put(index, checkpoint.dv, checkpoint.stored_at, checkpoint.bytes);
-      }
-      flat.restore_stats(stripe.stats());
-    }
-    live += stripe.count();
-    live_bytes += stripe.bytes();
-  }
-  count_.store(live, std::memory_order_relaxed);
-  bytes_.store(live_bytes, std::memory_order_relaxed);
-  if (meta_pending_recover_) {
-    const MetaHeader* h = meta_header();
-    RDTGC_EXPECTS(h->magic == kMetaMagic);
-    RDTGC_EXPECTS(h->version == kMetaVersion);
-    RDTGC_EXPECTS(h->owner == owner_);
-    RDTGC_EXPECTS(h->shard_count == shard_count());
-    stats_ = h->stats.to_stats();
-    meta_pending_recover_ = false;
-  }
-  if (attach_pipelined) {
-    CheckpointIndex last = kNoCheckpoint;
-    for (const auto& backend : backend_shards_)
-      if (backend->count() > 0) last = std::max(last, backend->last_index());
-    pipeline_->reset_after_recover(last, stats_, live, live_bytes);
-  }
-  merged_dirty_.store(true, std::memory_order_relaxed);
-  return live;
+  if (!pending_recover_) return count();
+  medium_->recover(store_);
+  pending_recover_ = false;
+  if (pipeline_ != nullptr)
+    pipeline_->reset_after_recover(count() > 0 ? last_index() : kNoCheckpoint);
+  return count();
 }
 
 void ShardedCheckpointStore::flush() {
   // Drain the pipeline first so every acknowledged mutation reaches the
-  // durable backends before their media flush below.
+  // medium before its flush below.
   if (pipeline_ != nullptr) pipeline_->flush();
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    StorageBackend& stripe = pipeline_ != nullptr ? *backend_shards_[s]
-                                                  : backend_at(s);
-    stripe.flush();
-  }
-  if (meta_) meta_->sync();
+  if (medium_ != nullptr) medium_->flush();
 }
 
 DurabilityStatus ShardedCheckpointStore::durability() const {
   if (pipeline_ != nullptr) return pipeline_->status();
   DurabilityStatus status;
   // No pipeline: every mutation is already durable when acknowledged.
-  status.acked_ops =
-      stats_.stored + stats_.collected + stats_.discarded;
+  const Stats& s = stats();
+  status.acked_ops = s.stored + s.collected + s.discarded;
   status.synced_ops = status.acked_ops;
   status.acked_index = count() > 0 ? last_index() : kNoCheckpoint;
   status.synced_index = status.acked_index;

@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "ckpt/checkpoint_store.hpp"
 #include "ckpt/log_backend.hpp"
 #include "ckpt/mmap_backend.hpp"
 #include "util/check.hpp"
@@ -47,20 +46,19 @@ std::string StorageConfig::meta_file(ProcessId owner) const {
 }
 
 std::unique_ptr<StorageBackend> make_backend(const StorageConfig& config,
-                                             ProcessId owner,
-                                             std::size_t stripe) {
+                                             ProcessId owner) {
   switch (config.kind) {
     case StorageBackendKind::kInMemory:
-      return std::make_unique<CheckpointStore>(owner);
+      return nullptr;
     case StorageBackendKind::kMmapFile:
       RDTGC_EXPECTS(!config.directory.empty());
       return std::make_unique<MmapFileBackend>(
-          owner, config.stripe_file(owner, stripe), config.open_mode,
+          owner, config.stripe_file(owner, 0), config.open_mode,
           config.initial_slots);
     case StorageBackendKind::kLogStructured:
       RDTGC_EXPECTS(!config.directory.empty());
       return std::make_unique<LogStructuredBackend>(
-          owner, config.stripe_file(owner, stripe), config.open_mode,
+          owner, config.stripe_file(owner, 0), config.open_mode,
           config.compact_min_records, config.compact_dead_ratio);
   }
   RDTGC_ASSERT(false);

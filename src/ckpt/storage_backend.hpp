@@ -1,51 +1,47 @@
-// Pluggable persistence behind the per-stripe checkpoint store.
+// The persistent medium under a process's checkpoint store.
 //
 // The paper's Theorem-1-optimal GC reclaims *stable storage*; this trait is
-// where stable storage actually lives.  Every stripe of a
-// ShardedCheckpointStore is one StorageBackend, and three implementations
-// exist:
+// where stable storage actually lives.  A ShardedCheckpointStore keeps one
+// flat CheckpointStore (checkpoint_store.hpp) as the only in-memory copy of
+// every checkpoint and the only read path, and, for a persistent kind, at
+// most one medium: a WRITE-ONLY record of the same mutations at
+// StorageConfig::stripe_file(owner, 0).  Two media exist:
 //
-//  * ckpt::CheckpointStore (checkpoint_store.hpp) — the in-memory flat
-//    store, unchanged zero-allocation hot path; the reference every other
-//    backend is property-tested against (tests/backend_test.cpp drives all
-//    of them through one randomized trace and requires bit-identical
-//    observable state);
-//  * ckpt::MmapFileBackend (mmap_backend.hpp) — one mmap'd segment file per
-//    stripe: fixed header, fixed-size checkpoint slots appended with their
+//  * ckpt::MmapFileBackend (mmap_backend.hpp) — one mmap'd segment file:
+//    fixed header, fixed-size checkpoint slots appended with their
 //    dependency vectors, GC eliminations clear a live flag in place, the
 //    mapping grows geometrically via remap;
 //  * ckpt::LogStructuredBackend (log_backend.hpp) — an append-only log of
 //    put/collect/discard records; Algorithm-2 eliminations mark log records
-//    dead, and a compaction pass rewrites the live records behind a fresh
+//    dead, and a compaction pass copies the live records behind a fresh
 //    header and truncates the file.
 //
-// Contract highlights shared by all implementations:
-//  * observable state (stored_indices(), stats(), retrieved DVs) follows the
-//    flat store's documented semantics exactly;
-//  * recover() rebuilds the in-memory index from the persistent medium of a
-//    backend opened with OpenMode::kAttach; on a live backend it is a no-op
-//    returning count().  Persistent backends reject mutations until the
-//    pending recover() ran;
-//  * flush() is the durability point (msync/fsync); dropping a backend
-//    without it models a crash — the page-cache contents survive, and
-//    recover() must reconstruct from whatever reached the file.  Under a
-//    non-kSync DurabilityPolicy the sharded store additionally holds a
-//    window of acknowledged-but-unapplied mutations (durability_pipeline.hpp);
-//    dropping the STORE discards that window, and recovery lands on the
-//    consistent prefix the last group commit established;
-//  * dv_view() exposes the stored dependency vector without forcing a copy
-//    (the mmap backend returns a view straight into the mapped file).
+// A medium keeps only what writing and recovering need — its live
+// index→slot (mmap) or index→record-offset (log) table and the lifetime
+// counters its header persists — never a copy of the checkpoints.  Reads
+// come from the store's CheckpointStore; recover(store) replays the medium
+// into that store when a process reopens its files.
 //
-// Virtual dispatch is deliberate: the churn path may pay an indirect call
-// but must never allocate through the trait for the in-memory backend
-// (tests/hot_path_test.cpp enforces it), and the ShardedCheckpointStore
-// keeps a devirtualized fast path for the default in-memory stripes.
+// Contract highlights shared by both media:
+//  * the header's counters (StoreStats) describe the whole store, so a
+//    reopened store's stats() — peaks included — equal the ones it had at
+//    the last write that reached the medium;
+//  * recover() rebuilds the store from a medium opened with
+//    OpenMode::kAttach; mutations are rejected until it ran;
+//  * flush() is the durability point (msync/fsync) of a clean close;
+//    commit() is the durability point a DurabilityPipeline drain ends on
+//    (durability_pipeline.hpp); dropping a medium without either models a
+//    crash — the page-cache contents survive, and recover() must
+//    reconstruct from whatever reached the file;
+//  * a write that throws (util::IoError, e.g. ENOSPC) throws before the
+//    medium changes, so the store, which writes its read store only after
+//    the medium returned, never falls out of step with it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "causality/dependency_vector.hpp"
 #include "causality/types.hpp"
@@ -62,18 +58,25 @@ struct StoredCheckpoint {
   std::uint64_t bytes = 0;
 };
 
-/// Lifetime counters every backend maintains (and persistent backends
-/// carry across recover()).
+/// Lifetime counters of a store (and of its medium, which carries them
+/// across recover()).
 struct StoreStats {
   std::uint64_t stored = 0;      ///< total put() calls
   std::uint64_t collected = 0;   ///< GC eliminations
   std::uint64_t discarded = 0;   ///< rollback discards
   std::size_t peak_count = 0;    ///< max simultaneous checkpoints
   std::uint64_t peak_bytes = 0;
+
+  /// Count one put that left `count` checkpoints holding `bytes` live.
+  void note_put(std::size_t count, std::uint64_t bytes) {
+    ++stored;
+    peak_count = std::max(peak_count, count);
+    peak_bytes = std::max(peak_bytes, bytes);
+  }
 };
 
-/// Fixed-width on-disk image of StoreStats, embedded verbatim in every
-/// persistent header (mmap segment, log, store meta) so the counters are
+/// Fixed-width on-disk image of StoreStats, embedded verbatim in both
+/// media headers (mmap segment, log) so the counters are
 /// converted by one pair of helpers instead of a hand-copied field list per
 /// header.  Growing StoreStats means extending this struct and bumping the
 /// file-format versions.
@@ -104,11 +107,11 @@ struct PersistedStoreStats {
   }
 };
 
-/// Which persistence medium a store (stripe) writes to.
+/// Which persistence medium a store writes to.
 enum class StorageBackendKind {
-  kInMemory,       ///< flat vectors, no persistence (the reference)
-  kMmapFile,       ///< mmap'd slot segment per stripe
-  kLogStructured,  ///< append-only log + compaction per stripe
+  kInMemory,       ///< no medium: the read store alone
+  kMmapFile,       ///< mmap'd slot segment
+  kLogStructured,  ///< append-only log + compaction
 };
 
 /// Human-readable backend name for tables, logs, and bench labels.
@@ -125,15 +128,14 @@ enum class OpenMode {
 /// semantics; the policy is ignored by the in-memory kind, which has no
 /// medium).
 enum class DurabilityMode {
-  /// Every mutation writes through to the medium before it returns —
-  /// today's behavior and the default.  flush() is the only thing deferred
-  /// (the msync/fsync durability point), exactly as before.
+  /// Every mutation writes through to the medium before it returns (the
+  /// default).  flush() is the only thing deferred (the msync/fsync
+  /// durability point).
   kSync,
-  /// Mutations are acknowledged from the in-memory mirror and batched; a
-  /// GROUP COMMIT — applying the whole window to the media with coalesced
-  /// writes and one sync per touched stripe — runs inline on the
-  /// triggering operation every `every_k_ops` mutations (and, when
-  /// `every_checkpoint` is set, on every put).
+  /// Mutations are acknowledged from the read store and batched; a GROUP
+  /// COMMIT — applying the whole window to the medium and syncing it once
+  /// — runs inline on the triggering operation every `every_k_ops`
+  /// mutations (and, when `every_checkpoint` is set, on every put).
   kGroupCommit,
   /// As kGroupCommit, but the windows drain on a dedicated background
   /// writer thread so no mutation ever blocks on media; `every_k_ops`
@@ -144,7 +146,7 @@ enum class DurabilityMode {
 /// Human-readable mode name for tables, logs, and bench labels.
 const char* durability_mode_name(DurabilityMode mode);
 
-/// The latency/durability knob of a store's persistent stripes.
+/// The latency/durability knob of a store's persistent medium.
 struct DurabilityPolicy {
   DurabilityMode mode = DurabilityMode::kSync;
   /// Group-commit window: commit after this many acknowledged mutations
@@ -166,7 +168,7 @@ struct DurabilityPolicy {
 /// Construction-time storage choice for a ShardedCheckpointStore (and
 /// through ckpt::Node::Config / harness::SystemConfig, for every process of
 /// a simulated system).  `directory` must name an existing, writable
-/// directory for the persistent kinds; files are per (owner, stripe) so any
+/// directory for the persistent kinds; the medium file is per owner, so any
 /// number of processes may share one directory.
 struct StorageConfig {
   StorageBackendKind kind = StorageBackendKind::kInMemory;
@@ -183,107 +185,62 @@ struct StorageConfig {
   /// byte-for-byte.
   DurabilityPolicy durability;
 
-  /// Segment/log path of one stripe: directory/p<owner>_s<stripe>.<ext>.
+  /// Segment/log path directory/p<owner>_s<stripe>.<ext>.  A store keeps
+  /// its one medium at stripe 0.
   std::string stripe_file(ProcessId owner, std::size_t stripe) const;
-  /// Path of the store-global meta segment: directory/p<owner>.meta.
+  /// directory/p<owner>.meta.  No store opens this path — the medium's
+  /// header persists the counters — but callers that lay out a store's
+  /// files ahead of time still create it.
   std::string meta_file(ProcessId owner) const;
 };
 
+class CheckpointStore;
+
+/// A write-only persistent medium: it records the store's mutations and
+/// replays them on recover(), and serves no reads.  The store validates
+/// every mutation against its read store before it reaches the medium.
 class StorageBackend {
  public:
-  using Stats = StoreStats;
-
   virtual ~StorageBackend() = default;
 
-  /// Owning process id.  O(1), never allocates.
-  virtual ProcessId owner() const = 0;
-
-  /// Which medium this backend writes (see StorageBackendKind).
-  virtual StorageBackendKind kind() const = 0;
-
-  /// Store a new checkpoint; indices arrive in strictly increasing order
+  /// Write a new checkpoint; indices arrive in strictly increasing order
   /// within a lineage (rollback may reintroduce previously-used indices
   /// after discard_after()).
-  virtual void put(StoredCheckpoint checkpoint) = 0;
-
-  /// Copy-in variant for the hot checkpoint path; the in-memory backend
-  /// recycles the DV buffer of its most recent collect().
   virtual void put(CheckpointIndex index, const causality::DependencyVector& dv,
                    SimTime stored_at, std::uint64_t bytes) = 0;
 
-  /// Membership test.  Never allocates.
-  virtual bool contains(CheckpointIndex index) const = 0;
-
-  /// Reference into the backend's in-memory index — invalidated by the next
-  /// mutation; copy before interleaving.  Throws ContractViolation when
-  /// absent.
-  virtual const StoredCheckpoint& get(CheckpointIndex index) const = 0;
-
-  /// Non-owning view of the stored dependency vector — the "get-DV-view" of
-  /// the trait.  The mmap backend returns a view into the mapped file (so a
-  /// mismatch against get().dv is a serialization bug); invalidated by the
-  /// next mutation (segment growth remaps).
-  virtual causality::DvView dv_view(CheckpointIndex index) const = 0;
-
-  /// Garbage-collection elimination of an obsolete checkpoint.
+  /// Record the garbage-collection elimination of stored checkpoint
+  /// `index`.
   virtual void collect(CheckpointIndex index) = 0;
 
-  /// Rollback discard of every checkpoint with index > ri (Algorithm 3
-  /// line 4).  Returns how many were discarded.
-  virtual std::size_t discard_after(CheckpointIndex ri) = 0;
+  /// Record the rollback discard of every checkpoint with index > ri
+  /// (Algorithm 3 line 4).
+  virtual void discard_after(CheckpointIndex ri) = 0;
 
-  /// Currently stored indices, ascending.  Live view, invalidated by the
-  /// next mutation.
-  virtual const std::vector<CheckpointIndex>& stored_indices() const = 0;
-
-  /// Highest stored index; throws ContractViolation on an empty store.
-  virtual CheckpointIndex last_index() const = 0;
-
-  /// Live checkpoints.  O(1), never allocates.
+  /// Live checkpoints on the medium.  O(1), never allocates.
   virtual std::size_t count() const = 0;
-  /// Bytes currently held.  O(1), never allocates.
-  virtual std::uint64_t bytes() const = 0;
 
-  /// Lifetime counters (see StoreStats).  O(1), never allocates.
-  virtual const StoreStats& stats() const = 0;
+  /// Replay a medium opened with OpenMode::kAttach into the empty `store`
+  /// — its live checkpoints in ascending index order, then the persisted
+  /// counters — and accept mutations from then on.  Returns the number of
+  /// live checkpoints.  Runs once; may allocate.
+  virtual std::size_t recover(CheckpointStore& store) = 0;
 
-  /// Rebuild the in-memory index (indices, DVs, stats) from the persistent
-  /// medium of a backend constructed with OpenMode::kAttach; returns the
-  /// number of live checkpoints afterwards.  On a backend that is already
-  /// live (kFresh, in-memory, or recovered) this is a no-op returning
-  /// count().
-  virtual std::size_t recover() = 0;
-
-  /// Durability point (msync/fsync); no-op for the in-memory backend.
-  /// Persistent backends skip the syscall when nothing was written since
-  /// the last flush (the dirty-flag contract tests/durability_test.cpp
-  /// pins via the fsyncs()/msyncs() introspection counters).
+  /// Durability point of a clean close (msync/fsync).  Skips the syscall
+  /// when nothing was written since the last one (the dirty-flag contract
+  /// tests/durability_test.cpp pins via the fsyncs()/msyncs() counters).
   virtual void flush() = 0;
 
-  // ---- Coalesced-batch protocol (durability pipeline drains) ----
-  //
-  // A DurabilityPipeline drain brackets the mutations it replays into one
-  // stripe with begin_batch()/end_batch(): between the two the backend may
-  // defer work on its medium, and end_batch() makes the window durable
-  // when `durable` is set.  The default implementation is write-through
-  // (every mutation hits the medium as usual) with end_batch deferring to
-  // flush() — one durability point per window — which is correct for every
-  // backend.  Both persistent backends write through mapped pages, so
-  // neither buffers: the log backend keeps the default, and the mmap
-  // backend overrides end_batch() only to msync without marking the
-  // segment cleanly closed.  Batches never nest and end_batch always runs
-  // (the pipeline owns the bracket).
-
-  virtual void begin_batch() {}
-  virtual void end_batch(bool durable) {
-    if (durable) flush();
-  }
+  /// Durability point of a group commit: the mutations written so far are
+  /// durable on return.  The default is flush(); the mmap segment syncs
+  /// without marking itself cleanly closed.
+  virtual void commit() { flush(); }
 };
 
-/// Instantiate the backend `config` selects for stripe `stripe` of process
-/// `owner`'s store.
+/// Open the medium `config` selects for process `owner`'s store, at
+/// config.stripe_file(owner, 0); nullptr for in-memory storage, which has
+/// none.
 std::unique_ptr<StorageBackend> make_backend(const StorageConfig& config,
-                                             ProcessId owner,
-                                             std::size_t stripe);
+                                             ProcessId owner);
 
 }  // namespace rdtgc::ckpt

@@ -33,12 +33,11 @@ struct SystemConfig {
   GcChoice gc = GcChoice::kRdtLgc;
   sim::Network::Config network;
   std::uint64_t seed = 1;
-  /// Per-node middleware config; node.batched_gc_path=false selects the
-  /// per-peer reference GC path (equivalence tests and benchmarks), and
-  /// node.storage selects the stable-storage backend every process writes
-  /// its checkpoints through (in-memory / mmap / log-structured; the
-  /// persistent kinds need node.storage.directory set — files are named per
-  /// process, so all n processes share the directory).
+  /// Per-node middleware config; node.storage selects the stable-storage
+  /// medium every process writes its checkpoints through (in-memory / mmap
+  /// / log-structured; the persistent kinds need node.storage.directory set
+  /// — files are named per process, so all n processes share the
+  /// directory).
   ckpt::Node::Config node;
 };
 

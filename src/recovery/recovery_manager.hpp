@@ -55,7 +55,7 @@ struct RecoveryOutcome {
 /// OpenMode::kAttach over the original directory, then recover()ed — see
 /// ckpt/sharded_checkpoint_store.hpp).  The line is Lemma 1 specialized to
 /// F = all processes, evaluated over the STORED dependency vectors through
-/// the backend trait's dv_view (Equation 2: c_a^α → c_b^β ⇔ α < DV(c_b^β)[a]):
+/// the stores' dv_view (Equation 2: c_a^α → c_b^β ⇔ α < DV(c_b^β)[a]):
 /// per process the latest stored checkpoint not causally preceded by any
 /// peer's last stored checkpoint.  Theorem 1 guarantees the line's members
 /// were never collected, so an entry always exists; RD-trackability makes

@@ -1,6 +1,5 @@
 // RAII wrapper around one mmap'd regular file, the raw medium under the
-// persistent checkpoint-storage backends (ckpt/mmap_backend.hpp and the
-// sharded store's meta segment).
+// mmap segment of the checkpoint store (ckpt/mmap_backend.hpp).
 //
 // Semantics the backends rely on:
 //  * the mapping is MAP_SHARED, so every store through data() lands in the
@@ -40,7 +39,7 @@ class IoError : public std::runtime_error {
 // backend's flush fsync) and the log backend's tail reservation go through
 // these entry points instead of calling the libc symbol directly, so tests
 // can inject an fsync/msync/fallocate failure and assert the error surfaces
-// as IoError with mirror and medium still coherent
+// as IoError with store and medium still coherent
 // (tests/durability_test.cpp).  Production behavior is byte-identical: with
 // no override installed they tail-call the real syscall wrappers.
 

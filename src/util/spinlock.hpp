@@ -1,11 +1,12 @@
 // Tiny test-and-test-and-set spinlock for short critical sections.
 //
-// The striped stores guard per-stripe mutations with one of these instead of
-// a std::mutex: the protected work (a binary search plus a small vector
-// shift) is a few hundred nanoseconds, far below the cost of parking a
-// thread, and an atomic_flag adds no per-lock allocation — which keeps the
-// store's zero-allocation contracts intact in striped mode.  Lock/unlock
-// satisfy Cpp17BasicLockable, so std::lock_guard / std::scoped_lock work.
+// The durability pipeline's ring and drain locks are these instead of a
+// std::mutex: the ring's critical sections (a slot fill, an index advance)
+// last nanoseconds, far below the cost of parking a thread, and an
+// atomic_flag adds no per-lock allocation — which keeps the store's
+// zero-allocation contracts intact under an async durability policy.
+// Lock/unlock satisfy Cpp17BasicLockable, so std::lock_guard /
+// std::scoped_lock work.
 //
 // Not fair and not recursive: strictly for leaf-level critical sections that
 // never block, never allocate, and never acquire another lock.  Anything

@@ -1,9 +1,10 @@
-// Storage-backend contract tests: every persistence backend behind the
-// ckpt::StorageBackend trait — in-memory flat (the reference), sharded
-// in-memory, mmap'd segment, log-structured — is driven through the shared
-// test::RandomStoreTrace harness and must present bit-identical observable
-// state (indices, counters, stats, DV contents), including across
-// mid-trace reopens and after crash-style drops reopened via recover().
+// Storage-medium contract tests: a store over each medium behind the
+// ckpt::StorageBackend trait — none (in-memory), mmap'd segment,
+// log-structured — is driven through the shared test::RandomStoreTrace
+// harness next to the flat reference and must present bit-identical
+// observable state (indices, counters, stats, DV contents), including
+// across mid-trace reopens and after crash-style drops reopened via
+// recover().  The medium tests below drive each file format directly.
 //
 // The recovery tests close the loop to the paper: a full system run
 // persists through a backend, the stores are reopened from disk alone, and
@@ -16,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ccp/analysis.hpp"
@@ -25,6 +27,7 @@
 #include "ckpt/mmap_backend.hpp"
 #include "ckpt/sharded_checkpoint_store.hpp"
 #include "ckpt/storage_backend.hpp"
+#include "harness/system.hpp"
 #include "helpers.hpp"
 #include "recovery/recovery_manager.hpp"
 #include "util/check.hpp"
@@ -64,19 +67,19 @@ bool forced_async_durability() {
   return forced.has_value() && forced->mode != ckpt::DurabilityMode::kSync;
 }
 
-// ---- One trace, four backends, equal after every op -----------------------
+// ---- One trace, every medium, equal after every op ------------------------
 
-/// The tentpole property: an identical randomized schedule through the flat
-/// reference, the sharded in-memory store, the mmap backend, and the
-/// log-structured backend yields identical observable state after every
-/// operation.  `reopen_probability > 0` additionally drops and reopens the
-/// persistent stores at random points (recover() mid-schedule), alternating
-/// clean flushes with unclean drops.
-void run_four_backend_trace(std::size_t shard_count, std::uint64_t seed,
-                            double reopen_probability) {
+/// An identical randomized schedule through the flat reference and a store
+/// over each medium (none, mmap, log) yields identical observable state
+/// after every operation.  `reopen_probability > 0` additionally drops and
+/// reopens the persistent stores at random points (recover() mid-schedule),
+/// alternating clean flushes with unclean drops.  Every trace ends with a
+/// crash-style reopen of both persistent stores, so the bytes the media
+/// wrote are checked even when no reopen happened mid-trace.
+void run_backend_trace(std::uint64_t seed, double reopen_probability) {
   const RandomStoreTrace trace(seed);
   CheckpointStore flat(5);
-  ShardedCheckpointStore memory(5, shard_count);
+  ShardedCheckpointStore memory(5);
 
   ScratchDir mmap_dir("mmap_eq");
   ScratchDir log_dir("log_eq");
@@ -85,11 +88,30 @@ void run_four_backend_trace(std::size_t shard_count, std::uint64_t seed,
   StorageConfig log_cfg =
       persistent_config(StorageBackendKind::kLogStructured, log_dir.path());
   auto mmap_store = std::make_unique<ShardedCheckpointStore>(
-      5, shard_count, ckpt::StoreConcurrency::kUnsynchronized, mmap_cfg);
+      5, 1, ckpt::StoreConcurrency::kUnsynchronized, mmap_cfg);
   auto log_store = std::make_unique<ShardedCheckpointStore>(
-      5, shard_count, ckpt::StoreConcurrency::kUnsynchronized, log_cfg);
+      5, 1, ckpt::StoreConcurrency::kUnsynchronized, log_cfg);
   mmap_cfg.open_mode = OpenMode::kAttach;
   log_cfg.open_mode = OpenMode::kAttach;
+
+  // Drop both persistent stores (flushing first when `clean`) and reopen
+  // them from their media alone.
+  const auto reopen = [&](bool clean) {
+    if (clean) {
+      mmap_store->flush();
+      log_store->flush();
+    }
+    mmap_store.reset();
+    log_store.reset();
+    mmap_store = std::make_unique<ShardedCheckpointStore>(
+        5, 1, ckpt::StoreConcurrency::kUnsynchronized, mmap_cfg);
+    log_store = std::make_unique<ShardedCheckpointStore>(
+        5, 1, ckpt::StoreConcurrency::kUnsynchronized, log_cfg);
+    ASSERT_EQ(mmap_store->recover(), flat.count());
+    ASSERT_EQ(log_store->recover(), flat.count());
+    test::expect_stores_equal(flat, *mmap_store);
+    test::expect_stores_equal(flat, *log_store);
+  };
 
   util::Rng reopen_rng(seed ^ 0x5ca7c4d1ull);
   bool clean = false;
@@ -110,34 +132,22 @@ void run_four_backend_trace(std::size_t shard_count, std::uint64_t seed,
       // diverge from the flat reference; the mid-window-kill contract has
       // its own tests in durability_test.cpp.
       clean = !clean;
-      if (clean || forced_async_durability()) {
-        mmap_store->flush();
-        log_store->flush();
-      }
-      mmap_store.reset();
-      log_store.reset();
-      mmap_store = std::make_unique<ShardedCheckpointStore>(
-          5, shard_count, ckpt::StoreConcurrency::kUnsynchronized, mmap_cfg);
-      log_store = std::make_unique<ShardedCheckpointStore>(
-          5, shard_count, ckpt::StoreConcurrency::kUnsynchronized, log_cfg);
-      ASSERT_EQ(mmap_store->recover(), flat.count());
-      ASSERT_EQ(log_store->recover(), flat.count());
-      test::expect_stores_equal(flat, *mmap_store);
-      test::expect_stores_equal(flat, *log_store);
+      reopen(clean || forced_async_durability());
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
+  reopen(forced_async_durability());
 }
 
 TEST(BackendEquivalence, AllBackendsMatchFlatReferenceOnRandomizedTraces) {
-  run_four_backend_trace(1, 20260726, 0.0);
-  run_four_backend_trace(ShardedCheckpointStore::kDefaultShardCount, 97, 0.0);
-  run_four_backend_trace(16, 7, 0.0);
+  run_backend_trace(20260726, 0.0);
+  run_backend_trace(97, 0.0);
+  run_backend_trace(7, 0.0);
 }
 
 TEST(BackendEquivalence, MidTraceReopenSchedulesKeepEquivalence) {
-  run_four_backend_trace(ShardedCheckpointStore::kDefaultShardCount, 41, 0.05);
-  run_four_backend_trace(1, 13, 0.08);
+  run_backend_trace(41, 0.05);
+  run_backend_trace(13, 0.08);
 }
 
 // ---- Crash-style recovery at the trace level ------------------------------
@@ -184,28 +194,44 @@ TEST(BackendRecovery, LogRecoversAfterUncleanDrop) {
   run_crash_recovery(StorageBackendKind::kLogStructured, false, 104);
 }
 
-// ---- Direct backend behaviour ---------------------------------------------
+// ---- Direct medium behaviour ----------------------------------------------
+//
+// The media are write-only: these tests write through a medium directly
+// and read what it holds back through recover() into a flat store.
+
+/// Replays the medium at `path` into a fresh flat store.
+template <typename Medium, typename... Knobs>
+CheckpointStore recover_medium(const std::string& path, Knobs... knobs) {
+  CheckpointStore store(0);
+  Medium medium(0, path, OpenMode::kAttach, knobs...);
+  medium.recover(store);
+  return store;
+}
 
 TEST(MmapBackend, SegmentGrowsAndTracksSlots) {
   ScratchDir dir("mmap_grow");
-  ckpt::MmapFileBackend backend(0, dir.path() + "/p0_s0.seg",
-                                OpenMode::kFresh, 2);
+  const std::string path = dir.path() + "/p0_s0.seg";
   causality::DependencyVector dv(3);
-  for (CheckpointIndex i = 0; i < 10; ++i) {
-    dv.at(1) = i;
-    backend.put(i, dv, static_cast<SimTime>(i), 1);
+  {
+    ckpt::MmapFileBackend backend(0, path, OpenMode::kFresh, 2);
+    for (CheckpointIndex i = 0; i < 10; ++i) {
+      dv.at(1) = i;
+      backend.put(i, dv, static_cast<SimTime>(i), 1);
+    }
+    EXPECT_EQ(backend.slots_used(), 10u);
+    EXPECT_GE(backend.slot_capacity(), 10u);
+    // Eliminations clear the live flag in place: no new slots.
+    backend.collect(3);
+    backend.collect(7);
+    EXPECT_EQ(backend.slots_used(), 10u);
+    EXPECT_EQ(backend.count(), 8u);
   }
-  EXPECT_EQ(backend.slots_used(), 10u);
-  EXPECT_GE(backend.slot_capacity(), 10u);
-  // Eliminations clear the live flag in place: no new slots.
-  backend.collect(3);
-  backend.collect(7);
-  EXPECT_EQ(backend.slots_used(), 10u);
-  EXPECT_EQ(backend.count(), 8u);
-  // The zero-copy view reads the mapped file, and must equal the mirror.
+  // The slots hold the DVs that were put.
+  const CheckpointStore recovered =
+      recover_medium<ckpt::MmapFileBackend>(path, std::size_t{2});
+  EXPECT_EQ(recovered.count(), 8u);
   dv.at(1) = 9;
-  EXPECT_TRUE(backend.dv_view(9) == dv);
-  EXPECT_EQ(backend.get(9).dv, dv);
+  EXPECT_EQ(recovered.get(9).dv, dv);
 }
 
 TEST(MmapBackend, DeadSlotsAreCompactedInPlaceSoTheSegmentStaysBounded) {
@@ -234,12 +260,12 @@ TEST(MmapBackend, DeadSlotsAreCompactedInPlaceSoTheSegmentStaysBounded) {
   EXPECT_LE(backend.slot_capacity(), 4u * kWindow)
       << "dead slots were never reclaimed";
   EXPECT_LE(backend.slots_used(), backend.slot_capacity());
-  test::expect_stores_equal(reference, backend);
+  EXPECT_EQ(backend.count(), reference.count());
 
   // The compacted segment still recovers exactly.
-  ckpt::MmapFileBackend reopened(0, path, OpenMode::kAttach, 4);
-  EXPECT_EQ(reopened.recover(), reference.count());
-  test::expect_stores_equal(reference, reopened);
+  const CheckpointStore recovered =
+      recover_medium<ckpt::MmapFileBackend>(path, std::size_t{4});
+  test::expect_stores_equal(reference, recovered);
 }
 
 TEST(MmapBackend, CleanFlagSurvivesExactlyUntilTheNextMutation) {
@@ -252,32 +278,45 @@ TEST(MmapBackend, CleanFlagSurvivesExactlyUntilTheNextMutation) {
     backend.flush();  // clean close
   }
   {
+    CheckpointStore store(0);
     ckpt::MmapFileBackend backend(0, path, OpenMode::kAttach, 2);
-    EXPECT_EQ(backend.recover(), 1u);
+    EXPECT_EQ(backend.recover(store), 1u);
     EXPECT_TRUE(backend.recovered_clean());
     backend.put(1, dv, 1, 1);  // mutation invalidates the clean shutdown
   }  // dropped WITHOUT flush
   {
+    CheckpointStore store(0);
     ckpt::MmapFileBackend backend(0, path, OpenMode::kAttach, 2);
-    EXPECT_EQ(backend.recover(), 2u);
+    EXPECT_EQ(backend.recover(store), 2u);
     EXPECT_FALSE(backend.recovered_clean());
-    EXPECT_TRUE(backend.contains(1));
+    EXPECT_TRUE(store.contains(1));
   }
 }
 
 TEST(MmapBackend, MutationsBeforeRecoverAreRejected) {
   ScratchDir dir("mmap_pending");
-  const std::string path = dir.path() + "/p0_s0.seg";
+  StorageConfig config;
+  config.kind = StorageBackendKind::kMmapFile;
+  config.directory = dir.path();
+  config.initial_slots = 2;
   causality::DependencyVector dv(2);
   {
-    ckpt::MmapFileBackend backend(0, path, OpenMode::kFresh, 2);
-    backend.put(0, dv, 0, 1);
+    ShardedCheckpointStore store(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
+                                 config);
+    store.put(0, dv, 0, 1);
   }
-  ckpt::MmapFileBackend backend(0, path, OpenMode::kAttach, 2);
-  EXPECT_THROW(backend.put(1, dv, 1, 1), util::ContractViolation);
-  EXPECT_EQ(backend.recover(), 1u);
-  backend.put(1, dv, 1, 1);  // fine now
-  EXPECT_EQ(backend.recover(), 2u);  // idempotent no-op on a live backend
+  config.open_mode = OpenMode::kAttach;
+  {
+    ckpt::MmapFileBackend backend(0, config.stripe_file(0, 0),
+                                  OpenMode::kAttach, 2);
+    EXPECT_THROW(backend.put(1, dv, 1, 1), util::ContractViolation);
+  }
+  ShardedCheckpointStore store(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
+                               config);
+  EXPECT_THROW(store.put(1, dv, 1, 1), util::ContractViolation);
+  EXPECT_EQ(store.recover(), 1u);
+  store.put(1, dv, 1, 1);  // fine now
+  EXPECT_EQ(store.recover(), 2u);  // idempotent no-op on a live store
 }
 
 TEST(LogBackend, CompactionBoundsTheLogAndPreservesState) {
@@ -308,13 +347,14 @@ TEST(LogBackend, CompactionBoundsTheLogAndPreservesState) {
   // 392 mutations ran; compaction keeps the log near the live set's size
   // instead (bounded by the compaction trigger, not the history length).
   EXPECT_LT(backend.log_records(), 2u * 8u + kWindow);
-  test::expect_stores_equal(reference, backend);
+  EXPECT_EQ(backend.count(), reference.count());
 
   // And the compacted log still replays exactly — stats snapshot included.
   backend.flush();
+  CheckpointStore recovered(0);
   ckpt::LogStructuredBackend reopened(0, path, OpenMode::kAttach, 8, 0.5);
-  EXPECT_EQ(reopened.recover(), reference.count());
-  test::expect_stores_equal(reference, reopened);
+  EXPECT_EQ(reopened.recover(recovered), reference.count());
+  test::expect_stores_equal(reference, recovered);
   EXPECT_EQ(reopened.baseline_records(), backend.baseline_records());
 }
 
@@ -338,7 +378,7 @@ causality::DependencyVector torn_dv(CheckpointIndex g) {
   return dv;
 }
 
-/// Puts [from, to) into `store`.
+/// Puts [from, to) into `store` (a flat store or a medium).
 template <typename Store>
 void put_range(Store& store, CheckpointIndex from, CheckpointIndex to) {
   for (CheckpointIndex g = from; g < to; ++g)
@@ -352,8 +392,9 @@ std::uint64_t write_five_puts(const std::string& path) {
     ckpt::LogStructuredBackend log(0, path, OpenMode::kFresh, 1024, 0.5);
     put_range(log, 0, 5);
   }
+  CheckpointStore recovered(0);
   ckpt::LogStructuredBackend reopened(0, path, OpenMode::kAttach, 1024, 0.5);
-  EXPECT_EQ(reopened.recover(), 5u);
+  EXPECT_EQ(reopened.recover(recovered), 5u);
   return std::filesystem::file_size(path);
 }
 
@@ -362,10 +403,11 @@ std::uint64_t write_five_puts(const std::string& path) {
 void expect_recovers_first_four(const std::string& path, std::uint64_t whole) {
   CheckpointStore reference(0);
   put_range(reference, 0, 4);
+  CheckpointStore recovered(0);
   ckpt::LogStructuredBackend log(0, path, OpenMode::kAttach, 1024, 0.5);
-  EXPECT_EQ(log.recover(), 4u);
+  EXPECT_EQ(log.recover(recovered), 4u);
   EXPECT_EQ(log.log_records(), 4u);
-  test::expect_stores_equal(reference, log);
+  test::expect_stores_equal(reference, recovered);
   EXPECT_EQ(std::filesystem::file_size(path), whole - kPutRecordBytes);
 }
 
@@ -413,17 +455,19 @@ TEST(LogTornTail, CrashDropRecoversTheAppendsAndTruncatesTheReserve) {
   // The drop left the zero-filled reserve behind the last record.
   EXPECT_GT(std::filesystem::file_size(path), records_end);
   {
+    CheckpointStore recovered(0);
     ckpt::LogStructuredBackend log(0, path, OpenMode::kAttach, 1024, 0.5);
-    ASSERT_EQ(log.recover(), reference.count());
+    ASSERT_EQ(log.recover(recovered), reference.count());
     EXPECT_EQ(log.log_records(), 55u);
-    test::expect_stores_equal(reference, log);
+    test::expect_stores_equal(reference, recovered);
     EXPECT_EQ(std::filesystem::file_size(path), records_end);
     put_range(log, 40, 41);
     put_range(reference, 40, 41);
   }
+  CheckpointStore recovered(0);
   ckpt::LogStructuredBackend log(0, path, OpenMode::kAttach, 1024, 0.5);
-  ASSERT_EQ(log.recover(), reference.count());
-  test::expect_stores_equal(reference, log);
+  ASSERT_EQ(log.recover(recovered), reference.count());
+  test::expect_stores_equal(reference, recovered);
   EXPECT_EQ(std::filesystem::file_size(path), records_end + kPutRecordBytes);
 }
 
@@ -531,13 +575,14 @@ TEST(BackendRecovery, SystemRestartFromLogAfterUncleanStop) {
 // restart critical path (ckpt::Node attach); the failure modes below must be
 // loud errors, never a silently empty line.
 
-/// Attaching to a directory no store ever wrote: the meta file is absent, so
-/// construction itself fails with an I/O error — there is nothing to recover.
+/// Attaching to a directory no store ever wrote: the medium file is absent,
+/// so construction itself fails with an I/O error — there is nothing to
+/// recover.
 void attach_empty_directory(StorageBackendKind kind) {
   ScratchDir dir("attach_empty");
   StorageConfig attach = persistent_config(kind, dir.path());
   attach.open_mode = OpenMode::kAttach;
-  EXPECT_THROW(ShardedCheckpointStore(0, 4,
+  EXPECT_THROW(ShardedCheckpointStore(0, 1,
                                       ckpt::StoreConcurrency::kUnsynchronized,
                                       attach),
                util::IoError);
@@ -550,14 +595,13 @@ TEST(BackendRecoveryEdge, AttachEmptyDirectoryLog) {
   attach_empty_directory(StorageBackendKind::kLogStructured);
 }
 
-/// A stripe file deleted out from under a persisted store: the attach open
-/// of the missing stripe must fail with an I/O error rather than recover a
-/// partial set.
-void attach_missing_stripe(StorageBackendKind kind) {
+/// The medium file deleted out from under a persisted store: the attach
+/// open must fail with an I/O error rather than recover an empty store.
+void attach_missing_medium(StorageBackendKind kind) {
   ScratchDir dir("attach_torn");
   StorageConfig config = persistent_config(kind, dir.path());
   {
-    ShardedCheckpointStore store(0, 4,
+    ShardedCheckpointStore store(0, 1,
                                  ckpt::StoreConcurrency::kUnsynchronized,
                                  config);
     causality::DependencyVector dv(3);
@@ -567,19 +611,19 @@ void attach_missing_stripe(StorageBackendKind kind) {
     }
     store.flush();
   }
-  ASSERT_EQ(std::remove(config.stripe_file(0, 1).c_str()), 0);
+  ASSERT_EQ(std::remove(config.stripe_file(0, 0).c_str()), 0);
   config.open_mode = OpenMode::kAttach;
-  EXPECT_THROW(ShardedCheckpointStore(0, 4,
+  EXPECT_THROW(ShardedCheckpointStore(0, 1,
                                       ckpt::StoreConcurrency::kUnsynchronized,
                                       config),
                util::IoError);
 }
 
-TEST(BackendRecoveryEdge, AttachMissingStripeFileMmap) {
-  attach_missing_stripe(StorageBackendKind::kMmapFile);
+TEST(BackendRecoveryEdge, AttachMissingMediumFileMmap) {
+  attach_missing_medium(StorageBackendKind::kMmapFile);
 }
-TEST(BackendRecoveryEdge, AttachMissingStripeFileLog) {
-  attach_missing_stripe(StorageBackendKind::kLogStructured);
+TEST(BackendRecoveryEdge, AttachMissingMediumFileLog) {
+  attach_missing_medium(StorageBackendKind::kLogStructured);
 }
 
 /// A store whose every checkpoint was collected before the crash: the media
@@ -590,7 +634,7 @@ void attach_zero_survivors(StorageBackendKind kind) {
   ScratchDir dir("attach_barren");
   StorageConfig config = persistent_config(kind, dir.path());
   {
-    ShardedCheckpointStore store(0, 4,
+    ShardedCheckpointStore store(0, 1,
                                  ckpt::StoreConcurrency::kUnsynchronized,
                                  config);
     causality::DependencyVector dv(3);
@@ -603,7 +647,7 @@ void attach_zero_survivors(StorageBackendKind kind) {
     store.flush();
   }
   config.open_mode = OpenMode::kAttach;
-  ShardedCheckpointStore reopened(0, 4,
+  ShardedCheckpointStore reopened(0, 1,
                                   ckpt::StoreConcurrency::kUnsynchronized,
                                   config);
   EXPECT_EQ(reopened.recover(), 0u);
@@ -624,6 +668,54 @@ TEST(BackendRecoveryEdge, NoStoresRejected) {
   const std::vector<const ShardedCheckpointStore*> stores;
   EXPECT_THROW(recovery::recovery_line_from_storage(stores),
                util::ContractViolation);
+}
+
+// ---- One medium file per process ------------------------------------------
+
+/// The names of the files in `dir`, sorted.
+std::vector<std::string> file_names(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    names.push_back(entry.path().filename().string());
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// A fresh persistent Node keeps its whole store in one file,
+/// stripe_file(self, 0), and a reopen recovers from that file alone.
+void run_one_file_per_node(StorageBackendKind kind) {
+  ScratchDir dir("one_file");
+  harness::SystemConfig config;
+  config.process_count = 1;
+  config.node.storage = persistent_config(kind, dir.path());
+  harness::System system(config);
+  const std::vector<std::string> medium = {
+      std::filesystem::path(config.node.storage.stripe_file(0, 0))
+          .filename()
+          .string()};
+  EXPECT_EQ(file_names(dir.path()), medium);
+
+  for (int k = 0; k < 6; ++k) system.node(0).take_basic_checkpoint();
+  system.node(0).store().flush();
+  EXPECT_EQ(file_names(dir.path()), medium);
+  // What the node stores before it dies, as a flat reference.
+  CheckpointStore before(0);
+  for (const CheckpointIndex g : system.node(0).store().stored_indices()) {
+    const ckpt::StoredCheckpoint& c = system.node(0).store().get(g);
+    before.put(c.index, c.dv, c.stored_at, c.bytes);
+  }
+  before.restore_stats(system.node(0).store().stats());
+
+  const ckpt::Node& reattached = system.restart_node(0);
+  test::expect_stores_equal(before, reattached.store());
+  EXPECT_EQ(file_names(dir.path()), medium);
+}
+
+TEST(StoreLayout, FreshMmapNodeKeepsOneFileAndReattachesFromIt) {
+  run_one_file_per_node(StorageBackendKind::kMmapFile);
+}
+TEST(StoreLayout, FreshLogNodeKeepsOneFileAndReattachesFromIt) {
+  run_one_file_per_node(StorageBackendKind::kLogStructured);
 }
 
 }  // namespace

@@ -1,13 +1,12 @@
-// Concurrency tests: the striped store under real threads and the fleet
-// runner's scheduling/determinism contracts.
+// Concurrency tests: the durability pipeline's background writer under a
+// racing mutator and status reader, and the fleet runner's
+// scheduling/determinism contracts.
 //
 // Two kinds of assertions live here:
 //  * logical — counters, final states, and sweep figures must come out
 //    exactly right regardless of interleaving;
 //  * freedom from data races — every test is also a ThreadSanitizer probe:
-//    the `tsan` CMake preset builds this binary with -fsanitize=thread, and
-//    the old unguarded stored_indices() merged-cache rebuild (a const
-//    method mutating shared state) fails exactly these tests there.
+//    the `tsan` CMake preset builds this binary with -fsanitize=thread.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "causality/dependency_vector.hpp"
-#include "ckpt/checkpoint_store.hpp"
 #include "ckpt/sharded_checkpoint_store.hpp"
 #include "harness/fleet.hpp"
 #include "harness/sweep.hpp"
@@ -26,249 +24,35 @@
 #include "helpers.hpp"
 #include "metrics/storage_probe.hpp"
 #include "util/check.hpp"
-#include "util/spinlock.hpp"
 #include "workload/workload.hpp"
 
 namespace rdtgc {
 namespace {
 
-// ---- Striped store under collector threads -------------------------------
-
-TEST(ShardedStoreConcurrency, ParallelCollectorsDrainDisjointIndexSets) {
-  // Four collector threads eliminate interleaved residue classes of a
-  // pre-populated store — the multi-collector pattern the striping exists
-  // for — while the stripe locks serialize same-stripe collisions.
-  constexpr CheckpointIndex kCount = 4096;
-  constexpr int kCollectors = 4;
-  ckpt::ShardedCheckpointStore store(0, 8, ckpt::StoreConcurrency::kStriped);
-  causality::DependencyVector dv(4);
-  for (CheckpointIndex i = 0; i < kCount; ++i) store.put(i, dv, 0, 1);
-  ASSERT_EQ(store.count(), static_cast<std::size_t>(kCount));
-
-  std::vector<std::thread> collectors;
-  for (int t = 0; t < kCollectors; ++t) {
-    collectors.emplace_back([&store, t] {
-      for (CheckpointIndex i = t; i < kCount; i += kCollectors)
-        store.collect(i);
-    });
-  }
-  for (std::thread& t : collectors) t.join();
-
-  EXPECT_EQ(store.count(), 0u);
-  EXPECT_EQ(store.bytes(), 0u);
-  EXPECT_EQ(store.stats().collected, static_cast<std::uint64_t>(kCount));
-  EXPECT_TRUE(store.stored_indices().empty());
-  for (std::size_t s = 0; s < store.shard_count(); ++s)
-    EXPECT_EQ(store.shard(s).count(), 0u) << "shard " << s;
-}
-
-TEST(ShardedStoreConcurrency, ProducerCollectorsAndReadersInterleave) {
-  // A producer appends fresh checkpoints while collectors drain the old
-  // window and a reader thread continuously snapshots the merged view and
-  // probes membership — put/collect/contains/snapshot_stored_indices are
-  // the operations documented safe under concurrency.
-  constexpr CheckpointIndex kOld = 2048;
-  constexpr CheckpointIndex kNew = 2048;
-  constexpr int kCollectors = 2;
-  ckpt::ShardedCheckpointStore store(0, 8, ckpt::StoreConcurrency::kStriped);
-  causality::DependencyVector dv(4);
-  for (CheckpointIndex i = 0; i < kOld; ++i) store.put(i, dv, 0, 1);
-
-  std::atomic<bool> stop{false};
-  std::thread producer([&] {
-    for (CheckpointIndex i = kOld; i < kOld + kNew; ++i) store.put(i, dv, 0, 1);
-  });
-  std::vector<std::thread> collectors;
-  for (int t = 0; t < kCollectors; ++t) {
-    collectors.emplace_back([&store, t] {
-      for (CheckpointIndex i = t; i < kOld; i += kCollectors)
-        store.collect(i);
-    });
-  }
-  std::thread reader([&] {
-    std::vector<CheckpointIndex> snapshot;
-    std::uint64_t probes = 0;
-    while (!stop.load(std::memory_order_acquire)) {
-      store.snapshot_stored_indices(snapshot);
-      // Ascending and duplicate-free: each index lives in exactly one
-      // stripe and each stripe is read under its lock.
-      for (std::size_t k = 1; k < snapshot.size(); ++k)
-        ASSERT_LT(snapshot[k - 1], snapshot[k]);
-      (void)store.contains(static_cast<CheckpointIndex>(probes % (kOld + kNew)));
-      ++probes;
-    }
-  });
-
-  producer.join();
-  for (std::thread& t : collectors) t.join();
-  stop.store(true, std::memory_order_release);
-  reader.join();
-
-  EXPECT_EQ(store.count(), static_cast<std::size_t>(kNew));
-  EXPECT_EQ(store.stats().collected, static_cast<std::uint64_t>(kOld));
-  EXPECT_EQ(store.stats().stored, static_cast<std::uint64_t>(kOld + kNew));
-  const std::vector<CheckpointIndex>& live = store.stored_indices();
-  ASSERT_EQ(live.size(), static_cast<std::size_t>(kNew));
-  EXPECT_EQ(live.front(), kOld);
-  EXPECT_EQ(live.back(), kOld + kNew - 1);
-}
-
-TEST(ShardedStoreConcurrency, StoredIndicesLazyRebuildIsGuardedRegression) {
-  // Regression for the const-cache data race: stored_indices() is lazily
-  // rebuilt on first read after a mutation, and before the guard two
-  // concurrent const readers both rebuilt the shared merged_ vector.  Many
-  // readers race the first rebuild here; every one of them must observe the
-  // complete merged view, and under tsan the unguarded version reports.
-  constexpr CheckpointIndex kCount = 512;
-  constexpr int kReaders = 8;
-  ckpt::ShardedCheckpointStore store(0, 8, ckpt::StoreConcurrency::kStriped);
-  causality::DependencyVector dv(4);
-  for (CheckpointIndex i = 0; i < kCount; ++i) store.put(i, dv, 0, 1);
-  store.collect(0);  // leave the cache dirty: first reader rebuilds
-
-  std::atomic<int> ready{0};
-  std::atomic<bool> go{false};
-  std::vector<std::thread> readers;
-  std::vector<std::size_t> seen(kReaders, 0);
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&, r] {
-      ready.fetch_add(1);
-      while (!go.load(std::memory_order_acquire)) {
-      }
-      seen[static_cast<std::size_t>(r)] = store.stored_indices().size();
-    });
-  }
-  while (ready.load() != kReaders) {
-  }
-  go.store(true, std::memory_order_release);
-  for (std::thread& t : readers) t.join();
-
-  for (int r = 0; r < kReaders; ++r)
-    EXPECT_EQ(seen[static_cast<std::size_t>(r)],
-              static_cast<std::size_t>(kCount - 1))
-        << "reader " << r << " saw a partial merged cache";
-}
-
-TEST(ShardedStoreConcurrency, StripedModeMatchesUnsynchronizedTrace) {
-  // Single-threaded equivalence: arming the locks must not change any
-  // observable — same RandomStoreTrace schedule (the shared harness of
-  // store_test/backend_test), same views, same stats after every op.
-  ckpt::ShardedCheckpointStore striped(0, 8,
-                                       ckpt::StoreConcurrency::kStriped);
-  ckpt::ShardedCheckpointStore plain(0, 8);
-  const test::RandomStoreTrace trace(20260726, 300);
-  for (const test::RandomStoreTrace::Op& op : trace.ops()) {
-    trace.apply(op, plain);
-    trace.apply(op, striped);
-    test::expect_stores_equal(plain, striped);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-TEST(ShardedStoreConcurrency, StripedMmapBackendSurvivesParallelChurn) {
-  // The tsan-covered striped+mmap stress: parallel collectors drain the old
-  // window of an mmap-backed striped store while a producer appends and a
-  // reader snapshots — the same interleaving contract as the in-memory
-  // stress above, now with every mutation also writing the mapped segment
-  // (stripe files are per stripe, so disjoint stripes touch disjoint
-  // mappings; the shared meta header is written under the stats lock).
-  // Afterwards the store is reopened from disk and must reproduce the final
-  // state exactly.
-  constexpr CheckpointIndex kOld = 512;
-  constexpr CheckpointIndex kNew = 512;
-  constexpr int kCollectors = 2;
-  test::ScratchDir dir("striped_mmap");
-  ckpt::StorageConfig config;
-  config.kind = ckpt::StorageBackendKind::kMmapFile;
-  config.directory = dir.path();
-  config.initial_slots = 4;  // force concurrent segment growth too
-  {
-    ckpt::ShardedCheckpointStore store(0, 8,
-                                       ckpt::StoreConcurrency::kStriped,
-                                       config);
-    causality::DependencyVector dv(4);
-    for (CheckpointIndex i = 0; i < kOld; ++i) store.put(i, dv, 0, 1);
-
-    std::atomic<bool> stop{false};
-    std::thread producer([&] {
-      for (CheckpointIndex i = kOld; i < kOld + kNew; ++i)
-        store.put(i, dv, 0, 1);
-    });
-    std::vector<std::thread> collectors;
-    for (int t = 0; t < kCollectors; ++t) {
-      collectors.emplace_back([&store, t] {
-        for (CheckpointIndex i = t; i < kOld; i += kCollectors)
-          store.collect(i);
-      });
-    }
-    std::thread reader([&] {
-      std::vector<CheckpointIndex> snapshot;
-      while (!stop.load(std::memory_order_acquire)) {
-        store.snapshot_stored_indices(snapshot);
-        for (std::size_t k = 1; k < snapshot.size(); ++k)
-          ASSERT_LT(snapshot[k - 1], snapshot[k]);
-      }
-    });
-
-    producer.join();
-    for (std::thread& t : collectors) t.join();
-    stop.store(true, std::memory_order_release);
-    reader.join();
-
-    EXPECT_EQ(store.count(), static_cast<std::size_t>(kNew));
-    EXPECT_EQ(store.stats().collected, static_cast<std::uint64_t>(kOld));
-    EXPECT_EQ(store.stats().stored, static_cast<std::uint64_t>(kOld + kNew));
-  }  // dropped without flush: recover() must not need the durability point
-
-  config.open_mode = ckpt::OpenMode::kAttach;
-  ckpt::ShardedCheckpointStore reopened(
-      0, 8, ckpt::StoreConcurrency::kUnsynchronized, config);
-  ASSERT_EQ(reopened.recover(), static_cast<std::size_t>(kNew));
-  EXPECT_EQ(reopened.stats().collected, static_cast<std::uint64_t>(kOld));
-  EXPECT_EQ(reopened.stats().stored, static_cast<std::uint64_t>(kOld + kNew));
-  const std::vector<CheckpointIndex>& live = reopened.stored_indices();
-  ASSERT_EQ(live.size(), static_cast<std::size_t>(kNew));
-  EXPECT_EQ(live.front(), kOld);
-  EXPECT_EQ(live.back(), kOld + kNew - 1);
-}
+// ---- Durability pipeline's background writer ----------------------------
 
 TEST(ShardedStoreConcurrency, BackgroundWriterSurvivesParallelChurn) {
-  // The tsan probe for the durability pipeline's writer thread: a striped
-  // log-backed store under DurabilityPolicy::Background churns puts and
-  // collects from application threads while the background writer drains
-  // the ring into the media concurrently, and reader threads poll the
+  // The tsan probe for the durability pipeline's writer thread: one
+  // mutator thread churns puts and collects through a log-backed store
+  // under DurabilityPolicy::Background while the background writer drains
+  // the ring into the medium concurrently, and a reader thread polls the
   // acked-vs-synced status the whole time.  Every cross-thread edge the
   // pipeline has is exercised at once — slot publication under the ring
-  // lock, drains under the drain lock, the durable-stats replica feeding
-  // the meta header, and the lock-free status counters.  flush() then
-  // quiesces the ring and the final figures must be exact.
+  // lock, drains under the drain lock, and the lock-free status counters.
+  // flush() then quiesces the ring and the final figures must be exact.
   constexpr CheckpointIndex kOld = 256;
   constexpr CheckpointIndex kNew = 256;
-  constexpr int kCollectors = 2;
-  test::ScratchDir dir("striped_background");
+  test::ScratchDir dir("background_writer");
   ckpt::StorageConfig config;
   config.kind = ckpt::StorageBackendKind::kLogStructured;
   config.directory = dir.path();
   config.durability = ckpt::DurabilityPolicy::Background(4);
   {
-    ckpt::ShardedCheckpointStore store(0, 8,
-                                       ckpt::StoreConcurrency::kStriped,
-                                       config);
+    ckpt::ShardedCheckpointStore store(
+        0, 1, ckpt::StoreConcurrency::kUnsynchronized, config);
     causality::DependencyVector dv(4);
-    for (CheckpointIndex i = 0; i < kOld; ++i) store.put(i, dv, 0, 1);
 
     std::atomic<bool> stop{false};
-    std::thread producer([&] {
-      for (CheckpointIndex i = kOld; i < kOld + kNew; ++i)
-        store.put(i, dv, 0, 1);
-    });
-    std::vector<std::thread> collectors;
-    for (int t = 0; t < kCollectors; ++t) {
-      collectors.emplace_back([&store, t] {
-        for (CheckpointIndex i = t; i < kOld; i += kCollectors)
-          store.collect(i);
-      });
-    }
     std::thread status_reader([&] {
       while (!stop.load(std::memory_order_acquire)) {
         const ckpt::DurabilityStatus status = store.durability();
@@ -276,22 +60,19 @@ TEST(ShardedStoreConcurrency, BackgroundWriterSurvivesParallelChurn) {
         ASSERT_GE(status.acked_ops, status.synced_ops);
       }
     });
-    std::thread snapshot_reader([&] {
-      std::vector<CheckpointIndex> snapshot;
-      while (!stop.load(std::memory_order_acquire)) {
-        store.snapshot_stored_indices(snapshot);
-        for (std::size_t k = 1; k < snapshot.size(); ++k)
-          ASSERT_LT(snapshot[k - 1], snapshot[k]);
+    std::thread mutator([&] {
+      for (CheckpointIndex i = 0; i < kOld; ++i) store.put(i, dv, 0, 1);
+      for (CheckpointIndex i = kOld; i < kOld + kNew; ++i) {
+        store.put(i, dv, 0, 1);
+        store.collect(i - kOld);
       }
     });
 
-    producer.join();
-    for (std::thread& t : collectors) t.join();
+    mutator.join();
     stop.store(true, std::memory_order_release);
     status_reader.join();
-    snapshot_reader.join();
 
-    // The acked mirror answers reads, so the figures are exact already.
+    // The read store answers reads, so the figures are exact already.
     EXPECT_EQ(store.count(), static_cast<std::size_t>(kNew));
     EXPECT_EQ(store.stats().collected, static_cast<std::uint64_t>(kOld));
     EXPECT_EQ(store.stats().stored, static_cast<std::uint64_t>(kOld + kNew));
@@ -302,14 +83,13 @@ TEST(ShardedStoreConcurrency, BackgroundWriterSurvivesParallelChurn) {
     EXPECT_EQ(status.lag_ops(), 0u);
     EXPECT_EQ(status.acked_ops,
               static_cast<std::uint64_t>(2 * kOld + kNew));
-    for (std::size_t s = 0; s < 8; ++s)
-      EXPECT_EQ(store.durable_shard(s).count(), store.shard(s).count());
+    EXPECT_EQ(store.medium()->count(), store.count());
   }
 
   // The durable image after the flush is the full final state.
   config.open_mode = ckpt::OpenMode::kAttach;
   ckpt::ShardedCheckpointStore reopened(
-      0, 8, ckpt::StoreConcurrency::kUnsynchronized, config);
+      0, 1, ckpt::StoreConcurrency::kUnsynchronized, config);
   ASSERT_EQ(reopened.recover(), static_cast<std::size_t>(kNew));
   EXPECT_EQ(reopened.stats().collected, static_cast<std::uint64_t>(kOld));
   EXPECT_EQ(reopened.stats().stored, static_cast<std::uint64_t>(kOld + kNew));

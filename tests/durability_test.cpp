@@ -3,15 +3,17 @@
 // What is certified here, mapped to the machinery:
 //  * policy equivalence — under kGroupCommit/kBackground every read and
 //    every counter still matches the flat reference after every op (the
-//    acked mirror serves reads), and a flushed store recovers bit-identical;
+//    read store serves reads), and a flushed store recovers bit-identical;
 //  * group-commit window math — a window of k ops reaches the medium as ONE
-//    fsync (log) / ONE msync (mmap) per touched stripe, pinned via the
-//    backends' introspection counters and the pipeline's commits();
+//    fsync (log) / ONE msync (mmap), pinned via the media's introspection
+//    counters and the pipeline's commits();
 //  * dirty-flag skip — flush() with nothing written issues no syscall
 //    (regression for the fsyncs()/msyncs() counters);
 //  * flush error paths — an injected fsync/msync failure surfaces as
-//    util::IoError with mirror and medium still coherent, and so does an
-//    injected ENOSPC while the log's mapped tail grows;
+//    util::IoError with store and medium still coherent, and so does an
+//    injected ENOSPC while the log's mapped tail grows (the store writes
+//    the medium before its read store, so the throw leaves both as they
+//    were);
 //  * kill inside the window — dropping a store mid-window recovers a
 //    consistent PREFIX of the acknowledged schedule: deterministic (the last
 //    commit boundary) under kGroupCommit, some drain boundary under
@@ -61,6 +63,12 @@ using ckpt::StorageConfig;
 using test::RandomStoreTrace;
 using test::ScratchDir;
 
+/// The medium under `store`, as its concrete type.
+template <typename Medium>
+const Medium& medium_of(const ShardedCheckpointStore& store) {
+  return dynamic_cast<const Medium&>(*store.medium());
+}
+
 StorageConfig async_config(StorageBackendKind kind, const std::string& dir,
                            DurabilityPolicy policy) {
   StorageConfig config;
@@ -79,7 +87,7 @@ const StorageBackendKind kPersistentKinds[] = {
 
 // ---- Policy equivalence ---------------------------------------------------
 
-/// The acked mirror serves every read, so a pipelined store must match the
+/// The read store serves every read, so a pipelined store must match the
 /// flat reference after EVERY op — under any policy — and, once flushed,
 /// recover bit-identical from the media with the lag collapsed to zero.
 TEST(DurabilityEquivalence, AckedStateMatchesFlatReferenceUnderEveryPolicy) {
@@ -128,8 +136,8 @@ TEST(DurabilityEquivalence, AckedStateMatchesFlatReferenceUnderEveryPolicy) {
 
 // ---- Group-commit window math ---------------------------------------------
 
-/// k puts through a single-stripe log store must reach the medium with ONE
-/// fsync per window, with the lag counting the open tail.
+/// k puts through a log store must reach the medium with ONE fsync per
+/// window, with the lag counting the open tail.
 TEST(GroupCommitWindow, LogCoalescesKOpsIntoOneFsync) {
   constexpr std::size_t kEvery = 4;
   ScratchDir dir("gc_log");
@@ -138,8 +146,7 @@ TEST(GroupCommitWindow, LogCoalescesKOpsIntoOneFsync) {
                    DurabilityPolicy::GroupCommit(kEvery));
   ShardedCheckpointStore store(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
                                config);
-  const auto& log =
-      dynamic_cast<const LogStructuredBackend&>(store.durable_shard(0));
+  const auto& log = medium_of<LogStructuredBackend>(store);
   const std::uint64_t fsyncs_before = log.fsyncs();
 
   causality::DependencyVector dv(4);
@@ -156,8 +163,8 @@ TEST(GroupCommitWindow, LogCoalescesKOpsIntoOneFsync) {
   EXPECT_EQ(status.lag_ops(), 2u);
   EXPECT_EQ(status.acked_index, 9);
   EXPECT_EQ(status.synced_index, 7);
-  EXPECT_EQ(store.durable_shard(0).count(), 8u);
-  EXPECT_EQ(store.count(), 10u);  // reads come from the acked mirror
+  EXPECT_EQ(store.medium()->count(), 8u);
+  EXPECT_EQ(store.count(), 10u);  // reads come from the read store
 }
 
 /// Same window math on the mmap backend: the drain's mutations are mapped
@@ -170,8 +177,7 @@ TEST(GroupCommitWindow, MmapDefersMsyncToTheCommit) {
                    DurabilityPolicy::GroupCommit(kEvery));
   ShardedCheckpointStore store(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
                                config);
-  const auto& mmap =
-      dynamic_cast<const MmapFileBackend&>(store.durable_shard(0));
+  const auto& mmap = medium_of<MmapFileBackend>(store);
   const std::uint64_t msyncs_before = mmap.msyncs();
 
   causality::DependencyVector dv(4);
@@ -180,7 +186,7 @@ TEST(GroupCommitWindow, MmapDefersMsyncToTheCommit) {
   EXPECT_EQ(store.pipeline()->commits(), 2u);
   EXPECT_EQ(mmap.msyncs() - msyncs_before, 2u);
   EXPECT_EQ(store.durability().lag_ops(), 1u);
-  EXPECT_EQ(store.durable_shard(0).count(), 8u);
+  EXPECT_EQ(store.medium()->count(), 8u);
 }
 
 /// every_checkpoint: each put closes the window immediately (checkpoint-
@@ -204,30 +210,36 @@ TEST(GroupCommitWindow, EveryCheckpointCommitsOnPutsAndBatchesCollects) {
   store.put(1, dv, 0, 1);  // drains the batched collect AND this put
   EXPECT_EQ(store.durability().lag_ops(), 0u);
   EXPECT_EQ(store.pipeline()->commits(), 2u);
-  EXPECT_EQ(store.durable_shard(0).count(), 1u);
+  EXPECT_EQ(store.medium()->count(), 1u);
 }
 
 /// flush() quiesces the pipeline: acked == synced afterwards and the
-/// durable stripes mirror the acked ones exactly.
+/// medium holds exactly the acked checkpoints.
 TEST(GroupCommitWindow, FlushQuiescesAndDropsLagToZero) {
   ScratchDir dir("gc_flush");
-  const StorageConfig config =
+  StorageConfig config =
       async_config(StorageBackendKind::kLogStructured, dir.path(),
                    DurabilityPolicy::Background(8));
-  ShardedCheckpointStore store(0, 4, ckpt::StoreConcurrency::kUnsynchronized,
-                               config);
-  causality::DependencyVector dv(4);
-  for (CheckpointIndex i = 0; i < 37; ++i) store.put(i, dv, 0, 1);
-  for (CheckpointIndex i = 0; i < 37; i += 3) store.collect(i);
+  std::vector<CheckpointIndex> acked;
+  {
+    ShardedCheckpointStore store(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
+                                 config);
+    causality::DependencyVector dv(4);
+    for (CheckpointIndex i = 0; i < 37; ++i) store.put(i, dv, 0, 1);
+    for (CheckpointIndex i = 0; i < 37; i += 3) store.collect(i);
 
-  store.flush();
-  const ckpt::DurabilityStatus status = store.durability();
-  EXPECT_EQ(status.lag_ops(), 0u);
-  EXPECT_EQ(status.acked_index, status.synced_index);
-  for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(store.durable_shard(s).stored_indices(),
-              store.shard(s).stored_indices());
+    store.flush();
+    const ckpt::DurabilityStatus status = store.durability();
+    EXPECT_EQ(status.lag_ops(), 0u);
+    EXPECT_EQ(status.acked_index, status.synced_index);
+    EXPECT_EQ(store.medium()->count(), store.count());
+    acked = store.stored_indices();
   }
+  config.open_mode = OpenMode::kAttach;
+  ShardedCheckpointStore reopened(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
+                                  config);
+  reopened.recover();
+  EXPECT_EQ(reopened.stored_indices(), acked);
 }
 
 // ---- Dirty-flag flush skip (regression) -----------------------------------
@@ -284,57 +296,61 @@ TEST(FlushErrors, LogFsyncFailureSurfacesAsIoErrorAndKeepsStateCoherent) {
   StorageConfig config;
   config.kind = StorageBackendKind::kLogStructured;
   config.directory = dir.path();
-  const std::string path = config.stripe_file(0, 0);
   {
-    LogStructuredBackend log(0, path, OpenMode::kFresh, 64, 0.5);
+    ShardedCheckpointStore store(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
+                                 config);
     causality::DependencyVector dv(4);
-    log.put(0, dv, 0, 1);
+    store.put(0, dv, 0, 1);
 
     util::set_io_fsync_for_test(+[](int) {
       errno = EIO;
       return -1;
     });
-    EXPECT_THROW(log.flush(), util::IoError);
+    EXPECT_THROW(store.flush(), util::IoError);
     util::set_io_fsync_for_test(nullptr);
 
-    // The mirror is untouched and the log stays dirty: the retry issues a
+    // The store is untouched and the log stays dirty: the retry issues a
     // real fsync and succeeds.
-    EXPECT_EQ(log.count(), 1u);
-    EXPECT_TRUE(log.contains(0));
+    EXPECT_EQ(store.count(), 1u);
+    EXPECT_TRUE(store.contains(0));
+    const auto& log = medium_of<LogStructuredBackend>(store);
     const std::uint64_t before_retry = log.fsyncs();
-    log.flush();
+    store.flush();
     EXPECT_EQ(log.fsyncs(), before_retry + 1);
   }
-  LogStructuredBackend reopened(0, path, OpenMode::kAttach, 64, 0.5);
+  config.open_mode = OpenMode::kAttach;
+  ShardedCheckpointStore reopened(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
+                                  config);
   ASSERT_EQ(reopened.recover(), 1u);
   EXPECT_TRUE(reopened.contains(0));
 }
 
 /// A full disk while the log's tail grows: the reservation fails before any
 /// byte is stored, so put() throws IoError (never a SIGBUS from the mapped
-/// tail), the mirror is unchanged, and the log still appends and recovers
+/// tail), the store is unchanged, and the log still appends and recovers
 /// exactly the acknowledged puts.
 TEST(FlushErrors, LogTailGrowthFailureSurfacesAsIoErrorAndKeepsStateCoherent) {
   ScratchDir dir("err_log_grow");
   StorageConfig config;
   config.kind = StorageBackendKind::kLogStructured;
   config.directory = dir.path();
-  const std::string path = config.stripe_file(0, 0);
+  config.compact_min_records = 1024;
   static std::atomic<int> refused{0};
   refused = 0;
   CheckpointStore reference(0);
   {
-    LogStructuredBackend log(0, path, OpenMode::kFresh, 1024, 0.5);
+    ShardedCheckpointStore store(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
+                                 config);
     causality::DependencyVector dv(4);
     CheckpointIndex next = 0;
     const auto put = [&] {
       dv.at(1) = next;
-      log.put(next, dv, static_cast<SimTime>(next), 8);
+      store.put(next, dv, static_cast<SimTime>(next), 8);
       reference.put(next, dv, static_cast<SimTime>(next), 8);
       ++next;
     };
     put();  // the first reservation succeeds
-    log.collect(0);
+    store.collect(0);
     reference.collect(0);
 
     util::set_io_fallocate_for_test(+[](int, off_t, off_t) {
@@ -344,20 +360,21 @@ TEST(FlushErrors, LogTailGrowthFailureSurfacesAsIoErrorAndKeepsStateCoherent) {
     // Puts land in the reserved space until the tail must grow again.
     bool threw = false;
     while (!threw && next < 10000) {
-      const std::size_t count = log.count();
-      const std::vector<CheckpointIndex> indices = log.stored_indices();
-      const ckpt::StoreStats stats = log.stats();
+      const std::size_t count = store.count();
+      const std::vector<CheckpointIndex> indices = store.stored_indices();
+      const ckpt::StoreStats stats = store.stats();
       try {
         dv.at(1) = next;
-        log.put(next, dv, static_cast<SimTime>(next), 8);
+        store.put(next, dv, static_cast<SimTime>(next), 8);
       } catch (const util::IoError&) {
         threw = true;
-        EXPECT_EQ(log.count(), count);
-        EXPECT_EQ(log.stored_indices(), indices);
-        EXPECT_EQ(log.stats().stored, stats.stored);
-        EXPECT_EQ(log.stats().peak_count, stats.peak_count);
-        EXPECT_EQ(log.stats().peak_bytes, stats.peak_bytes);
-        EXPECT_EQ(log.bytes(), reference.bytes());
+        EXPECT_EQ(store.count(), count);
+        EXPECT_EQ(store.stored_indices(), indices);
+        EXPECT_EQ(store.stats().stored, stats.stored);
+        EXPECT_EQ(store.stats().peak_count, stats.peak_count);
+        EXPECT_EQ(store.stats().peak_bytes, stats.peak_bytes);
+        EXPECT_EQ(store.bytes(), reference.bytes());
+        EXPECT_EQ(store.medium()->count(), count);
         break;
       }
       reference.put(next, dv, static_cast<SimTime>(next), 8);
@@ -366,14 +383,16 @@ TEST(FlushErrors, LogTailGrowthFailureSurfacesAsIoErrorAndKeepsStateCoherent) {
     util::set_io_fallocate_for_test(nullptr);
     ASSERT_TRUE(threw);
     EXPECT_EQ(refused.load(), 1);
-    test::expect_stores_equal(reference, log);
+    test::expect_stores_equal(reference, store);
 
     put();  // the refused put, retried with space available
-    test::expect_stores_equal(reference, log);
+    test::expect_stores_equal(reference, store);
   }
   // Dropped without flush(): the reopen recovers exactly the acknowledged
   // puts, nothing of the refused attempt.
-  LogStructuredBackend reopened(0, path, OpenMode::kAttach, 1024, 0.5);
+  config.open_mode = OpenMode::kAttach;
+  ShardedCheckpointStore reopened(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
+                                  config);
   ASSERT_EQ(reopened.recover(), reference.count());
   test::expect_stores_equal(reference, reopened);
 }
@@ -383,32 +402,36 @@ TEST(FlushErrors, MmapMsyncFailureSurfacesAsIoErrorAndRollsTheCleanFlagBack) {
   StorageConfig config;
   config.kind = StorageBackendKind::kMmapFile;
   config.directory = dir.path();
-  const std::string path = config.stripe_file(0, 0);
+  config.initial_slots = 4;
   {
-    MmapFileBackend mmap(0, path, OpenMode::kFresh, 4);
+    ShardedCheckpointStore store(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
+                                 config);
     causality::DependencyVector dv(4);
-    mmap.put(0, dv, 0, 1);
+    store.put(0, dv, 0, 1);
 
     util::set_io_msync_for_test(+[](void*, std::size_t, int) {
       errno = EIO;
       return -1;
     });
-    EXPECT_THROW(mmap.flush(), util::IoError);
+    EXPECT_THROW(store.flush(), util::IoError);
     util::set_io_msync_for_test(nullptr);
-    EXPECT_EQ(mmap.count(), 1u);  // mirror coherent after the failure
+    EXPECT_EQ(store.count(), 1u);  // store coherent after the failure
   }
+  config.open_mode = OpenMode::kAttach;
   {
     // The failed flush must NOT have left a clean flag the medium never
     // got: the reopen sees an unclean segment (contents still recover —
     // the page cache survived this in-process "crash").
-    MmapFileBackend reopened(0, path, OpenMode::kAttach, 4);
+    ShardedCheckpointStore reopened(
+        0, 1, ckpt::StoreConcurrency::kUnsynchronized, config);
     ASSERT_EQ(reopened.recover(), 1u);
-    EXPECT_FALSE(reopened.recovered_clean());
+    EXPECT_FALSE(medium_of<MmapFileBackend>(reopened).recovered_clean());
     reopened.flush();
   }
-  MmapFileBackend clean(0, path, OpenMode::kAttach, 4);
+  ShardedCheckpointStore clean(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
+                               config);
   ASSERT_EQ(clean.recover(), 1u);
-  EXPECT_TRUE(clean.recovered_clean());
+  EXPECT_TRUE(medium_of<MmapFileBackend>(clean).recovered_clean());
 }
 
 // ---- Kill inside the window -----------------------------------------------

@@ -17,15 +17,15 @@
 //
 // The storage harness:
 //  * RandomStoreTrace          — one seeded randomized put/collect/discard
-//                                schedule, replayable into ANY store-shaped
-//                                object (flat CheckpointStore, sharded
-//                                store, or a bare StorageBackend) so the
-//                                same trace drives every implementation;
+//                                schedule, replayable into the flat
+//                                CheckpointStore and the
+//                                ShardedCheckpointStore over any medium, so
+//                                the same trace drives every configuration;
 //  * expect_stores_equal       — the full observable-state comparison
 //                                (indices, counters, stats, DV contents)
 //                                used by every backend-equivalence test;
 //  * ScratchDir                — RAII temp directory under TMPDIR for the
-//                                persistent backends (CI points TMPDIR at a
+//                                persistent media (CI points TMPDIR at a
 //                                tmpfs so sanitizer runs never touch disk).
 #pragma once
 
@@ -223,7 +223,7 @@ inline std::unique_ptr<harness::System> run_workload(const RunSpec& spec) {
 /// IDENTICAL operation sequence, including the same mix of value-put and
 /// copy-in-put overloads) and maintains a live set the way the middleware
 /// does: puts are strictly increasing within a lineage with occasional
-/// index gaps (stripes fill unevenly), collects hit a random live
+/// index gaps, collects hit a random live
 /// checkpoint (GC eliminations), and a discard_after rolls the lineage back
 /// and may reuse indices.  Put payloads (DV contents, byte sizes,
 /// timestamps) are deterministic functions of the op, so two replays store
@@ -248,7 +248,7 @@ class RandomStoreTrace {
     for (int step = 0; step < steps; ++step) {
       const double dice = rng.uniform01();
       if (live.empty() || dice < 0.55) {
-        // put: sometimes skip indices so stripes fill unevenly.
+        // put: sometimes skip indices.
         next += static_cast<CheckpointIndex>(1 + rng.uniform(3));
         Op op;
         op.kind = rng.bernoulli(0.5) ? Op::Kind::kPut : Op::Kind::kPutCopyIn;
@@ -285,8 +285,8 @@ class RandomStoreTrace {
     return dv;
   }
 
-  /// Apply one op to any store-shaped object (flat store, sharded store, or
-  /// a bare StorageBackend — they share the mutation signatures).
+  /// Apply one op to a flat or sharded store (they share the mutation
+  /// signatures).
   template <typename Store>
   void apply(const Op& op, Store& store) const {
     switch (op.kind) {
@@ -350,8 +350,7 @@ void expect_stores_equal(const Reference& reference, const Store& store) {
     ASSERT_EQ(store.get(g).bytes, reference.get(g).bytes) << "index " << g;
     ASSERT_EQ(store.get(g).stored_at, reference.get(g).stored_at)
         << "index " << g;
-    // The trait's zero-copy read path must agree with the owning copy (for
-    // the mmap backend this compares the mapped file against the mirror).
+    // The zero-copy read path must agree with the owning copy.
     ASSERT_TRUE(store.dv_view(g) == reference.get(g).dv) << "index " << g;
   }
 }
@@ -384,7 +383,7 @@ bool stores_match(const Reference& reference, const Store& store) {
 /// dropped mid-window must recover to the state after SOME prefix of the
 /// acknowledged schedule — never a reordering, never a gap.  Replays
 /// `trace`'s schedule op by op into a fresh in-memory reference (same owner
-/// and stripe count as `store`) and asserts the recovered `store` matches
+/// as `store`) and asserts the recovered `store` matches
 /// one of the intermediate states, at or after `at_least` applied ops and at
 /// most `applied` (the ops acknowledged before the drop).  Returns the
 /// prefix length found.
@@ -392,7 +391,7 @@ template <typename Store>
 std::size_t expect_consistent_prefix(const RandomStoreTrace& trace,
                                      const Store& store, std::size_t applied,
                                      std::size_t at_least = 0) {
-  ckpt::ShardedCheckpointStore reference(store.owner(), store.shard_count());
+  ckpt::ShardedCheckpointStore reference(store.owner());
   applied = std::min(applied, trace.ops().size());
   std::size_t prefix = 0;
   if (at_least == 0 && stores_match(reference, store)) return 0;
@@ -407,7 +406,7 @@ std::size_t expect_consistent_prefix(const RandomStoreTrace& trace,
   return prefix;
 }
 
-/// RAII scratch directory for the persistent storage backends, created
+/// RAII scratch directory for the persistent storage media, created
 /// under the platform temp directory (honors TMPDIR — CI points it at a
 /// tmpfs) and removed, with contents, on destruction.
 class ScratchDir {

@@ -14,11 +14,14 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "causality/dependency_vector.hpp"
 #include "ccp/recorder.hpp"
+#include "ckpt/node.hpp"
 #include "ckpt/sharded_checkpoint_store.hpp"
 #include "core/rdt_lgc.hpp"
 #include "core/uc_table.hpp"
@@ -28,6 +31,7 @@
 #include "transport/wire.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "workload/workload.hpp"
 
 // ---- Allocation-counting hook -------------------------------------------
 //
@@ -266,35 +270,94 @@ TEST(HotPathRdtLgc, BatchedHookMatchesPerPeerHookOnRandomizedEvents) {
 
 // ---- Whole-system equivalence --------------------------------------------
 
+/// Collector that hands Algorithm 2's receive hook to RDT-LGC one peer at
+/// a time: it overrides on_new_dependency only, so the base class's
+/// on_new_dependencies loop drives the per-peer reference path.
+class PerPeerRdtLgc final : public ckpt::GarbageCollector {
+ public:
+  const core::RdtLgc& lgc() const { return lgc_; }
+
+  void initialize(ProcessId self, std::size_t n,
+                  ckpt::ShardedCheckpointStore& store) override {
+    lgc_.initialize(self, n, store);
+  }
+  void on_new_dependency(ProcessId j) override { lgc_.on_new_dependency(j); }
+  void on_checkpoint_stored(CheckpointIndex index) override {
+    lgc_.on_checkpoint_stored(index);
+  }
+  void on_rollback(const ckpt::RollbackInfo& info,
+                   const causality::DependencyVector& dv) override {
+    lgc_.on_rollback(info, dv);
+  }
+  std::string name() const override { return lgc_.name(); }
+
+ private:
+  core::RdtLgc lgc_;
+};
+
+/// The per-peer twin of a harness::System: the same simulator, network,
+/// recorder and FDAS nodes, each node collecting through PerPeerRdtLgc.
+struct PerPeerSystem {
+  sim::Simulator simulator;
+  ccp::CcpRecorder recorder;
+  sim::Network network;
+  std::vector<std::unique_ptr<ckpt::Node>> nodes;
+  std::vector<const PerPeerRdtLgc*> collectors;
+
+  PerPeerSystem(std::size_t n, std::uint64_t seed)
+      : recorder(n),
+        network(simulator, util::Rng(seed ^ 0x6e6574ULL),
+                sim::Network::Config()) {
+    for (std::size_t p = 0; p < n; ++p) {
+      auto gc = std::make_unique<PerPeerRdtLgc>();
+      collectors.push_back(gc.get());
+      nodes.push_back(std::make_unique<ckpt::Node>(
+          static_cast<ProcessId>(p), n, simulator, network, recorder,
+          ckpt::make_protocol(ckpt::ProtocolKind::kFdas), std::move(gc)));
+    }
+  }
+
+  std::vector<ckpt::Node*> node_ptrs() {
+    std::vector<ckpt::Node*> ptrs;
+    for (const auto& node : nodes) ptrs.push_back(node.get());
+    return ptrs;
+  }
+};
+
 TEST(HotPathSystem, BatchedAndPerPeerDeliveriesProduceIdenticalRuns) {
   for (const std::uint64_t seed : {3u, 19u}) {
     harness::SystemConfig config;
     config.process_count = 4;
     config.gc = harness::GcChoice::kRdtLgc;
     config.seed = seed;
-    config.node.batched_gc_path = true;
     harness::System batched(config);
-    config.node.batched_gc_path = false;
-    harness::System per_peer(config);
+    PerPeerSystem per_peer(config.process_count, seed);
 
-    for (harness::System* system : {&batched, &per_peer}) {
-      workload::WorkloadConfig wl;
-      wl.seed = seed * 31 + 1;
-      workload::WorkloadDriver driver(system->simulator(), system->node_ptrs(),
+    workload::WorkloadConfig wl;
+    wl.seed = seed * 31 + 1;
+    {
+      workload::WorkloadDriver driver(batched.simulator(), batched.node_ptrs(),
                                       wl);
       driver.start(2000);
-      system->simulator().run();
+      batched.simulator().run();
+    }
+    {
+      workload::WorkloadDriver driver(per_peer.simulator, per_peer.node_ptrs(),
+                                      wl);
+      driver.start(2000);
+      per_peer.simulator.run();
     }
 
     for (ProcessId p = 0; p < 4; ++p) {
+      const auto k = static_cast<std::size_t>(p);
       ASSERT_EQ(batched.node(p).store().stored_indices(),
-                per_peer.node(p).store().stored_indices())
+                per_peer.nodes[k]->store().stored_indices())
           << "seed " << seed << " p" << p;
       ASSERT_EQ(batched.rdt_lgc(p).uc().to_string(),
-                per_peer.rdt_lgc(p).uc().to_string())
+                per_peer.collectors[k]->lgc().uc().to_string())
           << "seed " << seed << " p" << p;
       ASSERT_EQ(batched.rdt_lgc(p).collected(),
-                per_peer.rdt_lgc(p).collected())
+                per_peer.collectors[k]->lgc().collected())
           << "seed " << seed << " p" << p;
     }
     test::audit_exact_corollary1(batched);
@@ -320,12 +383,10 @@ TEST(HotPathAllocations, SteadyStateBatchedReceiveIsAllocationFree) {
     rig.lgc.on_new_dependencies(changed.span());
   };
   // Warm-up: bind every UC entry, fill the scratch buffer, and run enough
-  // checkpoint+receive cycles to lap every stripe of the sharded store
-  // twice — consecutive indices round-robin across the shards, so each
-  // shard's recycled spare DV buffer and flat-vector capacity is primed
-  // before the measured window starts.
+  // checkpoint+receive cycles that the store's recycled spare DV buffer
+  // and flat-vector capacity are primed before the measured window starts.
   receive_all();
-  for (std::size_t lap = 0; lap < 2 * rig.store.shard_count(); ++lap) {
+  for (int lap = 0; lap < 16; ++lap) {
     rig.checkpoint(self);
     receive_all();
   }
@@ -333,7 +394,7 @@ TEST(HotPathAllocations, SteadyStateBatchedReceiveIsAllocationFree) {
   const std::uint64_t before = g_allocation_count.load();
   for (int round = 0; round < 100; ++round) {
     // Full steady-state cycle: store a checkpoint (copy-in put into the
-    // owning shard's recycled buffer), then a worst-case receive that
+    // recycled buffer), then a worst-case receive that
     // rebinds all n-1 peers and eliminates the abandoned checkpoint
     // through the store.
     rig.checkpoint(self);
@@ -344,33 +405,7 @@ TEST(HotPathAllocations, SteadyStateBatchedReceiveIsAllocationFree) {
   EXPECT_GE(rig.lgc.collected(), 100u);  // eliminations did happen
 }
 
-// ---- Zero allocations per shard of the sharded store ---------------------
-
-TEST(HotPathAllocations, StripedModeChurnIsAllocationFreeToo) {
-  // Arming the per-stripe locks (StoreConcurrency::kStriped) must not cost
-  // the hot path its allocation contract: spinlocks are atomic_flags, the
-  // lock array is construction-time, and the guarded merged-cache rebuild
-  // reuses the warmed buffer.
-  const std::size_t n = 32;
-  ckpt::ShardedCheckpointStore store(0, 8, ckpt::StoreConcurrency::kStriped);
-  causality::DependencyVector dv(n);
-  const CheckpointIndex window =
-      static_cast<CheckpointIndex>(2 * store.shard_count());
-  CheckpointIndex next = 0;
-  for (; next < window; ++next) store.put(next, dv, 0, 1);
-  for (CheckpointIndex g = 0; g < window / 2; ++g) store.collect(g);
-  (void)store.stored_indices();
-
-  const std::uint64_t before = g_allocation_count.load();
-  for (int round = 0; round < 200; ++round) {
-    store.put(next, dv, 0, 1);
-    store.collect(next - window / 2);
-    ASSERT_FALSE(store.stored_indices().empty());
-    ++next;
-  }
-  EXPECT_EQ(g_allocation_count.load() - before, 0u)
-      << "striped-mode put/collect churn touched the heap";
-}
+// ---- Zero allocations in the store and the recorder ----------------------
 
 TEST(HotPathAllocations, RecorderArenaMakesRecordingAllocationFree) {
   // The recorder's per-process history arena (SoA rows, ccp/recorder.hpp)
@@ -408,81 +443,47 @@ TEST(HotPathAllocations, RecorderArenaMakesRecordingAllocationFree) {
       << "re-recording after rollback touched the heap";
 }
 
-TEST(HotPathAllocations, BackendTraitChurnIsAllocationFreeForInMemory) {
-  // The storage-backend trait (ckpt/storage_backend.hpp) introduces virtual
-  // dispatch on the churn path; for the in-memory backend that indirection
-  // must stay allocation-free — no type-erasure boxing, no virtual-call
-  // shims touching the heap.  Drive the flat store strictly through a
-  // StorageBackend reference, the same call shape the sharded store's
-  // stripes use for non-default backends.
-  const std::size_t n = 32;
-  ckpt::CheckpointStore flat(0);
-  ckpt::StorageBackend& backend = flat;
-  causality::DependencyVector dv(n);
-  constexpr CheckpointIndex kWindow = 8;
-  CheckpointIndex next = 0;
-  for (; next < kWindow; ++next) backend.put(next, dv, 0, 1);
-  for (CheckpointIndex g = 0; g < kWindow / 2; ++g) backend.collect(g);
-  (void)backend.stored_indices();
-
-  const std::uint64_t before = g_allocation_count.load();
-  for (int round = 0; round < 200; ++round) {
-    backend.put(next, dv, 0, 1);  // copy-in put via the recycled spare
-    backend.collect(next - kWindow / 2);
-    ASSERT_FALSE(backend.stored_indices().empty());
-    ASSERT_TRUE(backend.contains(next));
-    ASSERT_EQ(backend.dv_view(next).size(), n);  // get-DV-view, zero-copy
-    ASSERT_EQ(backend.recover(), backend.count());  // no-op on a live store
-    ++next;
-  }
-  EXPECT_EQ(g_allocation_count.load() - before, 0u)
-      << "churn through the StorageBackend trait touched the heap";
-}
-
-TEST(HotPathAllocations, ShardedStoreChurnIsAllocationFreePerShard) {
+TEST(HotPathAllocations, ShardedStoreChurnIsAllocationFree) {
   // Drive the store directly (no GC) through the put/collect churn every
-  // collector produces, spread across all stripes, and require that once
-  // every shard's spare buffer and vector capacity is warm the churn —
-  // including the lazily rebuilt cross-shard stored_indices() view — never
-  // touches the heap.
+  // collector produces, and require that once the spare buffer and vector
+  // capacity are warm the churn — including the stored_indices() view —
+  // never touches the heap.
   const std::size_t n = 32;
   ckpt::ShardedCheckpointStore store(0);
   causality::DependencyVector dv(n);
-  const CheckpointIndex window =
-      static_cast<CheckpointIndex>(2 * store.shard_count());
+  constexpr CheckpointIndex window = 16;
   CheckpointIndex next = 0;
-  // Warm-up lap: fill a window covering every shard twice, then collect one
-  // lap so each shard has recycled a spare and the merged cache is sized.
+  // Warm-up: fill a window, then collect half of it so a spare is recycled.
   for (; next < window; ++next) store.put(next, dv, 0, 1);
   for (CheckpointIndex g = 0; g < window / 2; ++g) store.collect(g);
   (void)store.stored_indices();
 
   const std::uint64_t before = g_allocation_count.load();
   for (int round = 0; round < 200; ++round) {
-    store.put(next, dv, 0, 1);  // copy-in put: the shard's recycled buffer
+    store.put(next, dv, 0, 1);  // copy-in put: the recycled buffer
     store.collect(next - window / 2);
     ASSERT_FALSE(store.stored_indices().empty());
     ++next;
   }
   EXPECT_EQ(g_allocation_count.load() - before, 0u)
-      << "sharded steady-state put/collect churn touched the heap";
-  // The churn really exercised every stripe's recycler, not just one.
-  for (std::size_t s = 0; s < store.shard_count(); ++s) {
-    EXPECT_GT(store.shard(s).stats().stored, 0u) << "shard " << s;
-    EXPECT_GT(store.shard(s).stats().collected, 0u) << "shard " << s;
-  }
+      << "steady-state put/collect churn touched the heap";
+  // The churn really ran: every put and collect was counted.
+  EXPECT_EQ(store.stats().stored, static_cast<std::uint64_t>(window + 200));
+  EXPECT_EQ(store.stats().collected,
+            static_cast<std::uint64_t>(window / 2 + 200));
+  EXPECT_EQ(store.count(), static_cast<std::size_t>(window / 2));
 }
 
 TEST(HotPathAllocations, PersistentChurnIsAllocationFreeUnderEveryPolicy) {
-  // The async-durability tentpole's hot-path contract: with a persistent
-  // backend the acknowledge path — flat-mirror put/collect plus a pipeline
-  // ring enqueue into preallocated slots — must stay allocation-free in all
-  // three DurabilityPolicy modes once warm, INCLUDING the inline group
-  // commits the kGroupCommit churn triggers (drains replay through reused
-  // scratch buffers) and the kBackground writer's concurrent drains (the
-  // counter hook is global, so a writer-thread allocation fails this too).
-  // Log compaction is configured out of reach: its rewrite path is off the
-  // steady-state contract, exactly as for the kSync backends.
+  // The async-durability hot-path contract: with a persistent medium the
+  // acknowledge path — read-store put/collect plus a pipeline ring enqueue
+  // into preallocated slots — must stay allocation-free in all three
+  // DurabilityPolicy modes once warm, INCLUDING the inline group commits
+  // the kGroupCommit churn triggers (drains replay through reused scratch
+  // buffers) and the kBackground writer's concurrent drains (the counter
+  // hook is global, so a writer-thread allocation fails this too).  Log
+  // compaction is configured out of reach: its copy path is off the
+  // steady-state contract, exactly as under kSync.
   struct Case {
     ckpt::StorageBackendKind kind;
     ckpt::DurabilityPolicy policy;
@@ -512,15 +513,14 @@ TEST(HotPathAllocations, PersistentChurnIsAllocationFreeUnderEveryPolicy) {
     config.compact_min_records = 1u << 20;
     config.durability = c.policy;
     ckpt::ShardedCheckpointStore store(
-        0, 8, ckpt::StoreConcurrency::kUnsynchronized, config);
+        0, 1, ckpt::StoreConcurrency::kUnsynchronized, config);
     causality::DependencyVector dv(8);
-    const CheckpointIndex window =
-        static_cast<CheckpointIndex>(2 * store.shard_count());
+    constexpr CheckpointIndex window = 16;
     CheckpointIndex next = 0;
-    // Warm-up: two laps over every stripe size the flat mirrors, the
-    // recycled spares, the pipeline's slot DV buffers, and the backends'
-    // serialization scratch; the flush sizes the drain-side batch buffers
-    // at their maximum (it drains the whole pending window in one pass).
+    // Warm-up sizes the read store, its recycled spare, the pipeline's slot
+    // DV buffers, and the media's live tables; the flush sizes the
+    // drain-side buffers at their maximum (it drains the whole pending
+    // window in one pass).
     for (; next < window; ++next) store.put(next, dv, 0, 1);
     for (CheckpointIndex g = 0; g < window / 2; ++g) store.collect(g);
     for (int round = 0; round < 64; ++round) {
