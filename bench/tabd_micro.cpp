@@ -9,15 +9,19 @@
 #include <benchmark/benchmark.h>
 #include <sys/socket.h>
 
+#include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
 
 #include "causality/dependency_vector.hpp"
 #include "ccp/analysis.hpp"
+#include "ccp/observer.hpp"
 #include "ccp/precedence.hpp"
 #include "ccp/zigzag.hpp"
+#include "ckpt/node.hpp"
 #include "ckpt/protocol.hpp"
 #include "ckpt/sharded_checkpoint_store.hpp"
 #include "ckpt/storage_backend.hpp"
@@ -28,6 +32,8 @@
 #include "metrics/durability_lag.hpp"
 #include "metrics/storage_probe.hpp"
 #include "recovery/recovery_manager.hpp"
+#include "sim/network.hpp"
+#include "sim/simulator.hpp"
 #include "transport/uds.hpp"
 #include "transport/wire.hpp"
 #include "workload/workload.hpp"
@@ -135,6 +141,34 @@ void BM_ReceivePath(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ReceivePath)->Arg(4)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
+
+void BM_ReceivePathUnobserved(benchmark::State& state) {
+  // BM_ReceivePath with the oracle off: the same nodes, protocol, collector
+  // and loop, but each node reports to the default (no-op) observer instead
+  // of a ccp::CcpRecorder, as a fleet worker's node does.  The gap to
+  // BM_ReceivePath is the recorder's price per delivery.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::Simulator simulator;
+  sim::Network::Config manual;
+  manual.manual = true;
+  sim::Network network(simulator, util::Rng(1 ^ 0x6e6574ULL), manual);
+  ccp::NodeObserver observer;
+  std::vector<std::unique_ptr<ckpt::Node>> nodes;
+  nodes.reserve(n);
+  for (std::size_t p = 0; p < n; ++p)
+    nodes.push_back(std::make_unique<ckpt::Node>(
+        static_cast<ProcessId>(p), n, simulator, network, observer,
+        ckpt::make_protocol(ckpt::ProtocolKind::kFdas),
+        std::make_unique<core::RdtLgc>(core::RdtLgc::RollbackSearch::kBinary)));
+  for (auto _ : state) {
+    nodes[1]->take_basic_checkpoint();
+    const auto id = nodes[1]->send_app_message(0);
+    network.deliver_now(id);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ReceivePathUnobserved)
+    ->Arg(4)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
 // Worst-case receive at the GC layer — every delivery raises all n-1 peer
 // entries right after a local checkpoint, so every UC entry rebinds and the

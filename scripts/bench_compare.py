@@ -44,9 +44,10 @@ import sys
 # probe's sampling tax); BM_Uds*/BM_Wire* are the fleet transport's socket
 # hop and its Data and RecvAck codecs (a receive path that zero-fills or
 # copies per maximum frame instead of per received byte shows up in
-# BM_UdsHop).
+# BM_UdsHop).  BM_ReceivePathUnobserved is BM_ReceivePath without the CCP
+# recorder: the gap prices the oracle per delivery.
 TRACKED = re.compile(
-    r"^(BM_DvMerge|BM_ReceivePath)\b"
+    r"^(BM_DvMerge|BM_ReceivePath|BM_ReceivePathUnobserved)\b"
     r"|^BM_Rollback|^BM_Backend|^BM_FleetRunner"
     r"|^BM_NodeAttach|^BM_ChurnRestart"
     r"|^BM_GroupCommit|^BM_BackgroundChurn|^BM_DurabilityLag"
@@ -137,6 +138,7 @@ def main():
     else:
         print("\nno tracked regressions above "
               f"{args.threshold:.0f}% (families: BM_DvMerge, BM_ReceivePath, "
+              "BM_ReceivePathUnobserved, "
               "BM_NodeAttach*, BM_ChurnRestart*, "
               "BM_Rollback*, BM_Backend*, BM_FleetRunner, "
               "BM_GroupCommit*, BM_BackgroundChurn*, BM_DurabilityLag, "

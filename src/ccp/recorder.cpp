@@ -72,43 +72,38 @@ sim::MessageId CcpRecorder::new_message_id() {
   return messages_.back().id;
 }
 
-void CcpRecorder::append_checkpoint(ProcessId p, CheckpointIndex idx,
-                                    std::span<const IntervalIndex> row,
-                                    CheckpointKind kind, SimTime t) {
+void CcpRecorder::record_start(ProcessId p,
+                               const causality::DependencyVector& live) {
+  RDTGC_EXPECTS(p >= 0 && static_cast<std::size_t>(p) < attached_dv_.size());
+  RDTGC_EXPECTS(live.size() == attached_dv_.size());
+  RDTGC_EXPECTS(attached_dv_[static_cast<std::size_t>(p)] == nullptr);
+  attached_dv_[static_cast<std::size_t>(p)] = &live;
+}
+
+void CcpRecorder::record_checkpoint(ProcessId p, CheckpointIndex idx,
+                                    const causality::DependencyVector& dv,
+                                    CheckpointKind kind) {
   RDTGC_EXPECTS(p >= 0 && static_cast<std::size_t>(p) < checkpoints_.size());
   auto& list = checkpoints_[static_cast<std::size_t>(p)];
   RDTGC_EXPECTS(idx == static_cast<CheckpointIndex>(list.size()));
-  RDTGC_EXPECTS(row.size() == process_count());
-  RDTGC_EXPECTS(row[static_cast<std::size_t>(p)] == idx);
+  RDTGC_EXPECTS(dv.size() == process_count());
+  RDTGC_EXPECTS(dv[p] == idx);
   // The DV is appended as one row of p's history arena: no per-record heap
   // vector, so steady-state recording is O(1)-allocation (one chunk per
   // rows_per_chunk records, exactly zero after reserve()).
-  dv_arena_[static_cast<std::size_t>(p)].push(row);
+  dv_arena_[static_cast<std::size_t>(p)].push(dv.entries());
   CheckpointInfo& info = list.emplace_back();
   info.process = p;
   info.index = idx;
   info.kind = kind;
   info.serial = next_serial_[static_cast<std::size_t>(p)]++;
   info.gseq = next_gseq_++;
-  info.time = t;
   ++stats_.checkpoints_recorded;
 }
 
-void CcpRecorder::record_checkpoint(ProcessId p, CheckpointIndex idx,
-                                    const causality::DependencyVector& dv,
-                                    CheckpointKind kind, SimTime t) {
-  append_checkpoint(p, idx, dv.entries(), kind, t);
-}
-
-void CcpRecorder::seed_checkpoint(ProcessId p, CheckpointIndex idx,
-                                  causality::DvView dv, CheckpointKind kind,
-                                  SimTime t) {
-  append_checkpoint(p, idx, dv.entries(), kind, t);
-  ++stats_.checkpoints_seeded;
-}
-
-void CcpRecorder::record_send(sim::Message& m, SimTime t) {
-  RDTGC_EXPECTS(m.id >= 1 && m.id <= messages_.size());
+void CcpRecorder::record_send(sim::Message& m) {
+  if (m.id == 0) m.id = new_message_id();
+  RDTGC_EXPECTS(m.id <= messages_.size());
   MessageInfo& info = messages_[m.id - 1];
   RDTGC_EXPECTS(info.send_serial == 0);  // each id used once
   info.src = m.src;
@@ -117,11 +112,10 @@ void CcpRecorder::record_send(sim::Message& m, SimTime t) {
   info.send_serial = next_serial_[static_cast<std::size_t>(m.src)]++;
   info.send_gseq = next_gseq_++;
   m.send_serial = info.send_serial;
-  (void)t;
 }
 
 void CcpRecorder::record_receive(const sim::Message& m,
-                                 IntervalIndex recv_interval, SimTime t) {
+                                 IntervalIndex recv_interval) {
   RDTGC_EXPECTS(m.id >= 1 && m.id <= messages_.size());
   MessageInfo& info = messages_[m.id - 1];
   RDTGC_EXPECTS(!info.delivered);
@@ -130,7 +124,6 @@ void CcpRecorder::record_receive(const sim::Message& m,
   info.recv_interval = recv_interval;
   info.recv_serial = next_serial_[static_cast<std::size_t>(m.dst)]++;
   info.recv_gseq = next_gseq_++;
-  (void)t;
 }
 
 void CcpRecorder::set_volatile_dv(ProcessId p,
@@ -139,14 +132,6 @@ void CcpRecorder::set_volatile_dv(ProcessId p,
   RDTGC_EXPECTS(dv.size() == volatile_dv_.size());
   RDTGC_EXPECTS(attached_dv_[static_cast<std::size_t>(p)] == nullptr);
   volatile_dv_[static_cast<std::size_t>(p)] = dv;
-}
-
-void CcpRecorder::attach_volatile_dv(ProcessId p,
-                                     const causality::DependencyVector* dv) {
-  RDTGC_EXPECTS(p >= 0 && static_cast<std::size_t>(p) < attached_dv_.size());
-  RDTGC_EXPECTS(dv != nullptr && dv->size() == attached_dv_.size());
-  RDTGC_EXPECTS(attached_dv_[static_cast<std::size_t>(p)] == nullptr);
-  attached_dv_[static_cast<std::size_t>(p)] = dv;
 }
 
 void CcpRecorder::undo_after(ProcessId p, CheckpointIndex ri) {
@@ -172,28 +157,28 @@ void CcpRecorder::undo_after(ProcessId p, CheckpointIndex ri) {
   }
 }
 
-void CcpRecorder::record_rollback(ProcessId p, CheckpointIndex ri, SimTime t) {
+void CcpRecorder::record_rollback(ProcessId p, CheckpointIndex ri) {
   undo_after(p, ri);
   ++stats_.rollbacks;
-  (void)t;
 }
 
-void CcpRecorder::record_restart(ProcessId p, CheckpointIndex ri, SimTime t) {
+void CcpRecorder::record_restart(
+    ProcessId p, CheckpointIndex ri, const causality::DependencyVector& live,
+    std::span<const RecoveredCheckpoint> recovered) {
   // A process death undoes exactly what a rollback to the last surviving
   // stored checkpoint undoes: the volatile interval's events.  In the usual
   // case ri == last_stable(p) (every checkpoint is persisted when taken and
   // the last one is never collected), so no checkpoint rows die — only the
-  // dead process's volatile-interval message endpoints.
+  // dead process's volatile-interval message endpoints.  A recorder that
+  // never saw p's lineage has no c_p^ri, and undo_after rejects the call.
   undo_after(p, ri);
   ++stats_.restarts;
-  (void)t;
-}
-
-void CcpRecorder::reattach_volatile_dv(ProcessId p,
-                                       const causality::DependencyVector* dv) {
-  RDTGC_EXPECTS(p >= 0 && static_cast<std::size_t>(p) < attached_dv_.size());
-  RDTGC_EXPECTS(dv != nullptr && dv->size() == attached_dv_.size());
-  attached_dv_[static_cast<std::size_t>(p)] = dv;
+  RDTGC_EXPECTS(live.size() == process_count());
+  attached_dv_[static_cast<std::size_t>(p)] = &live;
+  // Theorem 1 keeps holding across the restart only if the recovered DVs
+  // are exactly the recorded ones.
+  for (const RecoveredCheckpoint& c : recovered)
+    RDTGC_ASSERT(c.dv == checkpoint_dv(p, c.index));
 }
 
 const std::vector<CheckpointInfo>& CcpRecorder::checkpoints(

@@ -3,9 +3,11 @@
 // The paper (§2.2) defines a CCP as the set of checkpoints taken by all
 // processes in a consistent cut plus the dependency relation created by the
 // exchanged messages (excluding lost and in-transit messages).  This recorder
-// observes a simulation and materializes its CCP so the offline analyses
-// (causal closure, zigzag closure, recovery lines, the Theorem-1 obsolete
-// oracle) can run against ground truth.
+// is one ckpt::Node observer (ccp/observer.hpp) — its record_* methods are
+// the hooks — and materializes the CCP of a simulation so the offline
+// analyses (causal closure, zigzag closure, recovery lines, the Theorem-1
+// obsolete oracle) can run against ground truth.  Fleet workers run without
+// it: replaying the parent's event log (transport/replay.hpp) certifies them.
 //
 // Rollbacks: when a process rolls back to checkpoint RI, every event after
 // c^RI on that process is undone.  The recorder marks those checkpoints and
@@ -21,11 +23,10 @@
 
 #include "causality/dependency_vector.hpp"
 #include "causality/types.hpp"
+#include "ccp/observer.hpp"
 #include "sim/message.hpp"
 
 namespace rdtgc::ccp {
-
-enum class CheckpointKind { kInitial, kBasic, kForced };
 
 /// One recorded (live) checkpoint.  The DV stored with it lives in the
 /// recorder's per-process history arena — read it through
@@ -39,7 +40,6 @@ struct CheckpointInfo {
   std::uint64_t serial = 0;
   /// Global recording sequence number (a linearization of the execution).
   std::uint64_t gseq = 0;
-  SimTime time = 0;
 };
 
 /// One recorded message (live or not).
@@ -104,7 +104,7 @@ class DvArena {
   std::vector<std::unique_ptr<IntervalIndex[]>> chunks_;
 };
 
-class CcpRecorder {
+class CcpRecorder : public NodeObserver {
  public:
   explicit CcpRecorder(std::size_t n);
 
@@ -116,69 +116,55 @@ class CcpRecorder {
   /// reservation stays correct — growth is amortized O(1) either way.
   void reserve(std::size_t checkpoints);
 
-  // ---- Recording API (driven by the simulation) ----
+  // ---- Recording API (the NodeObserver hooks, plus direct drivers) ----
 
   /// Allocate a fresh message id (dense, 1-based).
   sim::MessageId new_message_id();
+
+  /// Register p's live dependency vector (the middleware's own DV, whose
+  /// address is stable for the node's lifetime): volatile_dv(p) then reads
+  /// through it, with no size-n copy per event.  Rejected if p already has
+  /// a registered view.
+  void record_start(ProcessId p,
+                    const causality::DependencyVector& live) override;
 
   /// Record checkpoint c_p^idx with the DV stored alongside it.
   /// Preconditions: idx is the next index for p, and dv[p] == idx.
   void record_checkpoint(ProcessId p, CheckpointIndex idx,
                          const causality::DependencyVector& dv,
-                         CheckpointKind kind, SimTime t);
+                         CheckpointKind kind) override;
 
-  /// Seed checkpoint c_p^idx from stable media instead of observing it live:
-  /// used by ckpt::Node's attach when THIS recorder never saw p's lineage (a
-  /// real re-attach — the pre-crash OS process died together with the
-  /// recorder that observed it, and the replacement starts empty).  Rows for
-  /// checkpoints that survived on the media are bit-exact; the caller
-  /// synthesizes monotone placeholder rows for GC-collected gaps, making the
-  /// seeded recorder observer-grade only — global certification of a
-  /// cross-process run belongs to the replay oracle (transport/replay.hpp).
-  /// Preconditions match record_checkpoint (dense idx, dv[p] == idx).
-  /// Counted in stats().checkpoints_seeded as well as _recorded.
-  void seed_checkpoint(ProcessId p, CheckpointIndex idx, causality::DvView dv,
-                       CheckpointKind kind, SimTime t);
-
-  /// Record the send of m (m.id must come from new_message_id);
-  /// fills m.send_serial.
-  void record_send(sim::Message& m, SimTime t);
+  /// Record the send of m and fill m.send_serial.  A bare message
+  /// (m.id == 0) gets a fresh id from new_message_id(); a preset id must
+  /// come from it too.
+  void record_send(sim::Message& m) override;
 
   /// Record delivery of m at its destination in `recv_interval`.
-  void record_receive(const sim::Message& m, IntervalIndex recv_interval,
-                      SimTime t);
+  void record_receive(const sim::Message& m,
+                      IntervalIndex recv_interval) override;
 
   /// Keep the volatile dependency vector DV(v_p) current (paper Eq. 3 uses
   /// it); called after every DV change by drivers that hold no stable DV.
-  /// Rejected once attach_volatile_dv() has registered a live view for p.
+  /// Rejected once record_start() has registered a live view for p.
   void set_volatile_dv(ProcessId p, const causality::DependencyVector& dv);
-
-  /// Zero-copy alternative to set_volatile_dv: register the process's live
-  /// dependency vector once (the middleware's own DV, whose address is
-  /// stable for the node's lifetime).  volatile_dv(p) then reads through the
-  /// pointer, removing a size-n copy from every event on the hot path.
-  void attach_volatile_dv(ProcessId p, const causality::DependencyVector* dv);
 
   /// Record that p rolled back to checkpoint `ri`: checkpoints with index
   /// > ri die, as do message endpoints after c_p^ri.
-  void record_rollback(ProcessId p, CheckpointIndex ri, SimTime t);
+  void record_rollback(ProcessId p, CheckpointIndex ri) override;
 
   /// Record that p's process died and re-attached to its media at
-  /// checkpoint `ri` (the highest index that survived on stable storage —
-  /// see ckpt::Node's OpenMode::kAttach path).  The volatile interval dies
-  /// with the process: everything after c_p^ri is undone exactly as in
-  /// record_rollback, while the surviving rows stay in place so the
-  /// Theorem-1 oracle keeps certifying the GLOBAL recovery line across the
-  /// restart instead of forgetting the pre-crash checkpoints.  The restarted
-  /// Node re-validates its recovered DVs against these rows.
-  /// Counted in stats().restarts, not stats().rollbacks.
-  void record_restart(ProcessId p, CheckpointIndex ri, SimTime t);
-
-  /// Re-register the live DV view of a RESTARTED process: the previous
-  /// Node's vector died with it, and the warm replacement registers its own.
-  /// Unlike attach_volatile_dv this accepts (and replaces) an existing
-  /// registration.
-  void reattach_volatile_dv(ProcessId p, const causality::DependencyVector* dv);
+  /// checkpoint `ri` (see ckpt::Node's OpenMode::kAttach path).  The
+  /// volatile interval dies with the process: everything after c_p^ri is
+  /// undone exactly as in record_rollback, while the surviving rows stay in
+  /// place so the Theorem-1 oracle keeps certifying the GLOBAL recovery line
+  /// across the restart.  `live` replaces the dead Node's registered view.
+  /// Certification: every recovered DV must equal its recorded row
+  /// bit-for-bit.  A recorder that never saw p's lineage rejects the call
+  /// (ContractViolation).  Counted in stats().restarts, not
+  /// stats().rollbacks.
+  void record_restart(ProcessId p, CheckpointIndex ri,
+                      const causality::DependencyVector& live,
+                      std::span<const RecoveredCheckpoint> recovered) override;
 
   // ---- Live-CCP queries ----
 
@@ -213,7 +199,6 @@ class CcpRecorder {
 
   struct Stats {
     std::uint64_t checkpoints_recorded = 0;
-    std::uint64_t checkpoints_seeded = 0;  ///< subset re-read from media
     std::uint64_t checkpoints_rolled_back = 0;
     std::uint64_t messages_rolled_back = 0;
     std::uint64_t rollbacks = 0;
@@ -226,12 +211,6 @@ class CcpRecorder {
   /// `ri` and every message endpoint after c_p^ri.
   void undo_after(ProcessId p, CheckpointIndex ri);
 
-  /// Shared append of record_checkpoint/seed_checkpoint: one arena row plus
-  /// its CheckpointInfo, consuming a serial and a gseq.
-  void append_checkpoint(ProcessId p, CheckpointIndex idx,
-                         std::span<const IntervalIndex> row,
-                         CheckpointKind kind, SimTime t);
-
   std::uint64_t next_gseq_ = 1;
   std::vector<std::vector<CheckpointInfo>> checkpoints_;  // [p] live, by index
   /// Per-process history arenas: the DV of c_p^idx is row idx of
@@ -241,7 +220,7 @@ class CcpRecorder {
   /// steady-state recording is O(1)-allocation, zero after reserve().
   std::vector<DvArena> dv_arena_;                         // [p]
   std::vector<causality::DependencyVector> volatile_dv_;  // [p]
-  /// Live DV views registered by attach_volatile_dv (null = use the copy).
+  /// Live DV views registered by record_start (null = use the copy).
   std::vector<const causality::DependencyVector*> attached_dv_;  // [p]
   std::vector<std::uint64_t> next_serial_;                // [p]
   std::vector<MessageInfo> messages_;                     // by id-1

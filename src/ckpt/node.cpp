@@ -7,15 +7,14 @@
 
 namespace rdtgc::ckpt {
 
-Node::Node(ProcessId self, std::size_t process_count,
-           sim::Simulator& simulator, transport::Transport& transport,
-           ccp::CcpRecorder& recorder,
+Node::Node(ProcessId self, std::size_t process_count, const sim::Clock& clock,
+           transport::Transport& transport, ccp::NodeObserver& observer,
            std::unique_ptr<CheckpointingProtocol> protocol,
            std::unique_ptr<GarbageCollector> gc, Config config)
     : self_(self),
-      simulator_(simulator),
+      clock_(clock),
       transport_(transport),
-      recorder_(recorder),
+      observer_(observer),
       protocol_(std::move(protocol)),
       gc_(std::move(gc)),
       config_(config),
@@ -37,9 +36,9 @@ Node::Node(ProcessId self, std::size_t process_count,
 }
 
 void Node::start_fresh(std::size_t process_count) {
-  // The recorder reads DV(v_self) straight from dv_ (stable address: Node is
-  // neither copyable nor movable) — no per-event copy.
-  recorder_.attach_volatile_dv(self_, &dv_);
+  // An observer may read DV(v_self) straight from dv_ (stable address: Node
+  // is neither copyable nor movable) — no per-event copy.
+  observer_.record_start(self_, dv_);
   gc_->initialize(self_, process_count, store_);
   // Every process starts its execution by storing a stable checkpoint s^0,
   // ensuring at least one global recoverable state (§2.2).
@@ -69,42 +68,12 @@ void Node::attach_from_storage(std::size_t process_count) {
   dv_.at(self_) += 1;
   sent_since_checkpoint_ = false;
 
-  // A recorder with no lineage for this process is a REAL re-attach: the
-  // pre-crash OS process died together with the recorder that observed it
-  // (the socket-transport worker path, transport/worker.hpp), and the
-  // replacement starts empty.  Re-seed the dense rows 0..last from the
-  // media so the restart below has a lineage to resume.  Checkpoints the
-  // collector discarded left no DV trace; their rows are monotone
-  // placeholders (previous surviving row with the self entry advanced) —
-  // observer-grade only, global certification is the replay oracle's job.
-  if (recorder_.checkpoints(self_).empty()) {
-    causality::DependencyVector row(process_count);
-    for (CheckpointIndex g = 0; g <= last; ++g) {
-      if (store_.contains(g)) {
-        const causality::DvView stored = store_.dv_view(g);
-        for (std::size_t j = 0; j < process_count; ++j)
-          row.at(static_cast<ProcessId>(j)) =
-              stored[static_cast<ProcessId>(j)];
-      } else {
-        row.at(self_) = g;
-      }
-      recorder_.seed_checkpoint(self_, g, row.view(),
-                                g == 0 ? ccp::CheckpointKind::kInitial
-                                       : ccp::CheckpointKind::kBasic,
-                                simulator_.now());
-    }
-  }
-
-  // The recorder observed (or just re-seeded) the pre-crash lineage; the
-  // death of this process kills its volatile-interval events, and the new
-  // dv_ replaces the dead Node's registered view.
-  recorder_.record_restart(self_, last, simulator_.now());
-  recorder_.reattach_volatile_dv(self_, &dv_);
-  // Certification: the oracle's surviving rows must match the media
-  // bit-for-bit (Theorem 1 keeps holding across the restart only if the
-  // recovered DVs are exactly the recorded ones).
+  // An observer that saw the pre-crash lineage certifies the recovered DVs.
+  std::vector<ccp::RecoveredCheckpoint> recovered;
+  recovered.reserve(live);
   for (const CheckpointIndex g : store_.stored_indices())
-    RDTGC_ASSERT(store_.dv_view(g) == recorder_.checkpoint_dv(self_, g));
+    recovered.push_back({g, store_.dv_view(g)});
+  observer_.record_restart(self_, last, dv_, recovered);
 
   gc_->initialize(self_, process_count, store_);
   gc_->on_attach(dv_);
@@ -125,8 +94,7 @@ sim::MessageId Node::send_app_message(ProcessId dst, std::uint64_t bytes) {
   // after, like Algorithm 4's `sent <- true`.
   protocol_->on_send(dst, m.control);
   RDTGC_ASSERT(m.control.size() == protocol_->control_words());
-  m.id = recorder_.new_message_id();
-  recorder_.record_send(m, simulator_.now());
+  observer_.record_send(m);
   sent_since_checkpoint_ = true;
   ++counters_.messages_sent;
   return transport_.send(std::move(m));
@@ -151,7 +119,7 @@ void Node::on_receive(const sim::Message& m) {
     ++counters_.forced_checkpoints;
   }
   ++counters_.messages_received;
-  recorder_.record_receive(m, dv_[self_], simulator_.now());
+  observer_.record_receive(m, dv_[self_]);
   dv_.merge_into(m.dv, gc_scratch_);
   // Piggybacked protocol knowledge merges after the forced checkpoint, so a
   // BCS/FI forced checkpoint conceptually carries the message's timestamp.
@@ -161,8 +129,8 @@ void Node::on_receive(const sim::Message& m) {
 
 void Node::take_checkpoint(ccp::CheckpointKind kind) {
   const CheckpointIndex index = dv_[self_];
-  store_.put(index, dv_, simulator_.now(), config_.checkpoint_bytes);
-  recorder_.record_checkpoint(self_, index, dv_, kind, simulator_.now());
+  store_.put(index, dv_, clock_.now(), config_.checkpoint_bytes);
+  observer_.record_checkpoint(self_, index, dv_, kind);
   gc_->on_checkpoint_stored(index);
   protocol_->on_checkpoint(kind);
   dv_.at(self_) += 1;
@@ -175,7 +143,7 @@ void Node::rollback_to(CheckpointIndex ri,
                        const std::optional<std::vector<IntervalIndex>>& li) {
   RDTGC_EXPECTS(store_.contains(ri));
   ++counters_.rollbacks;
-  recorder_.record_rollback(self_, ri, simulator_.now());
+  observer_.record_rollback(self_, ri);
   store_.discard_after(ri);                // Algorithm 3 line 4
   dv_ = store_.get(ri).dv;                 // line 5: recreate DV
   dv_.at(self_) += 1;                      // line 6

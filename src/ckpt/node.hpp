@@ -25,11 +25,11 @@
 
 #include "causality/dependency_vector.hpp"
 #include "causality/types.hpp"
-#include "ccp/recorder.hpp"
+#include "ccp/observer.hpp"
 #include "ckpt/garbage_collector.hpp"
 #include "ckpt/sharded_checkpoint_store.hpp"
 #include "ckpt/protocol.hpp"
-#include "sim/simulator.hpp"
+#include "sim/clock.hpp"
 #include "transport/transport.hpp"
 
 namespace rdtgc::ckpt {
@@ -69,20 +69,15 @@ class Node {
   /// stores the initial stable checkpoint s^0 (§2.2); with OpenMode::kAttach
   /// it instead recovers the store from its media and resumes the persisted
   /// lineage (see Config::storage).  Attaching requires a persistent storage
-  /// kind and at least one surviving checkpoint.  Two recorder situations
-  /// exist at attach:
-  ///  * the recorder observed the pre-crash lineage (in-simulator warm
-  ///    restart) — the oracle's surviving rows are re-certified against the
-  ///    media bit-for-bit;
-  ///  * the recorder is empty for this process (a REAL re-attach: the old
-  ///    OS process died with its recorder, the replacement starts fresh) —
-  ///    the lineage is re-seeded from the media
-  ///    (CcpRecorder::seed_checkpoint), observer-grade only: collected
-  ///    checkpoints left no DV trace, so their rows are monotone
-  ///    placeholders and global certification is the replay oracle's job
-  ///    (transport/replay.hpp).
-  Node(ProcessId self, std::size_t process_count, sim::Simulator& simulator,
-       transport::Transport& transport, ccp::CcpRecorder& recorder,
+  /// kind and at least one surviving checkpoint.
+  ///
+  /// `clock` stamps each stored checkpoint (StoredCheckpoint::stored_at);
+  /// `observer` sees every event (ccp/observer.hpp).  The node owns
+  /// neither.  A simulated system passes its sim::Simulator and its
+  /// ccp::CcpRecorder, which re-certifies the recovered DVs at an attach; a
+  /// fleet worker passes a plain sim::Clock and a plain ccp::NodeObserver.
+  Node(ProcessId self, std::size_t process_count, const sim::Clock& clock,
+       transport::Transport& transport, ccp::NodeObserver& observer,
        std::unique_ptr<CheckpointingProtocol> protocol,
        std::unique_ptr<GarbageCollector> gc, Config config = Config());
 
@@ -133,14 +128,14 @@ class Node {
   /// Cold-start tail of construction: fresh lineage, store s^0.
   void start_fresh(std::size_t process_count);
   /// Warm-start tail of construction: recover the store, restore DV past
-  /// the highest persisted index, re-certify the recorder's rows against
-  /// the media, rebuild the collector (on_attach).
+  /// the highest persisted index, report the recovered DVs to the observer,
+  /// rebuild the collector (on_attach).
   void attach_from_storage(std::size_t process_count);
 
   ProcessId self_;
-  sim::Simulator& simulator_;
+  const sim::Clock& clock_;
   transport::Transport& transport_;
-  ccp::CcpRecorder& recorder_;
+  ccp::NodeObserver& observer_;
   std::unique_ptr<CheckpointingProtocol> protocol_;
   std::unique_ptr<GarbageCollector> gc_;
   Config config_;

@@ -64,7 +64,7 @@
 #include <vector>
 
 #include "causality/dependency_vector.hpp"
-#include "ccp/recorder.hpp"
+#include "ccp/observer.hpp"
 #include "sim/message.hpp"
 
 namespace rdtgc::ckpt {

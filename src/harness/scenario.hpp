@@ -4,8 +4,8 @@
 // over event interleaving, which a randomized network cannot give.  Scenario
 // wraps a System whose network runs in manual mode: sends park in a mailbox
 // and the script chooses the delivery moment.  Simulated time advances one
-// tick per scripted action so the recorder's linearization matches the
-// script order.
+// tick per scripted action, so each action's checkpoints carry their own
+// stored_at; the recorder linearizes events in script order regardless.
 #pragma once
 
 #include <map>

@@ -5,7 +5,8 @@
 // single-threaded and fully deterministic: events fire in (time, insertion
 // sequence) order, so a (seed, configuration) pair reproduces an execution
 // bit-for-bit.  The checkpointing and garbage-collection algorithms never read
-// the clock — simulated time exists only to order events and drive workloads.
+// the clock — simulated time orders events, drives workloads, and stamps the
+// checkpoints each Node stores (the simulator is the sim::Clock Nodes read).
 #pragma once
 
 #include <cstdint>
@@ -14,20 +15,18 @@
 #include <vector>
 
 #include "causality/types.hpp"
+#include "sim/clock.hpp"
 
 namespace rdtgc::sim {
 
 /// Single-threaded discrete-event scheduler.
-class Simulator {
+class Simulator : public Clock {
  public:
   using Action = std::function<void()>;
 
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
-
-  /// Current simulated time.
-  SimTime now() const { return now_; }
 
   /// Schedule `fn` at absolute time `t` (>= now()).
   void at(SimTime t, Action fn);
@@ -62,7 +61,6 @@ class Simulator {
     }
   };
 
-  SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, Later> queue_;

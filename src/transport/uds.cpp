@@ -284,8 +284,11 @@ sim::MessageId UdsTransport::send(sim::Message m) {
   meta.seq = next_seq();
   encode_data(scratch_, meta, data_scratch_);
   enqueue_frame(scratch_);  // leaves with the command's CmdDone
+  // A bare message is named by its Data frame's seq: nonzero and unique
+  // within this incarnation.
+  const sim::MessageId id = m.id != 0 ? m.id : meta.seq;
   recycled_ = std::move(m);  // hand the DV buffer back to the next sender
-  return recycled_.id;
+  return id;
 }
 
 sim::Message UdsTransport::make_message() {

@@ -181,12 +181,12 @@ class UdsTransport final : public Transport {
 
   void connect(ProcessId p, DeliveryFn sink) override;
   void disconnect(ProcessId p) override;
+  /// A bare message (m.id == 0) is named by its Data frame's seq.
   sim::MessageId send(sim::Message m) override;
   sim::Message make_message() override;
 
   /// Deliver an inbound application message to the local sink, then recycle
-  /// its DV buffer into make_message().  The caller (transport/worker.cpp)
-  /// has already registered the remote send with the local recorder.
+  /// its DV buffer into make_message().
   void deliver(sim::Message m);
 
   /// Queue an already-encoded non-Data frame behind everything already

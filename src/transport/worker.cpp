@@ -3,10 +3,10 @@
 #include <memory>
 #include <utility>
 
-#include "ccp/recorder.hpp"
+#include "ccp/observer.hpp"
 #include "ckpt/node.hpp"
 #include "core/rdt_lgc.hpp"
-#include "sim/simulator.hpp"
+#include "sim/clock.hpp"
 #include "transport/uds.hpp"
 #include "transport/wire.hpp"
 
@@ -19,7 +19,6 @@ class Worker {
  public:
   Worker(const WorkerConfig& config, int fd)
       : config_(config),
-        recorder_(config.process_count),
         transport_(fd, config.self, config.incarnation),
         rx_(fd, config.idle_timeout_ms) {
     ckpt::Node::Config node_config;
@@ -32,9 +31,11 @@ class Worker {
     // kSync durability (the StorageConfig default) is part of the replay
     // contract: at a quiesced SIGKILL the media must hold exactly the
     // checkpoints the event log records, so the re-attached incarnation
-    // resumes at the logged lineage position bit-for-bit.
+    // resumes at the logged lineage position bit-for-bit.  No recorder and
+    // no simulator: the node runs on what it holds, with a clock that stays
+    // at 0 (the stored_at the replay's manual-mode System stamps too).
     node_ = std::make_unique<ckpt::Node>(
-        config.self, config.process_count, simulator_, transport_, recorder_,
+        config.self, config.process_count, clock_, transport_, observer_,
         ckpt::make_protocol(config.protocol),
         std::make_unique<core::RdtLgc>(core::RdtLgc::RollbackSearch::kBinary),
         node_config);
@@ -55,9 +56,6 @@ class Worker {
         return kWorkerParentGone;
       if (decode_frame(rx_.frame(), frame) != WireError::kOk)
         return kWorkerBadFrame;
-      // Advance the logical clock one tick per processed frame — event
-      // timestamps stay ordered for debugging, and no algorithm reads them.
-      simulator_.run_until(simulator_.now() + 1);
       switch (frame.header.kind()) {
         case FrameKind::kData:
           exit_code = handle_data(frame);
@@ -113,12 +111,6 @@ class Worker {
     for (std::size_t j = 0; j < body.dv.size(); ++j)
       m.dv.at(static_cast<ProcessId>(j)) = body.dv[j];
     m.control.assign(body.control.begin(), body.control.end());
-    // The local recorder never saw the remote send event: register it now so
-    // record_receive (inside the Node's sink) finds its message.  Serials
-    // are local to this recorder — it is observer-grade, the global truth
-    // is the parent's event log.
-    m.id = recorder_.new_message_id();
-    recorder_.record_send(m, simulator_.now());
 
     const std::uint64_t forced_before = node_->counters().forced_checkpoints;
     transport_.deliver(std::move(m));
@@ -191,8 +183,8 @@ class Worker {
         CheckpointBody ckpt;
         ckpt.index = node_->last_checkpoint_index();
         ckpt.kind = static_cast<std::uint8_t>(ccp::CheckpointKind::kBasic);
-        const causality::DvView dv =
-            recorder_.checkpoint_dv(config_.self, ckpt.index);
+        // UC[self] pins the last checkpoint: it is still stored.
+        const causality::DvView dv = node_->store().dv_view(ckpt.index);
         ckpt.dv.assign(dv.entries().begin(), dv.entries().end());
         encode_checkpoint(scratch_, meta_to_parent(), ckpt);
         transport_.enqueue_frame(scratch_);
@@ -230,8 +222,8 @@ class Worker {
   }
 
   WorkerConfig config_;
-  sim::Simulator simulator_;
-  ccp::CcpRecorder recorder_;
+  ccp::NodeObserver observer_;
+  sim::Clock clock_;
   UdsTransport transport_;
   TimedReceiver rx_;
   std::unique_ptr<ckpt::Node> node_;

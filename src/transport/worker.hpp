@@ -3,18 +3,18 @@
 // A worker is one process of the distributed system, spawned by
 // transport::ProcFleet (the tools/rdtgc_proc.cpp binary is a thin argv
 // wrapper around run_worker).  It connects to the parent's socket, builds
-// the full per-process stack — Simulator (a logical clock the algorithms
-// never read), CcpRecorder (worker-local, observer-grade), UdsTransport,
-// Node over a persistent kSync store — and then serves frames:
+// its per-process stack — UdsTransport, and a Node over a persistent kSync
+// store with a plain ccp::NodeObserver and a sim::Clock that stays at 0
+// (no recorder, no simulator: RDT-LGC needs only what the Node holds) —
+// and then serves frames:
 //
 //   * kCmd kSendApp     -> Node::send_app_message (Data frame rides out
 //                          through the transport's send buffer), CmdDone
-//   * kCmd kCheckpoint  -> Node::take_basic_checkpoint, Checkpoint frame,
-//                          CmdDone
-//   * kData             -> register the remote send with the local recorder
-//                          (new_message_id + record_send), deliver through
-//                          the transport sink, then RecvAck carrying the
-//                          post-merge DV and the forced-checkpoint flag
+//   * kCmd kCheckpoint  -> Node::take_basic_checkpoint, Checkpoint frame
+//                          (DV read back from the store), CmdDone
+//   * kData             -> deliver through the transport sink, then RecvAck
+//                          carrying the post-merge DV and the
+//                          forced-checkpoint flag
 //   * kCmd kQuiesce     -> flush everything, CmdDone (the parent's pre-
 //                          SIGKILL drain point)
 //   * kCmd kShutdown    -> State digest, flush, exit 0
@@ -24,9 +24,10 @@
 // SO_RCVTIMEO (transport::TimedReceiver).
 //
 // Incarnation 0 opens its store kFresh; incarnation > 0 opens kAttach and
-// re-seeds its empty recorder from the media (ckpt::Node's fresh-process
-// attach path) — this is the real kill -9 recovery the simulator's warm
-// restart models.  A worker that hears nothing for idle_timeout_ms exits
+// resumes the lineage its media kept (ckpt::Node's attach path) — this is
+// the real kill -9 recovery the simulator's warm restart models.  The
+// parent's event log, replayed through the simulator (transport/replay.hpp),
+// certifies the run.  A worker that hears nothing for idle_timeout_ms exits
 // nonzero rather than orphan itself (CI hang guard).
 #pragma once
 

@@ -4,10 +4,11 @@
 //    RdtLgc::on_new_dependencies vs on_new_dependency, whole-system batched
 //    vs per-peer delivery on randomized workloads);
 //  * a zero-allocation guarantee for the steady-state receive
-//    (merge_into + on_new_dependencies + CCB/store maintenance) and for the
-//    socket hops a fleet frame takes (send_frame + recv_frame, and a
-//    FrameQueue flush drained by recv_frame), enforced with a global
-//    operator new/delete counting hook.
+//    (merge_into + on_new_dependencies + CCB/store maintenance), for a whole
+//    unobserved Node's checkpoint/send/deliver cycle (wired like a fleet
+//    worker: no recorder, a stopped clock), and for the socket hops a fleet
+//    frame takes (send_frame + recv_frame, and a FrameQueue flush drained by
+//    recv_frame), enforced with a global operator new/delete counting hook.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "causality/dependency_vector.hpp"
+#include "ccp/observer.hpp"
 #include "ccp/recorder.hpp"
 #include "ckpt/node.hpp"
 #include "ckpt/sharded_checkpoint_store.hpp"
@@ -27,6 +29,9 @@
 #include "core/uc_table.hpp"
 #include "harness/system.hpp"
 #include "helpers.hpp"
+#include "sim/clock.hpp"
+#include "sim/network.hpp"
+#include "sim/simulator.hpp"
 #include "transport/uds.hpp"
 #include "transport/wire.hpp"
 #include "util/check.hpp"
@@ -405,6 +410,47 @@ TEST(HotPathAllocations, SteadyStateBatchedReceiveIsAllocationFree) {
   EXPECT_GE(rig.lgc.collected(), 100u);  // eliminations did happen
 }
 
+TEST(HotPathAllocations, UnobservedNodeCycleIsAllocationFree) {
+  // Nodes wired like a fleet worker: the default observer (no recorder)
+  // and a clock that never moves.  Only the transport differs — a manual
+  // sim::Network, so one thread drives both ends.  Nothing on this path
+  // grows per event, so once warm the checkpoint/send/deliver cycle of
+  // BM_ReceivePath never touches the heap, with no reserve() anywhere.
+  const std::size_t n = 8;
+  sim::Simulator network_time;
+  sim::Network::Config manual;
+  manual.manual = true;
+  sim::Network network(network_time, util::Rng(7), manual);
+  ccp::NodeObserver observer;
+  const sim::Clock clock;
+  std::vector<std::unique_ptr<ckpt::Node>> nodes;
+  for (std::size_t p = 0; p < n; ++p)
+    nodes.push_back(std::make_unique<ckpt::Node>(
+        static_cast<ProcessId>(p), n, clock, network, observer,
+        ckpt::make_protocol(ckpt::ProtocolKind::kFdas),
+        std::make_unique<core::RdtLgc>()));
+  ckpt::Node& sender = *nodes[1];
+  ckpt::Node& receiver = *nodes[0];
+  const auto cycle = [&] {
+    sender.take_basic_checkpoint();
+    network.deliver_now(sender.send_app_message(receiver.id()));
+  };
+  for (int round = 0; round < 64; ++round) cycle();
+
+  constexpr int kCycles = 10000;
+  const std::uint64_t before = g_allocation_count.load();
+  for (int round = 0; round < kCycles; ++round) cycle();
+  EXPECT_EQ(g_allocation_count.load() - before, 0u)
+      << "an unobserved node's checkpoint/send/deliver cycle touched the heap";
+  // The cycles really ran, every delivery brought a new dependency, and
+  // the collector kept the sender's store within the paper's n+1 bound.
+  EXPECT_EQ(receiver.counters().messages_received, 64u + kCycles);
+  EXPECT_EQ(receiver.dv()[sender.id()], sender.dv()[sender.id()]);
+  EXPECT_GE(sender.store().stats().collected,
+            static_cast<std::uint64_t>(kCycles));
+  EXPECT_LE(sender.store().count(), n + 1);
+}
+
 // ---- Zero allocations in the store and the recorder ----------------------
 
 TEST(HotPathAllocations, RecorderArenaMakesRecordingAllocationFree) {
@@ -420,8 +466,7 @@ TEST(HotPathAllocations, RecorderArenaMakesRecordingAllocationFree) {
   const std::uint64_t before = g_allocation_count.load();
   for (CheckpointIndex idx = 0; idx < 200; ++idx) {
     dv.at(3) = idx;
-    recorder.record_checkpoint(3, idx, dv, ccp::CheckpointKind::kBasic,
-                               static_cast<SimTime>(idx));
+    recorder.record_checkpoint(3, idx, dv, ccp::CheckpointKind::kBasic);
     dv.at(3) = idx + 1;  // interval advances past the new checkpoint
   }
   EXPECT_EQ(g_allocation_count.load() - before, 0u)
@@ -432,11 +477,11 @@ TEST(HotPathAllocations, RecorderArenaMakesRecordingAllocationFree) {
     ASSERT_EQ(view[3], idx);
   }
   // Rollback truncates rows; re-recording reuses the freed capacity.
-  recorder.record_rollback(3, 99, 200);
+  recorder.record_rollback(3, 99);
   const std::uint64_t after_rollback = g_allocation_count.load();
   dv.at(3) = 100;
   for (CheckpointIndex idx = 100; idx < 200; ++idx) {
-    recorder.record_checkpoint(3, idx, dv, ccp::CheckpointKind::kBasic, 0);
+    recorder.record_checkpoint(3, idx, dv, ccp::CheckpointKind::kBasic);
     dv.at(3) = idx + 1;
   }
   EXPECT_EQ(g_allocation_count.load() - after_rollback, 0u)

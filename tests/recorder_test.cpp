@@ -28,14 +28,14 @@ class RecorderTest : public ::testing::Test {
     m.dst = dst;
     m.dv = dv;
     m.send_interval = dv[src];
-    recorder_.record_send(m, 0);
+    recorder_.record_send(m);
     return m;
   }
 };
 
 TEST_F(RecorderTest, RecordsCheckpointsDense) {
-  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
-  recorder_.record_checkpoint(0, 1, dv3(1, 0, 0), CheckpointKind::kBasic, 1);
+  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial);
+  recorder_.record_checkpoint(0, 1, dv3(1, 0, 0), CheckpointKind::kBasic);
   EXPECT_EQ(recorder_.last_stable(0), 1);
   EXPECT_EQ(recorder_.checkpoint_dv(0, 1), dv3(1, 0, 0));
   EXPECT_EQ(recorder_.checkpoint(0, 0).kind, CheckpointKind::kInitial);
@@ -43,18 +43,18 @@ TEST_F(RecorderTest, RecordsCheckpointsDense) {
 }
 
 TEST_F(RecorderTest, RejectsGappedOrMislabeledCheckpoints) {
-  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
+  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial);
   EXPECT_THROW(recorder_.record_checkpoint(0, 2, dv3(2, 0, 0),
-                                           CheckpointKind::kBasic, 1),
+                                           CheckpointKind::kBasic),
                util::ContractViolation);
   // dv[p] must equal the index.
   EXPECT_THROW(recorder_.record_checkpoint(0, 1, dv3(5, 0, 0),
-                                           CheckpointKind::kBasic, 1),
+                                           CheckpointKind::kBasic),
                util::ContractViolation);
 }
 
 TEST_F(RecorderTest, GeneralCheckpointDvCoversVolatile) {
-  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
+  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial);
   recorder_.set_volatile_dv(0, dv3(1, 2, 0));
   EXPECT_EQ(recorder_.general_checkpoint_dv(0, 0), dv3(0, 0, 0));
   EXPECT_EQ(recorder_.general_checkpoint_dv(0, 1), dv3(1, 2, 0));  // volatile
@@ -62,13 +62,13 @@ TEST_F(RecorderTest, GeneralCheckpointDvCoversVolatile) {
 }
 
 TEST_F(RecorderTest, MessageLifecycle) {
-  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
-  recorder_.record_checkpoint(1, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
+  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial);
+  recorder_.record_checkpoint(1, 0, dv3(0, 0, 0), CheckpointKind::kInitial);
   sim::Message m = send(0, 1, dv3(1, 0, 0));
   EXPECT_EQ(m.send_serial, 2u);  // after p0's initial checkpoint
   const MessageInfo& info = recorder_.messages()[m.id - 1];
   EXPECT_FALSE(info.delivered);
-  recorder_.record_receive(m, 1, 5);
+  recorder_.record_receive(m, 1);
   EXPECT_TRUE(info.delivered);
   EXPECT_TRUE(info.live());
   EXPECT_EQ(info.recv_interval, 1);
@@ -79,25 +79,25 @@ TEST_F(RecorderTest, ReceiveBeforeSendRejected) {
   m.id = recorder_.new_message_id();
   m.src = 0;
   m.dst = 1;
-  EXPECT_THROW(recorder_.record_receive(m, 1, 0), util::ContractViolation);
+  EXPECT_THROW(recorder_.record_receive(m, 1), util::ContractViolation);
 }
 
 TEST_F(RecorderTest, DoubleReceiveRejected) {
-  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
+  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial);
   sim::Message m = send(0, 1, dv3(1, 0, 0));
-  recorder_.record_receive(m, 1, 1);
-  EXPECT_THROW(recorder_.record_receive(m, 1, 2), util::ContractViolation);
+  recorder_.record_receive(m, 1);
+  EXPECT_THROW(recorder_.record_receive(m, 1), util::ContractViolation);
 }
 
 TEST_F(RecorderTest, RollbackTruncatesAndMarksMessagesDead) {
-  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
-  recorder_.record_checkpoint(1, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
-  recorder_.record_checkpoint(0, 1, dv3(1, 0, 0), CheckpointKind::kBasic, 1);
+  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial);
+  recorder_.record_checkpoint(1, 0, dv3(0, 0, 0), CheckpointKind::kInitial);
+  recorder_.record_checkpoint(0, 1, dv3(1, 0, 0), CheckpointKind::kBasic);
   // Sent after s_0^1 (interval 2): dies when p0 rolls back to 1... to 0.
   sim::Message dead = send(0, 1, dv3(2, 0, 0));
-  recorder_.record_receive(dead, 1, 3);
+  recorder_.record_receive(dead, 1);
 
-  recorder_.record_rollback(0, 0, 10);
+  recorder_.record_rollback(0, 0);
   EXPECT_EQ(recorder_.last_stable(0), 0);
   EXPECT_FALSE(recorder_.messages()[dead.id - 1].send_alive);
   EXPECT_FALSE(recorder_.messages()[dead.id - 1].live());
@@ -110,16 +110,16 @@ TEST_F(RecorderTest, RollbackTruncatesAndMarksMessagesDead) {
 }
 
 TEST_F(RecorderTest, RollbackKeepsMessagesBeforeRestoredCheckpointAlive) {
-  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
-  recorder_.record_checkpoint(1, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
+  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial);
+  recorder_.record_checkpoint(1, 0, dv3(0, 0, 0), CheckpointKind::kInitial);
   sim::Message early = send(0, 1, dv3(1, 0, 0));  // interval 1, before s_0^1
-  recorder_.record_receive(early, 1, 2);
-  recorder_.record_checkpoint(0, 1, dv3(1, 0, 0), CheckpointKind::kBasic, 3);
-  recorder_.record_checkpoint(0, 2, dv3(2, 0, 0), CheckpointKind::kBasic, 4);
+  recorder_.record_receive(early, 1);
+  recorder_.record_checkpoint(0, 1, dv3(1, 0, 0), CheckpointKind::kBasic);
+  recorder_.record_checkpoint(0, 2, dv3(2, 0, 0), CheckpointKind::kBasic);
 
   // Rolling back to s_0^1 undoes interval-2 events only; the interval-1 send
   // happened before the restored checkpoint and survives.
-  recorder_.record_rollback(0, 1, 10);
+  recorder_.record_rollback(0, 1);
   EXPECT_TRUE(recorder_.messages()[early.id - 1].live());
   EXPECT_TRUE(recorder_.audit_no_orphans());
 }
@@ -127,26 +127,26 @@ TEST_F(RecorderTest, RollbackKeepsMessagesBeforeRestoredCheckpointAlive) {
 TEST_F(RecorderTest, RollbackUndoesCurrentIntervalSends) {
   // Rolling back to s_0^0 undoes the interval-1 events (they lie after the
   // restored checkpoint).
-  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
-  recorder_.record_checkpoint(1, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
+  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial);
+  recorder_.record_checkpoint(1, 0, dv3(0, 0, 0), CheckpointKind::kInitial);
   sim::Message m = send(0, 1, dv3(1, 0, 0));
-  recorder_.record_rollback(0, 0, 10);
+  recorder_.record_rollback(0, 0);
   EXPECT_FALSE(recorder_.messages()[m.id - 1].send_alive);
 }
 
 TEST_F(RecorderTest, IndexReuseAfterRollback) {
-  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
-  recorder_.record_checkpoint(0, 1, dv3(1, 0, 0), CheckpointKind::kBasic, 1);
-  recorder_.record_rollback(0, 0, 2);
+  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial);
+  recorder_.record_checkpoint(0, 1, dv3(1, 0, 0), CheckpointKind::kBasic);
+  recorder_.record_rollback(0, 0);
   // Re-execution reuses index 1; serials stay monotonic.
-  recorder_.record_checkpoint(0, 1, dv3(1, 0, 0), CheckpointKind::kBasic, 3);
+  recorder_.record_checkpoint(0, 1, dv3(1, 0, 0), CheckpointKind::kBasic);
   EXPECT_EQ(recorder_.last_stable(0), 1);
   EXPECT_GT(recorder_.checkpoint(0, 1).serial, recorder_.checkpoint(0, 0).serial);
 }
 
 TEST_F(RecorderTest, RollbackToVolatileOnlyRejected) {
-  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial, 0);
-  EXPECT_THROW(recorder_.record_rollback(0, 1, 1), util::ContractViolation);
+  recorder_.record_checkpoint(0, 0, dv3(0, 0, 0), CheckpointKind::kInitial);
+  EXPECT_THROW(recorder_.record_rollback(0, 1), util::ContractViolation);
 }
 
 TEST_F(RecorderTest, VolatileDvTracksUpdates) {

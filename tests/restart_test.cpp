@@ -9,18 +9,29 @@
 // death (Theorem 1 oracle stays green), and parked/in-flight messages
 // addressed to the dead incarnation drop instead of leaking into the new
 // one.  The chaos soak (chaos_test.cpp) stresses the same path at scale;
-// here every step is scripted.
+// here every step is scripted.  An unobserved Node — wired like a fleet
+// worker, with no recorder — re-attaches in-process too, and must come back
+// exactly where its observed twin does.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "ccp/observer.hpp"
+#include "ccp/recorder.hpp"
+#include "ckpt/node.hpp"
+#include "core/rdt_lgc.hpp"
 #include "harness/scenario.hpp"
 #include "harness/sweep.hpp"
 #include "harness/system.hpp"
 #include "helpers.hpp"
 #include "recovery/recovery_manager.hpp"
+#include "sim/clock.hpp"
+#include "sim/network.hpp"
+#include "sim/simulator.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace rdtgc {
 namespace {
@@ -209,6 +220,164 @@ TEST(WarmRestart, RestartThenRecoverySessionMmap) {
 }
 TEST(WarmRestart, RestartThenRecoverySessionLog) {
   restart_then_recovery_session(StorageBackendKind::kLogStructured);
+}
+
+// ---- Unobserved attach ----------------------------------------------------
+
+sim::Network::Config manual_network() {
+  sim::Network::Config config;
+  config.manual = true;
+  return config;
+}
+
+/// n Nodes wired like fleet workers — the default observer and a clock
+/// that stays at 0 — over a manual network, so one thread drives them.
+/// restart() does what a re-spawned worker does: the Node dies and its
+/// replacement attaches to the same media, with no recorder to certify it.
+class UnobservedSystem {
+ public:
+  UnobservedSystem(std::size_t n, const StorageConfig& storage)
+      : network_(network_time_, util::Rng(1), manual_network()),
+        storage_(storage),
+        nodes_(n) {
+    for (std::size_t p = 0; p < n; ++p)
+      nodes_[p] = make(static_cast<ProcessId>(p), OpenMode::kFresh);
+  }
+
+  ckpt::Node& node(ProcessId p) { return *nodes_[static_cast<std::size_t>(p)]; }
+  void checkpoint(ProcessId p) { node(p).take_basic_checkpoint(); }
+  void send_deliver(ProcessId p, ProcessId dst) {
+    network_.deliver_now(node(p).send_app_message(dst));
+  }
+  void restart(ProcessId p) {
+    nodes_[static_cast<std::size_t>(p)].reset();
+    network_.disconnect(p);
+    nodes_[static_cast<std::size_t>(p)] = make(p, OpenMode::kAttach);
+  }
+
+ private:
+  std::unique_ptr<ckpt::Node> make(ProcessId p, OpenMode open_mode) {
+    ckpt::Node::Config config;
+    config.storage = storage_;
+    config.storage.open_mode = open_mode;
+    return std::make_unique<ckpt::Node>(
+        p, nodes_.size(), clock_, network_, observer_,
+        ckpt::make_protocol(ckpt::ProtocolKind::kFdas),
+        std::make_unique<core::RdtLgc>(core::RdtLgc::RollbackSearch::kBinary),
+        config);
+  }
+
+  sim::Simulator network_time_;
+  sim::Network network_;
+  ccp::NodeObserver observer_;
+  const sim::Clock clock_;
+  StorageConfig storage_;
+  std::vector<std::unique_ptr<ckpt::Node>> nodes_;
+};
+
+/// One script, two systems: an observed Scenario, whose recorder certifies
+/// every attach, and its unobserved twin on media of its own.
+struct Twins {
+  Scenario observed;
+  UnobservedSystem unobserved;
+  int messages = 0;
+
+  Twins(StorageBackendKind kind, const std::string& observed_dir,
+        const std::string& unobserved_dir)
+      : observed(3, ckpt::ProtocolKind::kFdas, harness::GcChoice::kRdtLgc,
+                 media(kind, observed_dir)),
+        unobserved(3, media(kind, unobserved_dir)) {}
+
+  void checkpoint(ProcessId p) {
+    observed.checkpoint(p);
+    unobserved.checkpoint(p);
+  }
+  void send_deliver(ProcessId p, ProcessId dst) {
+    const std::string label = "m" + std::to_string(++messages);
+    observed.send(p, dst, label);
+    observed.deliver(label);
+    unobserved.send_deliver(p, dst);
+  }
+  void restart(ProcessId p) {
+    observed.restart(p);
+    unobserved.restart(p);
+  }
+  void expect_same_state() {
+    for (ProcessId p = 0; p < 3; ++p) {
+      SCOPED_TRACE("p" + std::to_string(p));
+      const ckpt::Node& want = observed.node(p);
+      const ckpt::Node& got = unobserved.node(p);
+      EXPECT_EQ(got.dv(), want.dv());
+      EXPECT_EQ(got.last_checkpoint_index(), want.last_checkpoint_index());
+      EXPECT_EQ(got.store().stored_indices(), want.store().stored_indices());
+      const auto* lgc = dynamic_cast<const core::RdtLgc*>(&got.gc());
+      ASSERT_NE(lgc, nullptr);
+      EXPECT_EQ(lgc->uc().to_string(),
+                observed.system().rdt_lgc(p).uc().to_string());
+    }
+  }
+};
+
+/// The worker's attach path, in-process: an unobserved Node re-attaches
+/// and comes back exactly where its observed twin does.
+void unobserved_attach_matches_observed(StorageBackendKind kind) {
+  ScratchDir observed_dir("attach_observed");
+  ScratchDir unobserved_dir("attach_unobserved");
+  Twins twins(kind, observed_dir.path(), unobserved_dir.path());
+  // build_lineage's script: c_1^1 depends on p0 through the first message.
+  twins.checkpoint(0);
+  twins.send_deliver(0, 1);
+  twins.checkpoint(1);
+  twins.send_deliver(1, 2);
+  twins.checkpoint(2);
+  twins.checkpoint(1);
+
+  twins.restart(1);
+  twins.expect_same_state();
+
+  // Life after the attach (the receives force checkpoints), then two more
+  // deaths, one of them a second attach of the same process.
+  twins.send_deliver(1, 0);
+  twins.checkpoint(0);
+  twins.send_deliver(2, 1);
+  twins.send_deliver(1, 2);
+  twins.checkpoint(1);
+  twins.restart(1);
+  twins.restart(2);
+  twins.expect_same_state();
+  EXPECT_EQ(twins.observed.recorder().stats().restarts, 3u);
+}
+
+TEST(UnobservedAttach, MatchesObservedTwinMmap) {
+  unobserved_attach_matches_observed(StorageBackendKind::kMmapFile);
+}
+TEST(UnobservedAttach, MatchesObservedTwinLog) {
+  unobserved_attach_matches_observed(StorageBackendKind::kLogStructured);
+}
+
+/// An observed attach certifies the recovered DVs against the lineage its
+/// recorder saw; a recorder that never saw p's lineage cannot, and the
+/// attach is rejected.
+TEST(UnobservedAttach, ObservedAttachWithoutTheRecordedLineageIsRejected) {
+  ScratchDir dir("attach_unrecorded");
+  const StorageConfig storage =
+      media(StorageBackendKind::kMmapFile, dir.path());
+  {
+    UnobservedSystem written(2, storage);
+    written.checkpoint(0);
+    written.send_deliver(0, 1);
+    written.checkpoint(1);
+  }
+  sim::Simulator simulator;
+  sim::Network network(simulator, util::Rng(1), manual_network());
+  ccp::CcpRecorder recorder(2);
+  ckpt::Node::Config config;
+  config.storage = storage;
+  config.storage.open_mode = OpenMode::kAttach;
+  EXPECT_THROW(ckpt::Node(1, 2, simulator, network, recorder,
+                          ckpt::make_protocol(ckpt::ProtocolKind::kFdas),
+                          std::make_unique<core::RdtLgc>(), config),
+               util::ContractViolation);
 }
 
 // ---- Sweep progress/cancellation ------------------------------------------

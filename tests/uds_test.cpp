@@ -12,6 +12,8 @@
 //    under backpressure leaves the unsent tail queued, in order;
 //  * the worker's TimedReceiver returns queued frames first, kTimeout at
 //    its deadline and kClosed once the peer closed;
+//  * UdsTransport::send names a bare message with a nonzero id unique
+//    within the incarnation, and returns a preset id unchanged;
 //  * a wait keeps its deadline while signals keep interrupting it.
 #include <signal.h>
 #include <sys/socket.h>
@@ -27,6 +29,8 @@
 
 #include <gtest/gtest.h>
 
+#include "causality/dependency_vector.hpp"
+#include "sim/message.hpp"
 #include "transport/uds.hpp"
 #include "transport/wire.hpp"
 
@@ -246,6 +250,29 @@ TEST(UdsTimedReceiver, QueuedFramesThenTimeoutThenClosed) {
   ASSERT_EQ(rx.recv(), RecvStatus::kFrame);
   EXPECT_EQ(rx.frame().size(), 30u);
   EXPECT_EQ(rx.recv(), RecvStatus::kClosed);
+}
+
+TEST(UdsTransportIds, BareSendsGetDistinctIdsAndPresetIdsComeBack) {
+  // The Transport contract: an implementation assigns the id of a bare
+  // message (m.id == 0) and keeps one the caller set.  A worker's Node
+  // sends bare messages, since no recorder names them.
+  SocketPair s = seqpacket_pair();
+  UdsTransport transport(s.tx.get(), 0, 0);
+  const auto message = [&](sim::MessageId id) {
+    sim::Message m = transport.make_message();
+    m.id = id;
+    m.src = 0;
+    m.dst = 1;
+    m.dv = causality::DependencyVector(2);
+    return m;
+  };
+  const sim::MessageId first = transport.send(message(0));
+  const sim::MessageId second = transport.send(message(0));
+  EXPECT_NE(first, 0u);
+  EXPECT_NE(second, 0u);
+  EXPECT_NE(first, second);
+  EXPECT_EQ(transport.send(message(77)), 77u);
+  EXPECT_TRUE(transport.flush_blocking(kWaitMs));
 }
 
 // ---- Deadlines under signals ---------------------------------------------
