@@ -21,6 +21,7 @@
 #include "ccp/observer.hpp"
 #include "ccp/precedence.hpp"
 #include "ccp/zigzag.hpp"
+#include "ckpt/log_backend.hpp"
 #include "ckpt/node.hpp"
 #include "ckpt/protocol.hpp"
 #include "ckpt/sharded_checkpoint_store.hpp"
@@ -169,6 +170,32 @@ void BM_ReceivePathUnobserved(benchmark::State& state) {
 }
 BENCHMARK(BM_ReceivePathUnobserved)
     ->Arg(4)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
+
+void BM_SimDeliveryLoop(benchmark::State& state) {
+  // The simulated network's event loop alone: a non-manual sim::Network
+  // over a Simulator, one send of an Arg-wide DV and its delivery event
+  // per iteration, into a sink that only counts.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::Simulator simulator;
+  sim::Network network(simulator, util::Rng(3), sim::Network::Config{});
+  std::uint64_t delivered = 0;
+  for (std::size_t p = 0; p < n; ++p)
+    network.connect(static_cast<ProcessId>(p),
+                    [&delivered](const sim::Message&) { ++delivered; });
+  const causality::DependencyVector dv(n);
+  for (auto _ : state) {
+    sim::Message m = network.make_message();
+    m.src = 1;
+    m.dst = 0;
+    m.dv = dv;
+    m.bytes = 1;
+    network.send(std::move(m));
+    simulator.step();
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SimDeliveryLoop)->Arg(4)->Arg(16);
 
 // Worst-case receive at the GC layer — every delivery raises all n-1 peer
 // entries right after a local checkpoint, so every UC entry rebinds and the
@@ -437,6 +464,43 @@ void BM_BackendChurnLog(benchmark::State& state) {
 BENCHMARK(BM_BackendChurnMemory)->Arg(4)->Arg(64);
 BENCHMARK(BM_BackendChurnMmap)->Arg(4)->Arg(64);
 BENCHMARK(BM_BackendChurnLog)->Arg(4)->Arg(64);
+
+// One log medium (ckpt/log_backend.hpp) without a store over it: a put,
+// then the collect of the oldest of 8 live checkpoints, with compaction out
+// of reach — the record mix RDT-LGC's steady state appends through the
+// mapped tail.  Arg is the DV width; an iteration appends one record, so
+// the time is per record.  Every 64Ki records the log restarts fresh
+// (timing paused), which keeps the file small.
+void BM_LogTailAppend(benchmark::State& state) {
+  const auto width = static_cast<std::size_t>(state.range(0));
+  const std::string path = bench::scratch_dir("tail") + "/p0_s0.log";
+  constexpr CheckpointIndex kLive = 8;
+  constexpr std::int64_t kRecordsPerLog = std::int64_t{1} << 16;
+  const causality::DependencyVector dv(width);
+  std::unique_ptr<ckpt::LogStructuredBackend> log;
+  CheckpointIndex next = 0;
+  CheckpointIndex oldest = 0;
+  std::int64_t appended = kRecordsPerLog;
+  for (auto _ : state) {
+    if (appended == kRecordsPerLog) {
+      state.PauseTiming();
+      log.reset();
+      log = std::make_unique<ckpt::LogStructuredBackend>(
+          0, path, ckpt::OpenMode::kFresh, std::size_t{1} << 30, 0.5);
+      next = oldest = 0;
+      appended = 0;
+      state.ResumeTiming();
+    }
+    if (next - oldest < kLive) {
+      log->put(next++, dv, 0, 1);
+    } else {
+      log->collect(oldest++);
+    }
+    ++appended;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LogTailAppend)->Arg(16)->Arg(64);
 
 // ---- Durability-pipeline families ----------------------------------------
 //

@@ -45,13 +45,17 @@ import sys
 # hop and its Data and RecvAck codecs (a receive path that zero-fills or
 # copies per maximum frame instead of per received byte shows up in
 # BM_UdsHop).  BM_ReceivePathUnobserved is BM_ReceivePath without the CCP
-# recorder: the gap prices the oracle per delivery.
+# recorder: the gap prices the oracle per delivery.  BM_LogTailAppend is one
+# log medium's append per record through its mapped tail, and
+# BM_SimDeliveryLoop one send and delivery through the simulator's event
+# loop and network.
 TRACKED = re.compile(
     r"^(BM_DvMerge|BM_ReceivePath|BM_ReceivePathUnobserved)\b"
     r"|^BM_Rollback|^BM_Backend|^BM_FleetRunner"
     r"|^BM_NodeAttach|^BM_ChurnRestart"
     r"|^BM_GroupCommit|^BM_BackgroundChurn|^BM_DurabilityLag"
-    r"|^BM_Protocol|^BM_Uds|^BM_Wire")
+    r"|^BM_Protocol|^BM_Uds|^BM_Wire"
+    r"|^BM_LogTailAppend|^BM_SimDeliveryLoop")
 
 
 def load(path):
@@ -142,7 +146,8 @@ def main():
               "BM_NodeAttach*, BM_ChurnRestart*, "
               "BM_Rollback*, BM_Backend*, BM_FleetRunner, "
               "BM_GroupCommit*, BM_BackgroundChurn*, BM_DurabilityLag, "
-              "BM_Protocol*, BM_Uds*, BM_Wire*)")
+              "BM_Protocol*, BM_Uds*, BM_Wire*, "
+              "BM_LogTailAppend, BM_SimDeliveryLoop)")
 
     if args.history:
         record = {

@@ -55,23 +55,43 @@ esac
 # per-benchmark MEDIAN time.  Scheduler/VM jitter routinely swings one
 # short pass by +-20%; medians of interleaved passes are what the README
 # tells humans to compare, so the recorded baseline does the same.
+#
+# Each family runs in a process of its own (--benchmark_filter): the
+# recorder-driven families grow the recorder's tables for the whole process,
+# so in one process a family's time depended on which families ran before
+# it (16-30% apart between binaries that differed only in an earlier one).
+bench_bin="${build_dir}/bench/tabd_micro"
+mapfile -t families < <("${bench_bin}" --benchmark_list_tests |
+  sed 's|/.*||' | awk '!seen[$0]++')
 bench_runs="${RDTGC_BENCH_RUNS:-3}"
 for ((i = 0; i < bench_runs; ++i)); do
-  "${build_dir}/bench/tabd_micro" \
-    --benchmark_format=json --benchmark_min_time=0.15 > "${out}.run${i}"
+  for ((k = 0; k < ${#families[@]}; ++k)); do
+    "${bench_bin}" --benchmark_filter="^${families[k]}(/|\$)" \
+      --benchmark_format=json --benchmark_min_time=0.15 \
+      > "${out}.run${i}.${k}"
+  done
 done
 
-# Fold the passes to medians and stamp the recording context (media
-# filesystem — tmpfs baselines measure the store's CPU path, not real
-# media — and the pass count) so a reader can tell what this baseline is.
-python3 - "${out}" "${bench_media_dir}" "${bench_media_fs}" "${bench_runs}" <<'PY'
+# Merge each pass's per-family files, fold the passes to medians and stamp
+# the recording context (media filesystem — tmpfs baselines measure the
+# store's CPU path, not real media — and the pass count) so a reader can
+# tell what this baseline is.
+python3 - "${out}" "${bench_media_dir}" "${bench_media_fs}" "${bench_runs}" \
+  "${#families[@]}" <<'PY'
 import json, statistics, sys
-out, media_dir, media_fs, runs = sys.argv[1:5]
-runs = int(runs)
+out, media_dir, media_fs, runs, families = sys.argv[1:6]
+runs, families = int(runs), int(families)
 passes = []
 for i in range(runs):
-    with open(f"{out}.run{i}") as f:
-        passes.append(json.load(f))
+    merged = None
+    for k in range(families):
+        with open(f"{out}.run{i}.{k}") as f:
+            part = json.load(f)
+        if merged is None:
+            merged = part
+        else:
+            merged["benchmarks"] += part.get("benchmarks", [])
+    passes.append(merged)
 data = passes[-1]  # keep the last pass's context/ordering as the skeleton
 times = {}
 for p in passes:
@@ -85,6 +105,7 @@ ctx = data.setdefault("context", {})
 ctx["bench_media_dir"] = media_dir
 ctx["bench_media_fs"] = media_fs
 ctx["bench_runs"] = runs
+ctx["bench_processes"] = "one per family"
 with open(out, "w") as f:
     json.dump(data, f, indent=2)
     f.write("\n")

@@ -35,18 +35,23 @@ const StoredCheckpoint& CheckpointStore::get(CheckpointIndex index) const {
 void CheckpointStore::put(CheckpointIndex index,
                           const causality::DependencyVector& dv,
                           SimTime stored_at, std::uint64_t bytes) {
-  spare_.index = index;
-  spare_.dv = dv;  // same-size copy assignment reuses the recycled buffer
-  spare_.stored_at = stored_at;
-  spare_.bytes = bytes;
-  put(std::move(spare_));
+  StoredCheckpoint checkpoint;
+  if (!spare_.empty()) {
+    checkpoint = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  checkpoint.index = index;
+  checkpoint.dv = dv;  // same-size copy assignment reuses the recycled buffer
+  checkpoint.stored_at = stored_at;
+  checkpoint.bytes = bytes;
+  put(std::move(checkpoint));
 }
 
 void CheckpointStore::collect(CheckpointIndex index) {
   const std::size_t pos = position(index);
   RDTGC_EXPECTS(pos != indices_.size());
   bytes_ -= checkpoints_[pos].bytes;
-  spare_ = std::move(checkpoints_[pos]);  // recycle the DV buffer
+  spare_.push_back(std::move(checkpoints_[pos]));  // recycle the DV buffer
   indices_.erase(indices_.begin() + static_cast<std::ptrdiff_t>(pos));
   checkpoints_.erase(checkpoints_.begin() + static_cast<std::ptrdiff_t>(pos));
   ++stats_.collected;

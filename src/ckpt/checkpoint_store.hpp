@@ -42,7 +42,7 @@ class CheckpointStore {
   void put(StoredCheckpoint checkpoint);
 
   /// Copy-in variant for the hot checkpoint path: the dependency vector is
-  /// copied into the buffer recycled by the most recent collect(), so
+  /// copied into a buffer recycled by collect() (the spare stack), so
   /// steady-state checkpoint-and-collect churn never touches the heap.
   void put(CheckpointIndex index, const causality::DependencyVector& dv,
            SimTime stored_at, std::uint64_t bytes);
@@ -60,8 +60,9 @@ class CheckpointStore {
     return get(index).dv.view();
   }
 
-  /// Garbage-collection elimination of an obsolete checkpoint.
-  /// Allocation-free.
+  /// Garbage-collection elimination of an obsolete checkpoint; its DV
+  /// buffer goes onto the spare stack.  Allocation-free once the stack
+  /// reached its peak.
   void collect(CheckpointIndex index);
 
   /// Rollback discard of every checkpoint with index > ri (Algorithm 3
@@ -102,9 +103,12 @@ class CheckpointStore {
   ProcessId owner_;
   std::vector<CheckpointIndex> indices_;       // sorted ascending
   std::vector<StoredCheckpoint> checkpoints_;  // parallel to indices_
-  /// Dead checkpoint recycled by collect(); its DV buffer is reused by the
-  /// copy-in put() so the steady-state churn is allocation-free.
-  StoredCheckpoint spare_;
+  /// Dead checkpoints recycled by collect(), popped by the copy-in put(),
+  /// which reuses their DV buffers so the steady-state churn is
+  /// allocation-free even when one delivery releases several checkpoints.
+  /// Every shell was live once, so the stack never outgrows the store's
+  /// peak count (n+1 under RDT-LGC).
+  std::vector<StoredCheckpoint> spare_;
   std::uint64_t bytes_ = 0;
   Stats stats_;
 };

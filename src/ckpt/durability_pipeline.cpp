@@ -122,35 +122,50 @@ std::size_t DurabilityPipeline::drain_some(std::size_t max_ops) {
   // reads acked_index == synced_index, whatever ops a window happens to
   // end on (a collect leaves the put high-water alone on both sides).
   CheckpointIndex watermark = synced_index_.load(std::memory_order_relaxed);
-  for (std::uint64_t seq = from; seq < to; ++seq) {
-    const Slot& slot = ring_[static_cast<std::size_t>(seq & ring_mask_)];
-    switch (slot.kind) {
-      case Slot::Kind::kPut:
-        if (scratch_dv_.size() != slot.dv_size)
-          scratch_dv_ = causality::DependencyVector(slot.dv_size);
-        if (slot.dv_size > 0)
-          std::memcpy(&scratch_dv_.at(0), slot.dv.data(),
-                      slot.dv_size * sizeof(IntervalIndex));
-        medium_.put(slot.index, scratch_dv_, slot.stored_at, slot.bytes);
-        watermark = slot.index;
-        break;
-      case Slot::Kind::kCollect:
-        medium_.collect(slot.index);
-        break;
-      case Slot::Kind::kDiscardAfter:
-        medium_.discard_after(slot.index);
-        watermark = slot.index;  // the lineage truncated to ri
-        break;
+  std::uint64_t seq = from;
+  // Hand the ops the medium took over to it: the next drain resumes after
+  // them.  Runs on a throw too, so a retried drain never replays an op the
+  // medium already applied.
+  const auto advance = [&] {
+    ring_lock_.lock();
+    tail_ = seq;
+    ring_lock_.unlock();
+    synced_ops_.fetch_add(seq - from, std::memory_order_relaxed);
+    synced_index_.store(watermark, std::memory_order_relaxed);
+  };
+  try {
+    for (; seq < to; ++seq) {
+      const Slot& slot = ring_[static_cast<std::size_t>(seq & ring_mask_)];
+      switch (slot.kind) {
+        case Slot::Kind::kPut:
+          if (scratch_dv_.size() != slot.dv_size)
+            scratch_dv_ = causality::DependencyVector(slot.dv_size);
+          if (slot.dv_size > 0)
+            std::memcpy(&scratch_dv_.at(0), slot.dv.data(),
+                        slot.dv_size * sizeof(IntervalIndex));
+          medium_.put(slot.index, scratch_dv_, slot.stored_at, slot.bytes);
+          watermark = slot.index;
+          break;
+        case Slot::Kind::kCollect:
+          medium_.collect(slot.index);
+          break;
+        case Slot::Kind::kDiscardAfter:
+          medium_.discard_after(slot.index);
+          watermark = slot.index;  // the lineage truncated to ri
+          break;
+      }
     }
+    // One durability point for the whole window.
+    medium_.commit();
+  } catch (...) {
+    // A medium write that throws leaves the medium as it was before that
+    // op (storage_backend.hpp), so exactly [from, seq) was applied.  A
+    // failed commit() applied the whole window; the medium stays dirty and
+    // its next flush syncs it.
+    advance();
+    throw;
   }
-  // One durability point for the whole window.
-  medium_.commit();
-
-  ring_lock_.lock();
-  tail_ = to;
-  ring_lock_.unlock();
-  synced_ops_.fetch_add(to - from, std::memory_order_relaxed);
-  synced_index_.store(watermark, std::memory_order_relaxed);
+  advance();
   commits_.fetch_add(1, std::memory_order_relaxed);
   return static_cast<std::size_t>(to - from);
 }

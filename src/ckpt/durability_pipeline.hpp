@@ -49,6 +49,16 @@
 // crash mid-drain; the model — here and in the tests — is dropping the
 // object between operations.
 //
+// Media errors: a medium write that throws (util::IoError, e.g. ENOSPC)
+// leaves the medium as it was before that op, so a drain that throws
+// mid-window hands the ops it already applied to the medium (the ring's
+// tail and the synced counters move past them) and rethrows.  The read
+// store keeps the acknowledged op; a retried commit() or flush() resumes
+// at the op that threw and applies each op exactly once.  An inline drain
+// rethrows to the mutating caller or to flush().  A throw on the
+// kBackground writer thread is not caught yet: it ends the process in
+// std::terminate (ROADMAP item 4).
+//
 // Observability: acknowledged-vs-synced op counts and checkpoint indices
 // are maintained as atomics, snapshot by status() — the durability-lag
 // figure metrics::DurabilityLag samples and the sweep summaries aggregate.
@@ -149,7 +159,8 @@ class DurabilityPipeline {
 
   /// One serialized drain pass: claim up to `max_ops` recorded ops, apply
   /// them in order to the medium, commit it, free the slots.  Returns how
-  /// many ops it applied.
+  /// many ops it applied.  On a throw, frees the slots of the ops the
+  /// medium applied before rethrowing (see "Media errors" above).
   std::size_t drain_some(std::size_t max_ops);
 
   void writer_main();

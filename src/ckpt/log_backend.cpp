@@ -181,30 +181,34 @@ std::byte* LogStructuredBackend::tail_for(std::size_t size) {
     }
     reserved_ = target;
   }
-  // The window starts at the tail's page and spans the next one, which
-  // only a record straddling the boundary touches.  It follows the tail
-  // page by page, so about one page of it is resident at a time.
+  // The window is kTailWindowPages pages from the tail's page on and stays
+  // put until a record would cross its end; then it slides to the page of
+  // that record's first byte.  Each slide refaults that one page, so a
+  // page costs about 8/7 faults, and the window may reach past the file's
+  // end (only bytes below reserved_ are ever stored).  A record wider than
+  // the window gets a window of its own size.
+  if (window_ != nullptr && begin >= window_offset_ &&
+      end <= window_offset_ + window_size_)
+    return window_ + (begin - window_offset_);
   const std::uint64_t offset = begin / page * page;
-  const std::size_t span = static_cast<std::size_t>(
-      std::max(2 * page, (end - offset + page - 1) / page * page));
-  if (window_ == nullptr || offset != window_offset_ || span > window_size_) {
-    // Same size: slide in place, one mmap replacing the old window.
-    void* const hint = span <= window_size_ ? window_ : nullptr;
-    if (hint == nullptr) unmap_tail();
-    void* map = ::mmap(hint, hint != nullptr ? window_size_ : span,
-                       PROT_READ | PROT_WRITE,
-                       MAP_SHARED | (hint != nullptr ? MAP_FIXED : 0), fd_,
-                       static_cast<off_t>(offset));
-    if (map == MAP_FAILED) {
-      const int err = errno;
-      unmap_tail();  // a failed MAP_FIXED may have dropped the old window
-      errno = err;
-      throw_errno("mmap", path_);
-    }
-    if (hint == nullptr) window_size_ = span;
-    window_ = static_cast<std::byte*>(map);
-    window_offset_ = offset;
+  const std::size_t span = static_cast<std::size_t>(std::max(
+      kTailWindowPages * page, (end - offset + page - 1) / page * page));
+  // Same size: slide in place, one mmap replacing the old window.
+  void* const hint = span <= window_size_ ? window_ : nullptr;
+  if (hint == nullptr) unmap_tail();
+  void* map = ::mmap(hint, hint != nullptr ? window_size_ : span,
+                     PROT_READ | PROT_WRITE,
+                     MAP_SHARED | (hint != nullptr ? MAP_FIXED : 0), fd_,
+                     static_cast<off_t>(offset));
+  if (map == MAP_FAILED) {
+    const int err = errno;
+    unmap_tail();  // a failed MAP_FIXED may have dropped the old window
+    errno = err;
+    throw_errno("mmap", path_);
   }
+  if (hint == nullptr) window_size_ = span;
+  window_ = static_cast<std::byte*>(map);
+  window_offset_ = offset;
   return window_ + (begin - window_offset_);
 }
 

@@ -83,8 +83,8 @@ class ShardedCheckpointStore {
   void put(StoredCheckpoint checkpoint);
 
   /// Copy-in variant for the hot checkpoint path: the dependency vector is
-  /// copied into the buffer recycled by the most recent collect(), so
-  /// steady-state checkpoint-and-collect churn never touches the heap.
+  /// copied into a buffer recycled by collect(), so steady-state
+  /// checkpoint-and-collect churn never touches the heap.
   void put(CheckpointIndex index, const causality::DependencyVector& dv,
            SimTime stored_at, std::uint64_t bytes);
 

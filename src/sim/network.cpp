@@ -31,32 +31,73 @@ void Network::disconnect(ProcessId p) {
   if (static_cast<std::size_t>(p) >= process_epoch_.size())
     process_epoch_.resize(static_cast<std::size_t>(p) + 1, 0);
   // Scheduled deliveries touching p self-discard when they surface (their
-  // captured epoch went stale); parked and held messages are purged here.
+  // recorded epoch went stale); parked and held messages are purged here.
   ++process_epoch_[static_cast<std::size_t>(p)];
-  const auto touches_p = [p](const Message& m) {
-    return m.src == p || m.dst == p;
+  const auto spared = [&](Slot slot) {
+    const Message& m = parcels_[slot].message;
+    return m.src != p && m.dst != p;
   };
-  for (std::vector<Message>* queue : {&held_, &mailbox_}) {
-    const auto dead = std::stable_partition(
-        queue->begin(), queue->end(),
-        [&](const Message& m) { return !touches_p(m); });
+  for (std::vector<Slot>* queue : {&held_, &mailbox_}) {
+    const auto dead =
+        std::stable_partition(queue->begin(), queue->end(), spared);
     const auto dropped = static_cast<std::uint64_t>(queue->end() - dead);
     stats_.dropped_in_flight += dropped;
     RDTGC_ASSERT(in_flight_ >= dropped);
     in_flight_ -= dropped;
+    for (auto it = dead; it != queue->end(); ++it) discard(*it);
     queue->erase(dead, queue->end());
   }
 }
 
 Message Network::make_message() {
-  // Fresh value-initialized shell that steals only the recycled DV and
+  // Fresh value-initialized shell that steals only a spare's DV and
   // control buffers (the caller overwrites their contents, reusing the
   // capacity) — every other field gets its default, even ones added later.
   Message m;
-  m.dv = std::move(recycled_.dv);
-  m.control = std::move(recycled_.control);
+  if (!spare_.empty()) {
+    m.dv = std::move(spare_.back().dv);
+    m.control = std::move(spare_.back().control);
+    spare_.pop_back();
+  }
   m.control.clear();  // capacity survives; stale words must not
   return m;
+}
+
+Network::Slot Network::park(Message m) {
+  Slot slot;
+  if (free_.empty()) {
+    slot = static_cast<Slot>(parcels_.size());
+    parcels_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  parcels_[slot].message = std::move(m);
+  return slot;
+}
+
+Message Network::unpark(Slot slot) {
+  Message m = std::move(parcels_[slot].message);
+  free_.push_back(slot);
+  return m;
+}
+
+void Network::recycle(Message m) {
+  // Every shell a make_message() sender needs was in flight at once, so
+  // the table's size bounds the stack.
+  if (spare_.size() < parcels_.size()) spare_.push_back(std::move(m));
+}
+
+SimTime Network::delivery_time(const Message& m) {
+  const SimTime span = config_.max_delay - config_.min_delay + 1;
+  SimTime when = simulator_.now() + config_.min_delay +
+                 static_cast<SimTime>(rng_.uniform(span));
+  if (config_.fifo) {
+    auto& last = last_delivery_[{m.src, m.dst}];
+    when = std::max(when, last);
+    last = when;
+  }
+  return when;
 }
 
 MessageId Network::send(Message m) {
@@ -69,74 +110,82 @@ MessageId Network::send(Message m) {
   m.sent_at = simulator_.now();
   ++stats_.sent;
   stats_.bytes_sent += m.bytes;
+  const MessageId id = m.id;
 
   if (rng_.bernoulli(config_.loss_probability)) {
     ++stats_.lost;
-    return m.id;
+    recycle(std::move(m));
+    return id;
   }
   if (config_.manual) {
     ++in_flight_;
-    mailbox_.push_back(std::move(m));
-    return mailbox_.back().id;
+    mailbox_.push_back(park(std::move(m)));
+    return id;
   }
   if (paused_) {
-    held_.push_back(std::move(m));
+    held_.push_back(park(std::move(m)));
     ++in_flight_;
-    return held_.back().id;
+    return id;
   }
-  const SimTime span = config_.max_delay - config_.min_delay + 1;
-  SimTime when = simulator_.now() + config_.min_delay +
-                 static_cast<SimTime>(rng_.uniform(span));
-  if (config_.fifo) {
-    auto& last = last_delivery_[{m.src, m.dst}];
-    when = std::max(when, last);
-    last = when;
-  }
-  const MessageId id = m.id;
-  schedule_delivery(std::move(m), when);
+  const SimTime when = delivery_time(m);
+  schedule_delivery(park(std::move(m)), when);
   return id;
 }
 
-void Network::schedule_delivery(Message m, SimTime when) {
+void Network::schedule_delivery(Slot slot, SimTime when) {
   ++in_flight_;
-  const std::uint64_t epoch = epoch_;
-  const std::uint64_t src_epoch = process_epoch(m.src);
-  const std::uint64_t dst_epoch = process_epoch(m.dst);
-  simulator_.at(when, [this, epoch, src_epoch, dst_epoch,
-                       m = std::move(m)]() mutable {
-    if (epoch != epoch_) {
-      // drop_in_flight() already reset the counter for this epoch.
-      ++stats_.dropped_in_flight;
-      return;
-    }
-    if (src_epoch != process_epoch(m.src) ||
-        dst_epoch != process_epoch(m.dst)) {
-      // An endpoint's process died (disconnect) after this delivery was
-      // scheduled: the message was in flight at the death and is lost.
-      // Unlike the global-epoch path the counter was NOT reset, so this
-      // message still counts against it.
-      RDTGC_ASSERT(in_flight_ > 0);
-      --in_flight_;
-      ++stats_.dropped_in_flight;
-      return;
-    }
+  Parcel& parcel = parcels_[slot];
+  parcel.epoch = epoch_;
+  parcel.src_epoch = process_epoch(parcel.message.src);
+  parcel.dst_epoch = process_epoch(parcel.message.dst);
+  simulator_.at(when, [this, slot] { on_delivery(slot); });
+}
+
+void Network::on_delivery(Slot slot) {
+  const Parcel& parcel = parcels_[slot];
+  if (parcel.epoch != epoch_) {
+    // drop_in_flight() already reset the counter for this epoch.
+    ++stats_.dropped_in_flight;
+    discard(slot);
+    return;
+  }
+  if (parcel.src_epoch != process_epoch(parcel.message.src) ||
+      parcel.dst_epoch != process_epoch(parcel.message.dst)) {
+    // An endpoint's process died (disconnect) after this delivery was
+    // scheduled: the message was in flight at the death and is lost.
+    // Unlike the global-epoch path the counter was NOT reset, so this
+    // message still counts against it.
     RDTGC_ASSERT(in_flight_ > 0);
     --in_flight_;
-    if (paused_) {
-      // Delivery surfaced while frozen: requeue for resume().
-      held_.push_back(std::move(m));
-      ++in_flight_;
-      return;
-    }
-    ++stats_.delivered;
-    sinks_[static_cast<std::size_t>(m.dst)](m);
-    recycled_ = std::move(m);  // hand the DV buffer back to the next sender
-  });
+    ++stats_.dropped_in_flight;
+    discard(slot);
+    return;
+  }
+  RDTGC_ASSERT(in_flight_ > 0);
+  --in_flight_;
+  if (paused_) {
+    // Delivery surfaced while frozen: requeue for resume().
+    held_.push_back(slot);
+    ++in_flight_;
+    return;
+  }
+  hand_over(slot);
+}
+
+void Network::hand_over(Slot slot) {
+  // Move out before the sink runs: it may send, and a send may grow the
+  // slot table under a reference into it.
+  Message m = unpark(slot);
+  ++stats_.delivered;
+  sinks_[static_cast<std::size_t>(m.dst)](m);
+  recycle(std::move(m));  // hand the buffers back to the next sender
 }
 
 void Network::drop_in_flight() {
   ++epoch_;  // invalidates scheduled deliveries
   stats_.dropped_in_flight += held_.size() + mailbox_.size();
+  for (const Slot slot : held_) discard(slot);
+  for (const Slot slot : mailbox_) discard(slot);
   held_.clear();
   mailbox_.clear();
   in_flight_ = 0;
@@ -144,24 +193,21 @@ void Network::drop_in_flight() {
 
 void Network::deliver_now(MessageId id) {
   RDTGC_EXPECTS(config_.manual);
-  auto it = std::find_if(mailbox_.begin(), mailbox_.end(),
-                         [id](const Message& m) { return m.id == id; });
+  const auto it =
+      std::find_if(mailbox_.begin(), mailbox_.end(),
+                   [&](Slot slot) { return parcels_[slot].message.id == id; });
   RDTGC_EXPECTS(it != mailbox_.end());
-  // Move, don't copy: the message carries a size-n dependency vector and
-  // this is the benchmarked receive path.
-  Message m = std::move(*it);
+  const Slot slot = *it;
   mailbox_.erase(it);
   RDTGC_ASSERT(in_flight_ > 0);
   --in_flight_;
-  ++stats_.delivered;
-  sinks_[static_cast<std::size_t>(m.dst)](m);
-  recycled_ = std::move(m);  // hand the DV buffer back to the next sender
+  hand_over(slot);
 }
 
 std::vector<MessageId> Network::parked() const {
   std::vector<MessageId> out;
   out.reserve(mailbox_.size());
-  for (const Message& m : mailbox_) out.push_back(m.id);
+  for (const Slot slot : mailbox_) out.push_back(parcels_[slot].message.id);
   return out;
 }
 
@@ -169,20 +215,12 @@ void Network::pause() { paused_ = true; }
 
 void Network::resume() {
   paused_ = false;
-  std::vector<Message> held = std::move(held_);
+  in_flight_ -= held_.size();
+  // Scheduling grows the simulator's heap, never the slot table, so the
+  // held messages stay in place.
+  for (const Slot slot : held_)
+    schedule_delivery(slot, delivery_time(parcels_[slot].message));
   held_.clear();
-  in_flight_ -= held.size();
-  for (auto& m : held) {
-    const SimTime span = config_.max_delay - config_.min_delay + 1;
-    SimTime when = simulator_.now() + config_.min_delay +
-                   static_cast<SimTime>(rng_.uniform(span));
-    if (config_.fifo) {
-      auto& last = last_delivery_[{m.src, m.dst}];
-      when = std::max(when, last);
-      last = when;
-    }
-    schedule_delivery(std::move(m), when);
-  }
 }
 
 }  // namespace rdtgc::sim

@@ -5,6 +5,17 @@
 // experiments that want it, but no algorithm here depends on it).  Supports
 // dropping all in-flight messages, which the recovery manager uses to model
 // the paper's rule that recovery lines exclude in-transit messages.
+//
+// Every message in flight — scheduled, held while paused, or parked in the
+// manual mailbox — waits in one slot table, together with the epochs its
+// scheduled delivery checks.  A scheduled delivery is a {this, slot}
+// closure, which fits std::function's inline buffer, so scheduling and
+// running it never allocates.  The delivery moves the message out of its
+// slot before the sink runs (the sink may send and grow the table), and
+// once the sink returns, the message's DV and control buffers go onto a
+// spare stack that make_message() pops.  Dropped and lost messages feed
+// the stack too.  The stack holds at most as many shells as the table has
+// slots, so a sender that never calls make_message() cannot grow it.
 #pragma once
 
 #include <cstdint>
@@ -66,10 +77,11 @@ class Network final : public transport::Transport {
   /// Send `m` (id and sent_at are assigned here).  Returns the message id.
   MessageId send(Message m) override;
 
-  /// A blank message shell whose dependency-vector buffer is recycled from
-  /// the most recently delivered message: filling it with a same-size DV
-  /// copy performs no heap allocation.  Senders on the hot path should
-  /// start from this instead of a default-constructed Message.
+  /// A blank message shell whose DV and control buffers are recycled from a
+  /// delivered or dropped message (the spare stack; see the header
+  /// comment): filling it with a same-size DV copy performs no heap
+  /// allocation.  Senders on the hot path should start from this instead
+  /// of a default-constructed Message.
   Message make_message() override;
 
   /// Drop every message currently in flight (used during recovery sessions).
@@ -91,7 +103,35 @@ class Network final : public transport::Transport {
   std::uint64_t in_flight() const { return in_flight_; }
 
  private:
-  void schedule_delivery(Message m, SimTime when);
+  /// Index into the slot table.
+  using Slot = std::uint32_t;
+
+  /// One message in flight.  The epochs are those current when its
+  /// delivery was scheduled; a stale one drops the message when the
+  /// delivery surfaces.
+  struct Parcel {
+    Message message;
+    std::uint64_t epoch = 0;
+    std::uint64_t src_epoch = 0;
+    std::uint64_t dst_epoch = 0;
+  };
+
+  /// Park `m` in a free slot (growing the table when none is free).
+  Slot park(Message m);
+  /// Move the message out of `slot` and free the slot.
+  Message unpark(Slot slot);
+  /// Hand a delivered, dropped or lost message's buffers to the spare stack.
+  void recycle(Message m);
+  /// Free `slot`, recycling its message.
+  void discard(Slot slot) { recycle(unpark(slot)); }
+  /// Draw the delivery time of a message sent now (FIFO mode: never before
+  /// the channel's previous delivery).
+  SimTime delivery_time(const Message& m);
+  void schedule_delivery(Slot slot, SimTime when);
+  /// The scheduled delivery event of `slot`.
+  void on_delivery(Slot slot);
+  /// Deliver the message in `slot` to its sink, then recycle it.
+  void hand_over(Slot slot);
 
   /// Current epoch of process p (0 until the first disconnect bumps it).
   std::uint64_t process_epoch(ProcessId p) const {
@@ -114,13 +154,16 @@ class Network final : public transport::Transport {
   std::vector<std::uint64_t> process_epoch_;
   std::uint64_t in_flight_ = 0;
   bool paused_ = false;
-  /// Messages sent while paused, delivered on resume().
-  std::vector<Message> held_;
-  /// Manual-mode mailbox, in send order.
-  std::vector<Message> mailbox_;
-  /// Shell of the last delivered message; make_message() hands its DV
-  /// buffer back to the next sender (allocation-free steady state).
-  Message recycled_;
+  /// The slot table: every message in flight, and the free slots.
+  std::vector<Parcel> parcels_;
+  std::vector<Slot> free_;
+  /// Slots of messages sent or surfaced while paused, delivered on resume().
+  std::vector<Slot> held_;
+  /// Manual-mode mailbox: slots in send order.
+  std::vector<Slot> mailbox_;
+  /// Shells whose DV and control buffers make_message() hands to the next
+  /// sender (allocation-free steady state).
+  std::vector<Message> spare_;
   /// Per (src,dst) channel: last scheduled delivery time (FIFO mode).
   std::map<std::pair<ProcessId, ProcessId>, SimTime> last_delivery_;
 };

@@ -1,5 +1,6 @@
 #include "sim/simulator.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "util/check.hpp"
@@ -9,14 +10,16 @@ namespace rdtgc::sim {
 void Simulator::at(SimTime t, Action fn) {
   RDTGC_EXPECTS(t >= now_);
   RDTGC_EXPECTS(fn != nullptr);
-  queue_.push(Entry{t, next_seq_++, std::move(fn)});
+  heap_.push_back(Entry{t, next_seq_++, std::move(fn)});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 bool Simulator::step() {
-  if (queue_.empty()) return false;
-  // Copy out before pop: the action may schedule new events.
-  Entry e = queue_.top();
-  queue_.pop();
+  if (heap_.empty()) return false;
+  // Move out before running: the action may schedule new events.
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Entry e = std::move(heap_.back());
+  heap_.pop_back();
   RDTGC_ASSERT(e.time >= now_);
   now_ = e.time;
   ++processed_;
@@ -32,7 +35,7 @@ std::size_t Simulator::run(std::size_t max_events) {
 
 void Simulator::run_until(SimTime t) {
   RDTGC_EXPECTS(t >= now_);
-  while (!queue_.empty() && queue_.top().time <= t) step();
+  while (!heap_.empty() && heap_.front().time <= t) step();
   now_ = t;
 }
 

@@ -7,11 +7,18 @@
 // bit-for-bit.  The checkpointing and garbage-collection algorithms never read
 // the clock — simulated time orders events, drives workloads, and stamps the
 // checkpoints each Node stores (the simulator is the sim::Clock Nodes read).
+//
+// The pending events live in one std::vector kept as a binary heap
+// (std::push_heap/std::pop_heap over the (time, seq) order); step() moves
+// the next event out of the heap before running it, so running an event
+// copies no Action.  An Action whose captures fit std::function's inline
+// buffer (two words, trivially copyable — sim::Network's {this, slot}
+// delivery closure) is scheduled and run without touching the heap once
+// the vector reached its steady-state capacity.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "causality/types.hpp"
@@ -46,7 +53,7 @@ class Simulator : public Clock {
   void run_until(SimTime t);
 
   std::uint64_t events_processed() const { return processed_; }
-  std::size_t pending() const { return queue_.size(); }
+  std::size_t pending() const { return heap_.size(); }
 
  private:
   struct Entry {
@@ -54,6 +61,7 @@ class Simulator : public Clock {
     std::uint64_t seq;  // tie-break: FIFO among same-time events
     Action fn;
   };
+  /// Heap order: the earliest (time, seq) at the front.
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
       if (a.time != b.time) return a.time > b.time;
@@ -63,7 +71,7 @@ class Simulator : public Clock {
 
   std::uint64_t next_seq_ = 0;
   std::uint64_t processed_ = 0;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  std::vector<Entry> heap_;  ///< a binary heap under Later
 };
 
 }  // namespace rdtgc::sim

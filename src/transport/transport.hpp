@@ -64,9 +64,9 @@ class Transport {
   virtual sim::MessageId send(sim::Message m) = 0;
 
   /// A blank message shell whose dependency-vector buffer is recycled from
-  /// the most recently delivered (or flushed) message: filling it with a
-  /// same-size DV copy performs no heap allocation.  Senders on the hot
-  /// path start from this instead of a default-constructed Message.
+  /// a delivered (or flushed) message: filling it with a same-size DV copy
+  /// performs no heap allocation.  Senders on the hot path start from this
+  /// instead of a default-constructed Message.
   virtual sim::Message make_message() = 0;
 };
 

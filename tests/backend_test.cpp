@@ -11,6 +11,7 @@
 // the reconstructed recovery line and retained sets are checked against the
 // Lemma-1 / Theorem-1 oracles computed from the recorded CCP.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -469,6 +470,160 @@ TEST(LogTornTail, CrashDropRecoversTheAppendsAndTruncatesTheReserve) {
   ASSERT_EQ(log.recover(recovered), reference.count());
   test::expect_stores_equal(reference, recovered);
   EXPECT_EQ(std::filesystem::file_size(path), records_end + kPutRecordBytes);
+}
+
+// ---- The mapped tail window -----------------------------------------------
+//
+// Appends are stores through a window of kTailWindowPages pages that slides
+// only when a record would cross its end; a record wider than the window
+// gets a window of its own.  A fresh log maps its first window at offset 0,
+// so that window ends at tail_window_bytes().  Each case drops the log
+// without flush(), as a killed process would, and recovers it.
+
+std::uint64_t tail_window_bytes() {
+  return ckpt::LogStructuredBackend::kTailWindowPages *
+         static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+/// Bytes of one put record at DV width `width`.
+std::uint64_t put_record_bytes(std::size_t width) {
+  return kRecordHeaderBytes + width * sizeof(IntervalIndex);
+}
+
+/// The DV stored with checkpoint `g` at width `width`: distinct entries at
+/// both ends, so a record cut or shifted anywhere reads back wrong.
+causality::DependencyVector window_dv(std::size_t width, CheckpointIndex g) {
+  causality::DependencyVector dv(width);
+  dv.at(0) = g;
+  dv.at(static_cast<ProcessId>(width / 2)) = 2 * g + 1;
+  dv.at(static_cast<ProcessId>(width - 1)) = 3 * g + 2;
+  return dv;
+}
+
+/// Reopens the log at `path` and recovers it into a fresh store, which
+/// must equal `reference`.
+void expect_log_recovers(const std::string& path,
+                         const CheckpointStore& reference) {
+  CheckpointStore recovered(0);
+  ckpt::LogStructuredBackend log(0, path, OpenMode::kAttach, 1u << 20, 0.5);
+  ASSERT_EQ(log.recover(recovered), reference.count());
+  test::expect_stores_equal(reference, recovered);
+}
+
+/// Puts and collects across three window ends; one record straddles the
+/// first window's end.  The recovered store must equal the reference,
+/// and so must one that kept appending after the reopen.
+TEST(LogTailWindow, RecordStraddlingTheWindowEndRoundTrips) {
+  ScratchDir dir("window_straddle");
+  const std::string path = dir.path() + "/p0_s0.log";
+  constexpr std::size_t width = 16;
+  const std::uint64_t window = tail_window_bytes();
+  CheckpointStore reference(0);
+  bool straddled = false;
+  CheckpointIndex next = 0;
+  {
+    ckpt::LogStructuredBackend log(0, path, OpenMode::kFresh, 1u << 20, 0.5);
+    std::uint64_t end = kLogHeaderBytes;
+    const auto appended = [&](std::uint64_t bytes) {
+      straddled |= end < window && end + bytes > window;
+      end += bytes;
+    };
+    while (end < 3 * window) {
+      const auto dv = window_dv(width, next);
+      log.put(next, dv, static_cast<SimTime>(next), 64);
+      reference.put(next, dv, static_cast<SimTime>(next), 64);
+      appended(put_record_bytes(width));
+      if (next >= 4 && next % 3 == 0) {
+        log.collect(next - 4);
+        reference.collect(next - 4);
+        appended(kRecordHeaderBytes);
+      }
+      ++next;
+    }
+    ASSERT_TRUE(straddled);
+  }
+  expect_log_recovers(path, reference);
+  {
+    CheckpointStore recovered(0);
+    ckpt::LogStructuredBackend log(0, path, OpenMode::kAttach, 1u << 20, 0.5);
+    ASSERT_EQ(log.recover(recovered), reference.count());
+    for (const CheckpointIndex stop = next + 400; next < stop; ++next) {
+      const auto dv = window_dv(width, next);
+      log.put(next, dv, static_cast<SimTime>(next), 64);
+      reference.put(next, dv, static_cast<SimTime>(next), 64);
+    }
+  }
+  expect_log_recovers(path, reference);
+}
+
+/// A DV width whose put record is wider than the window: every append maps
+/// a window of its own size.
+TEST(LogTailWindow, RecordWiderThanTheWindowRoundTrips) {
+  ScratchDir dir("window_wide");
+  const std::string path = dir.path() + "/p0_s0.log";
+  const std::size_t width =
+      static_cast<std::size_t>(tail_window_bytes() / sizeof(IntervalIndex));
+  ASSERT_GE(width, 8192u);
+  ASSERT_GT(put_record_bytes(width), tail_window_bytes());
+  CheckpointStore reference(0);
+  {
+    ckpt::LogStructuredBackend log(0, path, OpenMode::kFresh, 1u << 20, 0.5);
+    for (CheckpointIndex g = 0; g < 6; ++g) {
+      log.put(g, window_dv(width, g), static_cast<SimTime>(g), 64);
+      reference.put(g, window_dv(width, g), static_cast<SimTime>(g), 64);
+    }
+    log.collect(1);
+    reference.collect(1);
+    log.discard_after(4);
+    reference.discard_after(4);
+    log.put(5, window_dv(width, 50), 50, 64);
+    reference.put(5, window_dv(width, 50), 50, 64);
+  }
+  expect_log_recovers(path, reference);
+  EXPECT_EQ(std::filesystem::file_size(path),
+            kLogHeaderBytes + 7 * put_record_bytes(width) +
+                2 * kRecordHeaderBytes);
+}
+
+/// A process killed right after the append that slid the window: the
+/// record straddling the first window's end was stored through the new
+/// window and recovers; with its magic word still zero (killed before the
+/// magic store), it is dropped as a torn tail.
+TEST(LogTailWindow, KillAtTheWindowBoundaryRecovers) {
+  ScratchDir dir("window_kill");
+  const std::string path = dir.path() + "/p0_s0.log";
+  constexpr std::size_t width = 16;
+  const std::uint64_t record = put_record_bytes(width);
+  // Puts [0, last] end with the first record that crosses the window end.
+  const auto last =
+      static_cast<CheckpointIndex>((tail_window_bytes() - kLogHeaderBytes) /
+                                   record);
+  const std::uint64_t last_offset = kLogHeaderBytes + last * record;
+  ASSERT_LT(last_offset, tail_window_bytes());
+  ASSERT_GT(last_offset + record, tail_window_bytes());
+  CheckpointStore reference(0);
+  {
+    ckpt::LogStructuredBackend log(0, path, OpenMode::kFresh, 1u << 20, 0.5);
+    for (CheckpointIndex g = 0; g <= last; ++g) {
+      log.put(g, window_dv(width, g), static_cast<SimTime>(g), 64);
+      reference.put(g, window_dv(width, g), static_cast<SimTime>(g), 64);
+    }
+  }
+  expect_log_recovers(path, reference);
+  EXPECT_EQ(std::filesystem::file_size(path), last_offset + record);
+
+  {
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekp(static_cast<std::streamoff>(last_offset));
+    const std::uint32_t zero = 0;
+    file.write(reinterpret_cast<const char*>(&zero), sizeof(zero));
+    ASSERT_TRUE(file.good());
+  }
+  CheckpointStore torn(0);
+  for (CheckpointIndex g = 0; g < last; ++g)
+    torn.put(g, window_dv(width, g), static_cast<SimTime>(g), 64);
+  expect_log_recovers(path, torn);
+  EXPECT_EQ(std::filesystem::file_size(path), last_offset);
 }
 
 // ---- Whole-system runs over persistent storage ----------------------------

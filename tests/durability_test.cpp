@@ -13,7 +13,9 @@
 //    util::IoError with store and medium still coherent, and so does an
 //    injected ENOSPC while the log's mapped tail grows (the store writes
 //    the medium before its read store, so the throw leaves both as they
-//    were);
+//    were); under group commit the same ENOSPC inside a drain leaves the
+//    applied prefix on the medium, and the retried flush() resumes after
+//    it;
 //  * kill inside the window — dropping a store mid-window recovers a
 //    consistent PREFIX of the acknowledged schedule: deterministic (the last
 //    commit boundary) under kGroupCommit, some drain boundary under
@@ -395,6 +397,73 @@ TEST(FlushErrors, LogTailGrowthFailureSurfacesAsIoErrorAndKeepsStateCoherent) {
                                   config);
   ASSERT_EQ(reopened.recover(), reference.count());
   test::expect_stores_equal(reference, reopened);
+}
+
+/// A full disk inside a group commit's drain.  The read store acknowledged
+/// the put that filled the window, so put() throws IoError with the put
+/// stored; the drain hands the ops the log applied before the refused one
+/// over to it, and once space returns flush() resumes at the refused op:
+/// every op reaches the log exactly once.  Each DV width moves the record
+/// that crosses the reserved space to another place in its window.
+TEST(FlushErrors, GroupCommitDrainResumesAfterAMediaError) {
+  bool refused_mid_window = false;
+  for (const std::size_t width : {4u, 5u, 6u, 7u}) {
+    SCOPED_TRACE(width);
+    ScratchDir dir("err_group_" + std::to_string(width));
+    StorageConfig config;
+    config.kind = StorageBackendKind::kLogStructured;
+    config.directory = dir.path();
+    config.compact_min_records = 1u << 20;
+    config.durability = DurabilityPolicy::GroupCommit(4);
+    CheckpointStore reference(0);
+    {
+      ShardedCheckpointStore store(
+          0, 1, ckpt::StoreConcurrency::kUnsynchronized, config);
+      causality::DependencyVector dv(width);
+      CheckpointIndex next = 0;
+      // The first window drains with space to spare.
+      for (; next < 4; ++next) {
+        dv.at(1) = next;
+        store.put(next, dv, static_cast<SimTime>(next), 8);
+        reference.put(next, dv, static_cast<SimTime>(next), 8);
+      }
+      ASSERT_EQ(store.medium()->count(), 4u);
+
+      util::set_io_fallocate_for_test(
+          +[](int, off_t, off_t) { return ENOSPC; });
+      bool threw = false;
+      while (!threw && next < 10000) {
+        const std::size_t on_medium = store.medium()->count();
+        dv.at(1) = next;
+        try {
+          store.put(next, dv, static_cast<SimTime>(next), 8);
+        } catch (const util::IoError&) {
+          threw = true;
+          EXPECT_TRUE(store.contains(next));  // acknowledged all the same
+          if (store.medium()->count() > on_medium) refused_mid_window = true;
+        }
+        reference.put(next, dv, static_cast<SimTime>(next), 8);
+        ++next;
+      }
+      util::set_io_fallocate_for_test(nullptr);
+      ASSERT_TRUE(threw);
+      test::expect_stores_equal(reference, store);
+      EXPECT_LT(store.medium()->count(), store.count());
+
+      store.flush();
+      EXPECT_EQ(store.medium()->count(), store.count());
+      const ckpt::DurabilityStatus status = store.durability();
+      EXPECT_EQ(status.lag_ops(), 0u);
+      EXPECT_EQ(status.synced_index, store.last_index());
+    }
+    config.open_mode = OpenMode::kAttach;
+    ShardedCheckpointStore reopened(
+        0, 1, ckpt::StoreConcurrency::kUnsynchronized, config);
+    ASSERT_EQ(reopened.recover(), reference.count());
+    test::expect_stores_equal(reference, reopened);
+  }
+  EXPECT_TRUE(refused_mid_window)
+      << "no width refused space after the drain applied part of a window";
 }
 
 TEST(FlushErrors, MmapMsyncFailureSurfacesAsIoErrorAndRollsTheCleanFlagBack) {

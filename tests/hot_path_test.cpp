@@ -6,9 +6,11 @@
 //  * a zero-allocation guarantee for the steady-state receive
 //    (merge_into + on_new_dependencies + CCB/store maintenance), for a whole
 //    unobserved Node's checkpoint/send/deliver cycle (wired like a fleet
-//    worker: no recorder, a stopped clock), and for the socket hops a fleet
-//    frame takes (send_frame + recv_frame, and a FrameQueue flush drained by
-//    recv_frame), enforced with a global operator new/delete counting hook.
+//    worker: no recorder, a stopped clock) one way and both ways, for
+//    deliveries scheduled through Simulator::run, and for the socket hops
+//    a fleet frame takes (send_frame + recv_frame, and a FrameQueue flush
+//    drained by recv_frame), enforced with a global operator new/delete
+//    counting hook.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
@@ -449,6 +451,83 @@ TEST(HotPathAllocations, UnobservedNodeCycleIsAllocationFree) {
   EXPECT_GE(sender.store().stats().collected,
             static_cast<std::uint64_t>(kCycles));
   EXPECT_LE(sender.store().count(), n + 1);
+}
+
+TEST(HotPathAllocations, TwoWayFdasCycleIsAllocationFree) {
+  // Two unobserved FDAS nodes exchanging messages both ways after a basic
+  // checkpoint at a: the b->a delivery forces a checkpoint at a, and the
+  // merge then releases both of a's older checkpoints.  The read store
+  // keeps both collected shells on its spare stack, so the next puts reuse
+  // their DV buffers instead of allocating.
+  const std::size_t n = 8;
+  sim::Simulator network_time;
+  sim::Network::Config manual;
+  manual.manual = true;
+  sim::Network network(network_time, util::Rng(11), manual);
+  ccp::NodeObserver observer;
+  const sim::Clock clock;
+  std::vector<std::unique_ptr<ckpt::Node>> nodes;
+  for (std::size_t p = 0; p < n; ++p)
+    nodes.push_back(std::make_unique<ckpt::Node>(
+        static_cast<ProcessId>(p), n, clock, network, observer,
+        ckpt::make_protocol(ckpt::ProtocolKind::kFdas),
+        std::make_unique<core::RdtLgc>()));
+  ckpt::Node& a = *nodes[0];
+  ckpt::Node& b = *nodes[1];
+  const auto cycle = [&] {
+    a.take_basic_checkpoint();
+    network.deliver_now(a.send_app_message(b.id()));
+    network.deliver_now(b.send_app_message(a.id()));
+  };
+  for (int round = 0; round < 64; ++round) cycle();
+
+  constexpr int kCycles = 1000;
+  const std::uint64_t forced_before = a.counters().forced_checkpoints;
+  const std::uint64_t before = g_allocation_count.load();
+  for (int round = 0; round < kCycles; ++round) cycle();
+  EXPECT_EQ(g_allocation_count.load() - before, 0u)
+      << "a two-way FDAS checkpoint/send/deliver cycle touched the heap";
+  // Every b->a delivery forced a checkpoint at a, and the collector kept
+  // a's store within the paper's n+1 bound.
+  EXPECT_EQ(a.counters().forced_checkpoints - forced_before,
+            static_cast<std::uint64_t>(kCycles));
+  EXPECT_LE(a.store().count(), n + 1);
+}
+
+TEST(HotPathAllocations, ScheduledDeliveryLoopIsAllocationFree) {
+  // Nodes over a non-manual network driven by Simulator::run: each
+  // delivery is a simulator event, so this pins the event heap (no Action
+  // copy per step), the network's slot table (a two-word delivery closure
+  // that fits std::function's inline buffer) and its spare stack (two
+  // messages in flight at once both get recycled buffers).
+  const std::size_t n = 8;
+  sim::Simulator simulator;
+  sim::Network network(simulator, util::Rng(5), sim::Network::Config{});
+  ccp::NodeObserver observer;
+  std::vector<std::unique_ptr<ckpt::Node>> nodes;
+  for (std::size_t p = 0; p < n; ++p)
+    nodes.push_back(std::make_unique<ckpt::Node>(
+        static_cast<ProcessId>(p), n, simulator, network, observer,
+        ckpt::make_protocol(ckpt::ProtocolKind::kFdas),
+        std::make_unique<core::RdtLgc>()));
+  ckpt::Node& receiver = *nodes[0];
+  const auto cycle = [&] {
+    nodes[1]->take_basic_checkpoint();
+    nodes[1]->send_app_message(receiver.id());
+    nodes[2]->send_app_message(receiver.id());
+    simulator.run();
+  };
+  for (int round = 0; round < 64; ++round) cycle();
+
+  constexpr int kCycles = 10000;
+  const std::uint64_t before = g_allocation_count.load();
+  for (int round = 0; round < kCycles; ++round) cycle();
+  EXPECT_EQ(g_allocation_count.load() - before, 0u)
+      << "a scheduled send/deliver cycle touched the heap";
+  EXPECT_EQ(receiver.counters().messages_received, 2u * (64u + kCycles));
+  EXPECT_EQ(network.stats().delivered, 2u * (64u + kCycles));
+  EXPECT_EQ(network.in_flight(), 0u);
+  EXPECT_EQ(simulator.pending(), 0u);
 }
 
 // ---- Zero allocations in the store and the recorder ----------------------

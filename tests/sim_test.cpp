@@ -1,12 +1,17 @@
 // Unit tests for the discrete-event simulator and the network model.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
+#include "harness/system.hpp"
+#include "helpers.hpp"
+#include "recovery/recovery_manager.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "workload/workload.hpp"
 
 namespace rdtgc::sim {
 namespace {
@@ -240,6 +245,73 @@ TEST(Network, RejectsDoubleConnect) {
   network.connect(0, [](const Message&) {});
   EXPECT_THROW(network.connect(0, [](const Message&) {}),
                util::ContractViolation);
+}
+
+// ---- Determinism pin -------------------------------------------------------
+
+/// FNV-1a over a sequence of 64-bit words.
+struct Digest {
+  std::uint64_t value = 0xcbf29ce484222325ull;
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      value ^= (word >> (8 * byte)) & 0xffu;
+      value *= 0x100000001b3ull;
+    }
+  }
+};
+
+/// A seeded run with random delays and losses, a recovery session (pause,
+/// drop_in_flight, resume) and a process restart from its log (disconnect,
+/// reconnect), hashed over every recorded message and checkpoint and the
+/// final DVs.  The digest pins the execution: any change to the (time,
+/// seq) event order, the delay draws or the drop paths moves it.
+TEST(Determinism, SeededSystemRunMatchesItsRecordedDigest) {
+  constexpr std::size_t n = 5;
+  test::ScratchDir dir("determinism");
+  harness::SystemConfig config;
+  config.process_count = n;
+  config.seed = 4242;
+  config.network.loss_probability = 0.02;
+  config.node.storage.kind = ckpt::StorageBackendKind::kLogStructured;
+  config.node.storage.directory = dir.path();
+  harness::System system(config);
+  workload::WorkloadConfig wl;
+  wl.seed = 99;
+  wl.checkpoint_probability = 0.3;
+  workload::WorkloadDriver driver(system.simulator(), system.node_provider(), n,
+                                  wl);
+  recovery::RecoveryManager manager(system.simulator(), system.network(),
+                                    system.recorder(), system.node_provider(),
+                                    recovery::RecoveryManager::Config());
+  driver.start(6000);
+  system.simulator().run_until(2000);
+  manager.recover({1});
+  system.simulator().run_until(4000);
+  system.restart_node(3);
+  system.simulator().run();
+
+  Digest digest;
+  const ccp::CcpRecorder& recorder = system.recorder();
+  for (const ccp::MessageInfo& m : recorder.messages()) {
+    digest.add(static_cast<std::uint64_t>(m.src));
+    digest.add(static_cast<std::uint64_t>(m.dst));
+    digest.add(m.send_serial);
+    digest.add(m.recv_serial);
+    digest.add(static_cast<std::uint64_t>(m.recv_interval));
+  }
+  for (ProcessId p = 0; p < static_cast<ProcessId>(n); ++p) {
+    for (const ccp::CheckpointInfo& c : recorder.checkpoints(p))
+      digest.add(c.serial);
+    for (const IntervalIndex entry : system.node(p).dv().entries())
+      digest.add(static_cast<std::uint64_t>(entry));
+  }
+  const Network::Stats& stats = system.network().stats();
+  EXPECT_EQ(stats.delivered + stats.lost + stats.dropped_in_flight,
+            stats.sent);
+  EXPECT_GT(stats.dropped_in_flight, 0u);
+  EXPECT_GE(recorder.stats().rollbacks, 1u);
+  EXPECT_EQ(recorder.stats().restarts, 1u);
+  EXPECT_EQ(digest.value, 0x7a955f4a19af320cull) << std::hex << digest.value;
 }
 
 }  // namespace
