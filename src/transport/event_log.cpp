@@ -6,11 +6,13 @@
 #include <cerrno>
 #include <charconv>
 #include <concepts>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string_view>
 
 #include "util/check.hpp"
+#include "util/mapped_file.hpp"  // util::IoError
 
 namespace rdtgc::transport {
 
@@ -295,9 +297,12 @@ bool event_from_line(const std::string& line, Event& out) {
   return false;
 }
 
-EventLogWriter::EventLogWriter(const std::string& path) {
+EventLogWriter::EventLogWriter(const std::string& path) : path_(path) {
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  RDTGC_EXPECTS(fd_ >= 0);
+  if (fd_ < 0) {
+    throw util::IoError("cannot open event log '" + path +
+                        "': " + std::strerror(errno));
+  }
 }
 
 EventLogWriter::~EventLogWriter() {
@@ -313,7 +318,8 @@ void EventLogWriter::append(const Event& e) {
     const ssize_t n = ::write(fd_, line_.data() + off, line_.size() - off);
     if (n < 0) {
       if (errno == EINTR) continue;
-      RDTGC_ASSERT(false);  // scratch-dir log writes do not fail in practice
+      throw util::IoError("cannot write event log '" + path_ +
+                          "': " + std::strerror(errno));
     }
     off += static_cast<std::size_t>(n);
   }

@@ -74,7 +74,8 @@ bool event_from_line(const std::string& line, Event& out);
 
 /// Append-mode line writer, flushed per event so the log survives a parent
 /// crash up to the last completed line.  Each line is formatted into a
-/// buffer reused across appends and leaves in one write(2).
+/// buffer reused across appends and leaves in one write(2).  A log that
+/// cannot be opened or written throws util::IoError naming the path.
 class EventLogWriter {
  public:
   explicit EventLogWriter(const std::string& path);
@@ -86,6 +87,7 @@ class EventLogWriter {
   std::size_t events_written() const { return events_; }
 
  private:
+  std::string path_;
   int fd_ = -1;
   std::size_t events_ = 0;
   std::string line_;

@@ -1,32 +1,149 @@
 #include "transport/proc_fleet.hpp"
 
+#include <poll.h>
 #include <signal.h>
-#include <sys/epoll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <utility>
 
 #include "util/check.hpp"
+#include "util/mapped_file.hpp"  // util::IoError
 
 namespace rdtgc::transport {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-int ms_left(Clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        deadline - Clock::now())
+/// Milliseconds from now to `deadline`, rounded up; 0 once it has passed.
+int ms_until(std::chrono::steady_clock::time_point deadline) {
+  const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                        deadline - std::chrono::steady_clock::now())
                         .count();
   return left > 0 ? static_cast<int>(left) : 0;
 }
 
+const char* kind_name(FrameKind kind) {
+  switch (kind) {
+    case FrameKind::kHello: return "Hello";
+    case FrameKind::kData: return "Data";
+    case FrameKind::kRecvAck: return "RecvAck";
+    case FrameKind::kCheckpoint: return "Checkpoint";
+    case FrameKind::kCmd: return "Cmd";
+    case FrameKind::kCmdDone: return "CmdDone";
+    case FrameKind::kState: return "State";
+    case FrameKind::kRecoveryStart: return "RecoveryStart";
+    case FrameKind::kRolledBack: return "RolledBack";
+  }
+  return "unknown";
+}
+
+const char* op_name(CmdOp op) {
+  switch (op) {
+    case CmdOp::kSendApp: return "SendApp";
+    case CmdOp::kCheckpoint: return "Checkpoint";
+    case CmdOp::kQuiesce: return "Quiesce";
+    case CmdOp::kShutdown: return "Shutdown";
+  }
+  return "unknown";
+}
+
+/// The one frame a worker sends back for a command.
+FrameKind reply_kind(CmdOp op) {
+  switch (op) {
+    case CmdOp::kSendApp: return FrameKind::kData;
+    case CmdOp::kCheckpoint: return FrameKind::kCheckpoint;
+    case CmdOp::kQuiesce: return FrameKind::kCmdDone;
+    case CmdOp::kShutdown: return FrameKind::kState;
+  }
+  RDTGC_ASSERT(false);  // every CmdOp the parent sends is listed
+  return FrameKind::kCmdDone;
+}
+
+std::string cmd_name(CmdOp op, std::uint64_t seq) {
+  return std::string("Cmd ") + op_name(op) + " #" + std::to_string(seq);
+}
+
+std::string message_name(ProcessId src, std::uint32_t incarnation,
+                         std::uint64_t seq) {
+  return "message (p" + std::to_string(src) + ", inc " +
+         std::to_string(incarnation) + ", seq " + std::to_string(seq) + ")";
+}
+
+std::string session_name(std::uint64_t session, std::uint32_t attempt) {
+  return "session " + std::to_string(session) + " attempt " +
+         std::to_string(attempt);
+}
+
+/// A received frame, named by the request identity it carries.
+std::string describe(const DecodedFrame& f) {
+  switch (f.header.kind()) {
+    case FrameKind::kRecvAck:
+      return "RecvAck of " + message_name(f.recv_ack.msg_src,
+                                          f.recv_ack.msg_incarnation,
+                                          f.recv_ack.msg_seq);
+    case FrameKind::kCmdDone:
+      return "CmdDone answering " +
+             cmd_name(static_cast<CmdOp>(f.cmd_done.op), f.cmd_done.cmd_seq);
+    case FrameKind::kRolledBack:
+      return "RolledBack of " +
+             session_name(f.rolled_back.session, f.rolled_back.attempt);
+    default:
+      return kind_name(f.header.kind());
+  }
+}
+
 }  // namespace
+
+ProcFleet::OwedRing::OwedRing(std::size_t capacity)
+    : slots_(std::bit_ceil(capacity)) {}
+
+void ProcFleet::OwedRing::push(const OwedReply& owed) {
+  RDTGC_ASSERT(count_ < slots_.size());  // the capacity bound holds
+  slots_[(head_ + count_) & (slots_.size() - 1)] = owed;
+  ++count_;
+}
+
+void ProcFleet::OwedRing::pop() {
+  RDTGC_ASSERT(count_ > 0);
+  head_ = (head_ + 1) & (slots_.size() - 1);
+  --count_;
+}
+
+std::string ProcFleet::describe(const OwedReply& owed) {
+  switch (owed.kind) {
+    case FrameKind::kRecvAck:
+      return "RecvAck of " +
+             message_name(owed.msg.src, owed.msg.incarnation, owed.msg.seq);
+    case FrameKind::kRolledBack:
+      return "RolledBack of " + session_name(owed.session, owed.attempt);
+    default:
+      return std::string(kind_name(owed.kind)) + " answering " +
+             cmd_name(owed.op, owed.cmd_seq);
+  }
+}
+
+bool ProcFleet::answers(const DecodedFrame& f, const OwedReply& owed) {
+  if (f.header.kind() != owed.kind) return false;
+  switch (owed.kind) {
+    case FrameKind::kRecvAck:
+      return MsgKey{f.recv_ack.msg_src, f.recv_ack.msg_incarnation,
+                    f.recv_ack.msg_seq} == owed.msg;
+    case FrameKind::kCmdDone:
+      return f.cmd_done.op == static_cast<std::uint8_t>(owed.op) &&
+             f.cmd_done.cmd_seq == owed.cmd_seq;
+    case FrameKind::kRolledBack:
+      return f.rolled_back.session == owed.session &&
+             f.rolled_back.attempt == owed.attempt;
+    default:
+      return true;  // Data, Checkpoint and State carry no request identity
+  }
+}
 
 ProcFleet::ProcFleet(FleetConfig config) : config_(std::move(config)) {
   RDTGC_EXPECTS(config_.process_count >= 2);
@@ -34,8 +151,14 @@ ProcFleet::ProcFleet(FleetConfig config) : config_(std::move(config)) {
                 !config_.worker_binary.empty());
   RDTGC_EXPECTS(config_.backend != ckpt::StorageBackendKind::kInMemory);
   workers_.resize(config_.process_count);
-  events_.resize(config_.process_count);
   out_.resize(config_.process_count);
+  // One command, the deliveries the bound allows plus the one a call
+  // routes before enforcing it, and the session frames of two attempts'
+  // re-sends (a session restarts at most once, see run_recovery_session).
+  owed_.assign(config_.process_count,
+               OwedRing(kMaxOutstanding + 2 +
+                        2 * static_cast<std::size_t>(
+                                std::max(1, config_.recovery_retries))));
   mirror_.resize(config_.process_count);
   socket_path_ = config_.scratch_dir + "/fleet.sock";
   log_path_ = config_.scratch_dir + "/events.log";
@@ -63,6 +186,10 @@ pid_t ProcFleet::pid(ProcessId p) const {
   return workers_[static_cast<std::size_t>(p)].pid;
 }
 
+ProcFleet::Clock::time_point ProcFleet::step_deadline() const {
+  return Clock::now() + std::chrono::milliseconds(config_.step_timeout_ms);
+}
+
 bool ProcFleet::fail(const std::string& what) {
   if (error_.empty()) error_ = what;
   return false;
@@ -74,12 +201,14 @@ bool ProcFleet::start() {
   for (std::size_t p = 0; p < config_.process_count; ++p)
     std::filesystem::create_directories(
         storage_dir(static_cast<ProcessId>(p)));
-  log_ = std::make_unique<EventLogWriter>(log_path_);
+  try {
+    log_ = std::make_unique<EventLogWriter>(log_path_);
+  } catch (const util::IoError& e) {
+    return fail(e.what());
+  }
   listener_ = uds_listen(socket_path_,
                          static_cast<int>(config_.process_count) + 4);
   if (!listener_.valid()) return fail("bind/listen failed: " + socket_path_);
-  epoll_ = Fd(::epoll_create1(EPOLL_CLOEXEC));
-  if (!epoll_.valid()) return fail("epoll_create1 failed");
   for (std::size_t p = 0; p < config_.process_count; ++p) {
     if (!spawn(static_cast<ProcessId>(p), 0)) return false;
   }
@@ -119,17 +248,17 @@ bool ProcFleet::spawn(ProcessId p, std::uint32_t incarnation) {
   w.incarnation = incarnation;
   w.alive = false;  // until its Hello arrives
   w.draining = false;
-  w.state_received = false;
   return true;
 }
 
 bool ProcFleet::await_hello(ProcessId expected) {
   Fd fd = uds_accept(listener_.get(), config_.step_timeout_ms);
   if (!fd.valid()) return fail("no worker connected within the deadline");
-  const RecvStatus status = recv_frame(fd.get(), in_, config_.step_timeout_ms);
+  const RecvStatus status =
+      recv_frame(fd.get(), hello_, config_.step_timeout_ms);
   if (status != RecvStatus::kFrame)
     return fail("worker connected but sent no Hello");
-  const WireError err = decode_frame(in_, frame_);
+  const WireError err = decode_frame(hello_, frame_);
   if (err != WireError::kOk)
     return fail(std::string("bad Hello frame: ") + wire_error_name(err));
   if (frame_.header.kind() != FrameKind::kHello)
@@ -159,12 +288,8 @@ bool ProcFleet::await_hello(ProcessId expected) {
                 std::to_string(hello.last_index) + ", at most " +
                 std::to_string(max_last) + " is possible");
   }
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u32 = static_cast<std::uint32_t>(p);
-  if (::epoll_ctl(epoll_.get(), EPOLL_CTL_ADD, fd.get(), &ev) != 0)
-    return fail("epoll_ctl(ADD) failed");
   w.fd = std::move(fd);
+  w.rx.emplace(w.fd.get(), config_.step_timeout_ms);
   w.alive = true;
   w.draining = false;
   w.unlogged_checkpoints = 0;
@@ -194,94 +319,118 @@ bool ProcFleet::await_hello(ProcessId expected) {
   return true;
 }
 
-bool ProcFleet::flush(ProcessId p) {
-  Worker& w = workers_[static_cast<std::size_t>(p)];
-  FrameQueue& queue = out_[static_cast<std::size_t>(p)];
-  if (queue.empty() || !w.fd.valid()) return true;
-  const int rc = queue.flush(w.fd.get());
-  if (rc < 0) {
-    // A draining worker's close surfaces on its next read.
-    return w.draining || fail("worker socket died mid-write");
-  }
-  const bool backed_up = rc == 0;
-  if (backed_up != w.out_armed) {
-    epoll_event ev{};
-    ev.events = backed_up ? EPOLLIN | EPOLLOUT : EPOLLIN;
-    ev.data.u32 = static_cast<std::uint32_t>(p);
-    if (::epoll_ctl(epoll_.get(), EPOLL_CTL_MOD, w.fd.get(), &ev) != 0)
-      return fail("epoll_ctl(MOD) failed");
-    w.out_armed = backed_up;
-  }
-  return true;
+void ProcFleet::queue(ProcessId p, std::span<const std::uint8_t> frame,
+                      const OwedReply& reply) {
+  out_[static_cast<std::size_t>(p)].push(frame);
+  owed_[static_cast<std::size_t>(p)].push(reply);
+  if (reply.kind == FrameKind::kRecvAck) ++owed_acks_;
 }
 
-bool ProcFleet::flush_all() {
-  for (std::size_t p = 0; p < workers_.size(); ++p) {
-    if (!flush(static_cast<ProcessId>(p))) return false;
-  }
-  return true;
-}
-
-bool ProcFleet::drain(ProcessId p) {
+bool ProcFleet::flush(ProcessId p, Clock::time_point deadline) {
   Worker& w = workers_[static_cast<std::size_t>(p)];
-  while (w.alive) {
-    const RecvStatus status = recv_frame(w.fd.get(), in_, 0);
-    if (status == RecvStatus::kTimeout) return true;  // the socket is empty
-    if (status == RecvStatus::kClosed || status == RecvStatus::kError) {
-      // Expected after a Shutdown command completed; fatal otherwise.
-      if (!w.state_received && !w.draining)
-        return fail("worker p" + std::to_string(p) + " died unexpectedly");
-      w.alive = false;
-      close_socket(p);
-      return true;
+  FrameQueue& out = out_[static_cast<std::size_t>(p)];
+  while (!out.empty() && w.fd.valid()) {
+    const int rc = out.flush(w.fd.get());
+    if (rc > 0) return true;
+    if (rc < 0) {
+      return fail("worker p" + std::to_string(p) +
+                  " died unexpectedly: its socket refused a frame");
     }
-    const WireError err = decode_frame(in_, frame_);
-    if (err != WireError::kOk)
-      return fail(std::string("bad frame from worker: ") +
-                  wire_error_name(err));
-    if (!handle_frame(p, in_, frame_)) return false;
+    // The socket is full.  p may itself be blocked sending a reply, so
+    // read what it owes while waiting for room.
+    pollfd pfd{w.fd.get(), POLLIN | POLLOUT, 0};
+    const int ready = ::poll(&pfd, 1, ms_until(deadline));
+    if (ready < 0 && errno != EINTR) return fail("poll failed");
+    if (ready == 0) {
+      return fail("deadline expired after " +
+                  std::to_string(config_.step_timeout_ms) + " ms: p" +
+                  std::to_string(p) + "'s socket stayed full");
+    }
+    if (ready > 0 && (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0 &&
+        read_reply(p, deadline) == Read::kFailed) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool ProcFleet::flush_all(Clock::time_point deadline) {
+  for (std::size_t p = 0; p < workers_.size(); ++p) {
+    if (!flush(static_cast<ProcessId>(p), deadline)) return false;
   }
   return true;
 }
 
 void ProcFleet::close_socket(ProcessId p) {
   Worker& w = workers_[static_cast<std::size_t>(p)];
-  if (w.fd.valid()) {
-    // Explicitly: a child between fork and exec still holds the socket, so
-    // close alone would leave it registered.
-    ::epoll_ctl(epoll_.get(), EPOLL_CTL_DEL, w.fd.get(), nullptr);
-    w.fd.reset();
-  }
-  w.out_armed = false;
+  w.rx.reset();
+  w.fd.reset();
   out_[static_cast<std::size_t>(p)].clear();
+  OwedRing& owed = owed_[static_cast<std::size_t>(p)];
+  for (std::size_t i = 0; i < owed.size(); ++i)
+    if (owed[i].kind == FrameKind::kRecvAck) --owed_acks_;
+  owed.clear();
 }
 
-bool ProcFleet::pump(int wait_ms) {
-  if (!flush_all()) return false;
-  const int ready = ::epoll_wait(epoll_.get(), events_.data(),
-                                 static_cast<int>(events_.size()), wait_ms);
-  if (ready < 0) return errno == EINTR || fail("epoll_wait failed");
-  for (int i = 0; i < ready; ++i) {
-    const epoll_event& ev = events_[static_cast<std::size_t>(i)];
-    const auto p = static_cast<ProcessId>(ev.data.u32);
-    if (!workers_[static_cast<std::size_t>(p)].alive) continue;
-    if ((ev.events & EPOLLOUT) && !flush(p)) return false;
-    if ((ev.events & (EPOLLIN | EPOLLHUP | EPOLLERR)) && !drain(p))
-      return false;
+ProcFleet::Read ProcFleet::read_reply(ProcessId p,
+                                      Clock::time_point deadline) {
+  if (!error_.empty()) return Read::kFailed;  // a failed run stays failed
+  Worker& w = workers_[static_cast<std::size_t>(p)];
+  OwedRing& owed = owed_[static_cast<std::size_t>(p)];
+  const RecvStatus status = w.rx->recv(deadline);
+  if (status == RecvStatus::kTimeout) return Read::kTimeout;
+  if (status != RecvStatus::kFrame) {
+    fail("worker p" + std::to_string(p) + " died unexpectedly" +
+         (owed.empty() ? std::string() : ", owing " + describe(owed[0])));
+    return Read::kFailed;
+  }
+  const std::span<const std::uint8_t> raw = w.rx->frame();
+  const WireError err = decode_frame(raw, frame_);
+  if (err != WireError::kOk) {
+    fail(std::string("bad frame from worker: ") + wire_error_name(err));
+    return Read::kFailed;
+  }
+  if (frame_.header.src != p) {
+    fail("frame src does not match its socket");
+    return Read::kFailed;
+  }
+  if (owed.empty()) {
+    fail("p" + std::to_string(p) + " sent " + transport::describe(frame_) +
+         " while it owed no reply");
+    return Read::kFailed;
+  }
+  const OwedReply reply = owed[0];
+  if (!answers(frame_, reply)) {
+    fail("p" + std::to_string(p) + " replied with " +
+         transport::describe(frame_) + " where it owed " + describe(reply));
+    return Read::kFailed;
+  }
+  owed.pop();
+  if (reply.kind == FrameKind::kRecvAck) --owed_acks_;
+  return handle_frame(p, raw, frame_, reply) ? Read::kReply : Read::kFailed;
+}
+
+bool ProcFleet::read_replies(ProcessId p, std::size_t count,
+                             Clock::time_point deadline) {
+  RDTGC_ASSERT(count <= owed_[static_cast<std::size_t>(p)].size());
+  for (; count > 0; --count) {
+    const Read read = read_reply(p, deadline);
+    if (read == Read::kFailed) return false;
+    if (read == Read::kTimeout) {
+      return fail("deadline expired after " +
+                  std::to_string(config_.step_timeout_ms) + " ms: p" +
+                  std::to_string(p) + " still owes " +
+                  describe(owed_[static_cast<std::size_t>(p)][0]));
+    }
   }
   return true;
 }
 
-template <typename Pred>
-bool ProcFleet::pump_until(Pred done, const char* what) {
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(config_.step_timeout_ms);
-  while (!done()) {
-    if (!error_.empty()) return false;
-    const int left = ms_left(deadline);
-    if (left == 0)
-      return fail(std::string("deadline expired waiting for ") + what);
-    if (!pump(std::min(left, 50))) return false;
+bool ProcFleet::read_all_owed(Clock::time_point deadline) {
+  if (!flush_all(deadline)) return false;
+  for (std::size_t p = 0; p < workers_.size(); ++p) {
+    if (!read_replies(static_cast<ProcessId>(p), owed_[p].size(), deadline))
+      return false;
   }
   return true;
 }
@@ -295,9 +444,8 @@ bool ProcFleet::check_width(ProcessId p, const char* kind,
 }
 
 bool ProcFleet::handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
-                             const DecodedFrame& frame) {
-  if (frame.header.src != p)
-    return fail("frame src does not match its socket");
+                             const DecodedFrame& frame,
+                             const OwedReply& owed) {
   const auto in_range = [&](ProcessId q) {
     return q >= 0 && static_cast<std::size_t>(q) < config_.process_count;
   };
@@ -313,9 +461,6 @@ bool ProcFleet::handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
     case FrameKind::kRecvAck: {
       const RecvAckBody& ack = frame.recv_ack;
       if (!check_width(p, "RecvAck", ack.dv_after)) return false;
-      if (!in_range(ack.msg_src))
-        return fail("RecvAck frame from p" + std::to_string(p) +
-                    " names sender p" + std::to_string(ack.msg_src));
       // The receive stays in the current interval — or, forced, follows
       // the checkpoint that closes it, in the next one.
       const auto lineage = static_cast<std::int64_t>(m.ckpt_dvs.size()) +
@@ -336,13 +481,8 @@ bool ProcFleet::handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
       e.forced = ack.forced;
       e.dv = ack.dv_after;
       log_->append(e);
-      const MsgKey key{e.src, e.src_incarnation, e.seq};
-      if (const auto it = outstanding_.find(key); it != outstanding_.end()) {
-        delivered_.push_back(DeliveredRec{e.src, e.src_incarnation, e.seq,
-                                          it->second.send_interval, p,
-                                          e.interval});
-        outstanding_.erase(it);
-      }
+      delivered_.push_back(DeliveredRec{e.src, e.src_incarnation, e.seq,
+                                        owed.send_interval, p, e.interval});
       if (ack.forced != 0) {
         // The forced checkpoint stored the receiver's pre-event DV (the
         // mirror's current) at the pre-event interval.
@@ -401,16 +541,10 @@ bool ProcFleet::handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
       log_->append(e);
       return true;
     }
-    case FrameKind::kCmdDone: {
-      Worker& w = workers_[static_cast<std::size_t>(p)];
-      w.last_done_seq = std::max(w.last_done_seq, frame.cmd_done.cmd_seq);
-      return true;
-    }
+    case FrameKind::kCmdDone:
+      return true;  // the Quiesce ack: everything p sent before it is read
     case FrameKind::kState: {
       if (!check_width(p, "State", frame.state.dv)) return false;
-      Worker& w = workers_[static_cast<std::size_t>(p)];
-      w.state_received = true;
-      w.state = frame.state;
       Event e;
       e.kind = EventKind::kState;
       e.p = p;
@@ -471,16 +605,18 @@ void ProcFleet::route_data(std::span<const std::uint8_t> raw,
   // The destination gets the sender's exact bytes.  The header already
   // carries the destination and the (src, incarnation, seq) identity the
   // parent would stamp, so a re-encode could only reproduce them.
-  out_[static_cast<std::size_t>(dst)].push(raw);
-  outstanding_[MsgKey{e.src, e.src_incarnation, e.seq}] =
-      InFlight{dst, frame.data.send_interval};
+  OwedReply ack;
+  ack.kind = FrameKind::kRecvAck;
+  ack.msg = MsgKey{e.src, e.src_incarnation, e.seq};
+  ack.send_interval = frame.data.send_interval;
+  ack.routed = ++next_routed_;
+  queue(dst, raw, ack);
 }
 
 bool ProcFleet::send_cmd(ProcessId p, CmdOp op, ProcessId target,
-                         std::uint64_t param, std::uint64_t& cmd_seq) {
+                         std::uint64_t param) {
   Worker& w = workers_[static_cast<std::size_t>(p)];
   if (!w.alive) return fail("command to a dead worker");
-  cmd_seq = ++w.next_cmd_seq;
   CmdBody body;
   body.op = static_cast<std::uint8_t>(op);
   body.target = target;
@@ -489,28 +625,42 @@ bool ProcFleet::send_cmd(ProcessId p, CmdOp op, ProcessId target,
   meta.src = -1;
   meta.dst = p;
   meta.incarnation = w.incarnation;
-  meta.seq = cmd_seq;
+  meta.seq = ++w.next_cmd_seq;
   encode_cmd(scratch_, meta, body);
-  out_[static_cast<std::size_t>(p)].push(scratch_);
+  OwedReply reply;
+  reply.kind = reply_kind(op);
+  reply.op = op;
+  reply.cmd_seq = meta.seq;
+  queue(p, scratch_, reply);
   return true;
 }
 
 bool ProcFleet::run_cmd(ProcessId p, CmdOp op, ProcessId target,
                         std::uint64_t param) {
-  std::uint64_t cmd_seq = 0;
-  if (!send_cmd(p, op, target, param, cmd_seq)) return false;
-  const Worker& w = workers_[static_cast<std::size_t>(p)];
-  const auto done = [&] { return w.last_done_seq >= cmd_seq; };
-  // Reply first: read p's socket before waiting.  The woken worker has
-  // often answered by the time the send returns, and then the call makes
-  // no wait syscall at all.
-  if (!flush_all() || !drain(p)) return false;
-  if (!done() && !pump_until(done, "command completion")) return false;
+  const Clock::time_point deadline = step_deadline();
+  if (!send_cmd(p, op, target, param) || !flush_all(deadline)) return false;
+  // p's socket is FIFO: the RecvAcks p owes come first, the command's own
+  // reply last.
+  if (!read_replies(p, owed_[static_cast<std::size_t>(p)].size(), deadline))
+    return false;
   // Deferred RecvAcks keep their deliveries outstanding; past the bound,
-  // read them now (waiting only if they have not been produced yet).
-  return outstanding_.size() <= kMaxOutstanding ||
-         pump_until([&] { return outstanding_.size() <= kMaxOutstanding; },
-                    "deferred delivery acknowledgements");
+  // read the receiver of the oldest (waiting only if it has not answered).
+  while (owed_acks_ > kMaxOutstanding) {
+    ProcessId oldest = -1;
+    std::uint64_t oldest_routed = std::numeric_limits<std::uint64_t>::max();
+    for (std::size_t q = 0; q < owed_.size(); ++q) {
+      for (std::size_t i = 0; i < owed_[q].size(); ++i) {
+        if (owed_[q][i].kind != FrameKind::kRecvAck) continue;
+        if (owed_[q][i].routed < oldest_routed) {
+          oldest = static_cast<ProcessId>(q);
+          oldest_routed = owed_[q][i].routed;
+        }
+        break;  // a ring's first RecvAck is its oldest
+      }
+    }
+    if (!read_replies(oldest, 1, deadline)) return false;
+  }
+  return true;
 }
 
 bool ProcFleet::send_app(ProcessId src, ProcessId dst, std::uint64_t bytes) {
@@ -522,29 +672,28 @@ bool ProcFleet::basic_checkpoint(ProcessId p) {
   return run_cmd(p, CmdOp::kCheckpoint, -1, 0);
 }
 
-bool ProcFleet::outstanding_from(ProcessId p) const {
-  for (const auto& [key, inflight] : outstanding_) {
-    if (key.src == p || inflight.dst == p) return true;
+std::optional<std::size_t> ProcFleet::last_ack_owed_for(ProcessId q,
+                                                        ProcessId p) const {
+  const OwedRing& owed = owed_[static_cast<std::size_t>(q)];
+  for (std::size_t i = owed.size(); i-- > 0;) {
+    if (owed[i].kind == FrameKind::kRecvAck && owed[i].msg.src == p) return i;
   }
-  return false;
+  return std::nullopt;
 }
 
 std::uint64_t ProcFleet::drop_outstanding_to(ProcessId dead) {
+  const OwedRing& owed = owed_[static_cast<std::size_t>(dead)];
   std::uint64_t dropped = 0;
-  for (auto it = outstanding_.begin(); it != outstanding_.end();) {
-    if (it->second.dst == dead) {
-      Event d;
-      d.kind = EventKind::kDrop;
-      d.src = it->first.src;
-      d.src_incarnation = it->first.incarnation;
-      d.seq = it->first.seq;
-      d.dst = dead;
-      log_->append(d);
-      ++dropped;
-      it = outstanding_.erase(it);
-    } else {
-      ++it;
-    }
+  for (std::size_t i = 0; i < owed.size(); ++i) {
+    if (owed[i].kind != FrameKind::kRecvAck) continue;
+    Event d;
+    d.kind = EventKind::kDrop;
+    d.src = owed[i].msg.src;
+    d.src_incarnation = owed[i].msg.incarnation;
+    d.seq = owed[i].msg.seq;
+    d.dst = dead;
+    log_->append(d);
+    ++dropped;
   }
   dropped_ += dropped;
   return dropped;
@@ -570,19 +719,20 @@ bool ProcFleet::quiesced_kill_respawn(ProcessId p) {
   // transit at the death" and drop.  Frames already queued toward p drain
   // ahead of the Quiesce command (FIFO), so p still acknowledges them.
   w.draining = true;
-  std::uint64_t cmd_seq = 0;
-  if (!send_cmd(p, CmdOp::kQuiesce, -1, 0, cmd_seq)) return false;
+  if (!send_cmd(p, CmdOp::kQuiesce, -1, 0)) return false;
+  const Clock::time_point deadline = step_deadline();
   // The quiesce point: p acknowledged the drain AND every message p itself
   // sent has been delivered or dropped.  At this point the event log holds
   // everything p's death can affect, and a SIGKILL loses nothing unlogged —
   // the simulator's disconnect purge and the kernel's buffer discard then
-  // agree exactly.
-  if (!pump_until(
-          [&] {
-            return w.last_done_seq >= cmd_seq && !outstanding_from(p);
-          },
-          "quiesce drain")) {
+  // agree exactly.  p's CmdDone comes after every reply p owed before it.
+  if (!flush_all(deadline) ||
+      !read_replies(p, owed_[static_cast<std::size_t>(p)].size(), deadline))
     return false;
+  for (std::size_t q = 0; q < workers_.size(); ++q) {
+    const auto last = last_ack_owed_for(static_cast<ProcessId>(q), p);
+    if (last && !read_replies(static_cast<ProcessId>(q), *last + 1, deadline))
+      return false;
   }
   Event e;
   e.kind = EventKind::kKill;
@@ -667,8 +817,7 @@ bool ProcFleet::run_recovery_session(std::vector<ProcessId> faulty) {
   // Compute the line on a quiescent cut: drain every pending delivery
   // first, so the paper's "drop in-transit messages" step is vacuous and
   // the replayed session starts from an empty channel state too.
-  if (!pump_until([&] { return outstanding_.empty(); }, "pre-session drain"))
-    return false;
+  if (!read_all_owed(step_deadline())) return false;
   const std::uint64_t session = ++next_session_;
   std::uint32_t attempt = 0;
   std::vector<bool> faulty_mask(config_.process_count, false);
@@ -702,12 +851,16 @@ bool ProcFleet::run_recovery_session(std::vector<ProcessId> faulty) {
     body.attempt = attempt;
     body.li = li;
     body.line = line;
+    const auto acked = [&](std::size_t q) {
+      const Worker& w = workers_[q];
+      return !w.alive || static_cast<ProcessId>(q) == withheld ||
+             (w.acked_session == session && w.acked_attempt >= attempt);
+    };
     const auto broadcast = [&](bool only_missing) {
       for (std::size_t q = 0; q < workers_.size(); ++q) {
         Worker& w = workers_[q];
-        if (!w.alive || static_cast<ProcessId>(q) == withheld) continue;
-        if (only_missing && w.acked_session == session &&
-            w.acked_attempt >= attempt) {
+        if (!w.alive || static_cast<ProcessId>(q) == withheld ||
+            (only_missing && acked(q))) {
           continue;
         }
         FrameMeta meta;
@@ -716,38 +869,36 @@ bool ProcFleet::run_recovery_session(std::vector<ProcessId> faulty) {
         meta.incarnation = w.incarnation;
         meta.seq = ++w.next_cmd_seq;
         encode_recovery_start(scratch_, meta, body);
-        out_[q].push(scratch_);
+        OwedReply ack;
+        ack.kind = FrameKind::kRolledBack;
+        ack.session = session;
+        ack.attempt = attempt;
+        queue(static_cast<ProcessId>(q), scratch_, ack);
       }
-    };
-    const auto acked = [&] {
-      for (std::size_t q = 0; q < workers_.size(); ++q) {
-        const Worker& w = workers_[q];
-        if (!w.alive || static_cast<ProcessId>(q) == withheld) continue;
-        if (w.acked_session != session || w.acked_attempt < attempt)
-          return false;
-      }
-      return true;
     };
 
     // Barrier with deadline-bounded retry: each try gets a full step
-    // deadline; a try that times out re-broadcasts to exactly the workers
-    // whose ack is missing (re-applying a session frame is idempotent —
-    // the rollback restores the position the worker already holds).
+    // deadline and reads each worker up to its ack; a try that times out
+    // re-sends to exactly the workers whose ack is missing (re-applying a
+    // session frame is idempotent — the rollback restores the position the
+    // worker already holds), and each re-send owes one more reply.
     broadcast(/*only_missing=*/false);
-    int tries = 1;
-    for (;;) {
-      const auto deadline =
-          Clock::now() + std::chrono::milliseconds(config_.step_timeout_ms);
-      while (!acked()) {
-        if (!error_.empty()) return false;
-        const int left = ms_left(deadline);
-        if (left == 0) break;
-        if (!pump(std::min(left, 50))) return false;
+    for (int tries = 1;; ++tries) {
+      const Clock::time_point deadline = step_deadline();
+      if (!flush_all(deadline)) return false;
+      bool all_acked = true;
+      for (std::size_t q = 0; q < workers_.size(); ++q) {
+        // Past the deadline a read still returns an ack already queued.
+        while (!acked(q) && !owed_[q].empty()) {
+          const Read read = read_reply(static_cast<ProcessId>(q), deadline);
+          if (read == Read::kFailed) return false;
+          if (read == Read::kTimeout) break;
+        }
+        all_acked = all_acked && acked(q);
       }
-      if (acked()) break;
+      if (all_acked) break;
       if (tries >= config_.recovery_retries)
         return fail("recovery-session barrier: missing RolledBack acks");
-      ++tries;
       broadcast(/*only_missing=*/true);
     }
 
@@ -786,9 +937,9 @@ bool ProcFleet::kill_unclean(ProcessId p) {
   // certified — replay certifies the prefix and stops exactly here.
   e.seq = log_->events_written();
   log_->append(e);
-  w.draining = true;  // silence "died unexpectedly" while we tear it down
-  kill_process(p);
+  w.draining = true;
   w.unlogged_checkpoints = drop_outstanding_to(p);
+  kill_process(p);
   return true;
 }
 
@@ -809,27 +960,14 @@ bool ProcFleet::shutdown() {
   // Let every in-flight delivery surface first so the final States are
   // quiescent (messages to workers downed by kill_unclean were dropped at
   // the kill).
-  if (!pump_until([&] { return outstanding_.empty(); }, "delivery drain"))
-    return false;
-  std::vector<std::uint64_t> seqs(workers_.size(), 0);
+  if (!read_all_owed(step_deadline())) return false;
   for (std::size_t p = 0; p < workers_.size(); ++p) {
-    Worker& w = workers_[p];
-    if (!w.alive) continue;
-    if (!send_cmd(static_cast<ProcessId>(p), CmdOp::kShutdown, -1, 0,
-                  seqs[p])) {
+    if (workers_[p].alive &&
+        !send_cmd(static_cast<ProcessId>(p), CmdOp::kShutdown, -1, 0))
       return false;
-    }
-    w.draining = true;  // the post-State socket close is expected
   }
-  if (!pump_until(
-          [&] {
-            for (const Worker& w : workers_)
-              if (w.pid > 0 && w.alive && !w.state_received) return false;
-            return true;
-          },
-          "final State digests")) {
-    return false;
-  }
+  // Each worker's State, its last frame before it exits.
+  if (!read_all_owed(step_deadline())) return false;
   for (std::size_t p = 0; p < workers_.size(); ++p) {
     Worker& w = workers_[p];
     if (w.pid > 0) {

@@ -11,18 +11,22 @@
 // deterministic simulator (transport/replay.hpp) and the replay must agree
 // bit-for-bit.
 //
-// The socket loop spends only the syscalls a call needs.  Worker sockets
-// sit in one epoll set (EPOLLOUT armed only while a worker's out-queue is
-// backed up); before any wait every queued frame is sent, and a readable
-// socket is drained with non-blocking receives until it is empty.
-// A command reads the commanded worker's socket right after the send — on
-// a shared CPU the woken worker has often replied already, and the call
-// then makes no wait syscall.  Other workers' RecvAck frames are read when
-// those workers are next commanded, by a wait, or once more than
-// kMaxOutstanding deliveries are outstanding.  A deferred RecvAck only
-// moves its deliver event later in the log: still after its send (routed
-// before the receiver could see the message) and before the receiver's
-// later frames (same FIFO socket), so the log stays a valid linearization.
+// The exchange with each worker is strict request/reply: every frame the
+// parent queues to a worker owes exactly one frame back (Cmd SendApp ->
+// Data, Cmd Checkpoint -> Checkpoint, Cmd Quiesce -> CmdDone, Cmd Shutdown
+// -> State, Data -> RecvAck, RecoveryStart -> RolledBack), recorded in that
+// worker's ring of owed replies when the frame is queued.  The parent reads
+// a worker's socket only while the worker owes it a reply, with one
+// blocking recv bounded by the wait's deadline, and checks each reply
+// against the ring's head: the wrong kind, or a RecvAck naming another
+// message, fails the run naming both frames.  A command sends every queued
+// frame, then reads the commanded worker's replies up to its own (RecvAcks
+// the worker owes come first: its socket is FIFO).  Other workers' RecvAcks
+// are read when those workers are next commanded or by a wait, or once more
+// than kMaxOutstanding deliveries are owed.  A deferred RecvAck only moves
+// its deliver event later in the log: still after its send (routed before
+// the receiver could see the message) and before the receiver's later
+// frames (same FIFO socket), so the log stays a valid linearization.
 //
 // Every frame a worker sends is checked before the parent acts on it: DV
 // widths against process_count, lineage indices against the parent's
@@ -49,11 +53,9 @@
 // hanging CI, and the destructor SIGKILLs whatever is still alive.
 #pragma once
 
-#include <sys/epoll.h>
-
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -155,45 +157,81 @@ class ProcFleet {
   /// back under it.
   static constexpr std::size_t kMaxOutstanding = 64;
   /// Messages routed whose RecvAck (or drop) the parent has not yet logged.
-  std::size_t outstanding() const { return outstanding_.size(); }
+  std::size_t outstanding() const { return owed_acks_; }
   /// Delivery records kept for the orphan scan.  A record is dropped once
   /// its sender holds a checkpoint at or past its send interval, so the
   /// count stays bounded in a steady run.
   std::size_t delivered_records() const { return delivered_.size(); }
 
  private:
+  using Clock = TimedReceiver::Clock;
+
+  /// Identity of an application message.
+  struct MsgKey {
+    ProcessId src;
+    std::uint32_t incarnation;
+    std::uint64_t seq;
+    bool operator==(const MsgKey&) const = default;
+  };
+
+  /// A reply a worker owes the parent, and what the reply must match.
+  struct OwedReply {
+    FrameKind kind = FrameKind::kCmdDone;  ///< the reply's frame kind
+    CmdOp op = CmdOp::kSendApp;            ///< Cmd: its op
+    std::uint64_t cmd_seq = 0;             ///< Cmd: its seq
+    MsgKey msg{};                          ///< Data: the message forwarded
+    IntervalIndex send_interval = 0;       ///< Data: its send interval
+    std::uint64_t routed = 0;              ///< Data: fleet-wide routing order
+    std::uint64_t session = 0;             ///< RecoveryStart: its session
+    std::uint32_t attempt = 0;             ///< RecoveryStart: its attempt
+  };
+
+  /// FIFO of the replies one worker owes, in the order its socket returns
+  /// them.  Its capacity is fixed when the fleet is built (see the
+  /// constructor): a worker owes at most one command, the deliveries the
+  /// outstanding bound allows, and the session frames barriers re-send.
+  class OwedRing {
+   public:
+    explicit OwedRing(std::size_t capacity);
+    bool empty() const { return count_ == 0; }
+    std::size_t size() const { return count_; }
+    /// i = 0 is the oldest (the next reply).
+    const OwedReply& operator[](std::size_t i) const {
+      return slots_[(head_ + i) & (slots_.size() - 1)];
+    }
+    void push(const OwedReply& owed);
+    void pop();
+    void clear() { head_ = count_ = 0; }
+
+   private:
+    std::vector<OwedReply> slots_;  ///< power-of-two ring
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+  };
+
   struct Worker {
     pid_t pid = -1;
     Fd fd;
+    /// Blocking reads of fd, armed with step_timeout_ms at the Hello.
+    std::optional<TimedReceiver> rx;
     std::uint32_t incarnation = 0;
     bool alive = false;
     bool draining = false;  ///< kill decided: route nothing more to it
     std::uint64_t next_cmd_seq = 0;
-    std::uint64_t last_done_seq = 0;  ///< highest CmdDone.cmd_seq received
-    bool state_received = false;
-    StateBody state;
     std::uint64_t acked_session = 0;   ///< last recovery session acked
     std::uint32_t acked_attempt = 0;   ///< attempt of that ack
-    bool out_armed = false;  ///< EPOLLOUT registered (out-queue backed up)
     /// Checkpoints the worker may have stored without the log seeing them:
     /// deliveries dropped at its unclean kill (each may have forced one).
     /// Bounds the next Hello's last_index above the mirror's.
     std::uint64_t unlogged_checkpoints = 0;
   };
 
-  /// Identity of an in-flight application message.
-  struct MsgKey {
-    ProcessId src;
-    std::uint32_t incarnation;
-    std::uint64_t seq;
-    auto operator<=>(const MsgKey&) const = default;
-  };
+  /// What reading one owed reply came to.
+  enum class Read : std::uint8_t { kReply, kTimeout, kFailed };
 
-  /// Routing state of an in-flight message (value of outstanding_).
-  struct InFlight {
-    ProcessId dst = -1;
-    IntervalIndex send_interval = 0;
-  };
+  static std::string describe(const OwedReply& owed);
+  /// True iff `f` is the reply `owed` names.
+  static bool answers(const DecodedFrame& f, const OwedReply& owed);
 
   /// A delivery that completed: the send/receive pair the CCP now contains.
   /// Kept until its sender checkpoints past the send or one endpoint dies
@@ -223,25 +261,33 @@ class ProcFleet {
   };
 
   bool fail(const std::string& what);
+  /// The deadline of a wait that starts now.
+  Clock::time_point step_deadline() const;
   bool spawn(ProcessId p, std::uint32_t incarnation);
   bool await_hello(ProcessId p);
-  /// Send p's queued frames without blocking, arming EPOLLOUT while the
-  /// socket stays full.  False only on a fleet-level failure.
-  bool flush(ProcessId p);
-  bool flush_all();
-  /// Read and handle every frame queued on p's socket, without waiting.
-  bool drain(ProcessId p);
-  /// Leave the epoll set and close p's socket; its unsent frames die too.
+  /// Queue `frame` to p, owing `reply`.
+  void queue(ProcessId p, std::span<const std::uint8_t> frame,
+             const OwedReply& reply);
+  /// Send p's queued frames.  A full socket waits in poll(2) for room by
+  /// `deadline`, reading p's owed replies meanwhile so neither side wedges.
+  bool flush(ProcessId p, Clock::time_point deadline);
+  bool flush_all(Clock::time_point deadline);
+  /// Close p's socket; its unsent frames and owed replies die too.
   void close_socket(ProcessId p);
-  /// Flush every out-queue, then wait at most `wait_ms` for activity and
-  /// handle it once.  False only on a fleet-level failure.
-  bool pump(int wait_ms);
-  template <typename Pred>
-  bool pump_until(Pred done, const char* what);
+  /// Read p's next frame by `deadline`, check it against the reply p owes,
+  /// and handle it.  A wait sends its queued frames first (flush_all), so
+  /// every reply it reads answers a frame p has been sent.
+  Read read_reply(ProcessId p, Clock::time_point deadline);
+  /// Read p's next `count` owed replies; fail() at the deadline, naming
+  /// the reply still owed.
+  bool read_replies(ProcessId p, std::size_t count,
+                    Clock::time_point deadline);
+  /// Read every reply every worker owes.
+  bool read_all_owed(Clock::time_point deadline);
   /// `raw` is the datagram `frame` was decoded from (Data is forwarded
-  /// verbatim).
+  /// verbatim); `owed` is the request it answers.
   bool handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
-                    const DecodedFrame& frame);
+                    const DecodedFrame& frame, const OwedReply& owed);
   /// fail() unless `dv` is process_count wide.
   bool check_width(ProcessId p, const char* kind,
                    const std::vector<IntervalIndex>& dv);
@@ -250,16 +296,20 @@ class ProcFleet {
   /// Drop delivery records of sender p that its newest checkpoint made
   /// safe: a later kill resumes at or above it, so they cannot orphan.
   void prune_delivered_below_checkpoint(ProcessId p);
-  bool send_cmd(ProcessId p, CmdOp op, ProcessId target, std::uint64_t param,
-                std::uint64_t& cmd_seq);
-  /// Send a command, read the worker's socket before waiting, pump until
-  /// its CmdDone arrives, then hold outstanding deliveries to the bound.
+  /// Queue a command to p, owing its reply.
+  bool send_cmd(ProcessId p, CmdOp op, ProcessId target, std::uint64_t param);
+  /// Send a command, read p's replies up to its own, then hold outstanding
+  /// deliveries to the bound.
   bool run_cmd(ProcessId p, CmdOp op, ProcessId target, std::uint64_t param);
-  /// Log a drop for every message outstanding to `dead`; returns how many.
+  /// Log a drop for every message outstanding to `dead` and forget what it
+  /// owes; returns how many messages dropped.
   std::uint64_t drop_outstanding_to(ProcessId dead);
   /// SIGKILL and reap p's process (spawned or live), then close_socket.
   void kill_process(ProcessId p);
-  bool outstanding_from(ProcessId p) const;
+  /// Index in q's ring of the newest RecvAck q owes for a message of p's,
+  /// or none.
+  std::optional<std::size_t> last_ack_owed_for(ProcessId q,
+                                               ProcessId p) const;
 
   /// Quiesced SIGKILL + respawn + Hello, no session logic (the body the old
   /// kill_and_restart had; kill_and_restart layers orphan handling on top).
@@ -283,20 +333,20 @@ class ProcFleet {
   std::string socket_path_;
   std::string log_path_;
   Fd listener_;
-  /// Every live worker socket, keyed by process id (epoll_event.data.u32).
-  Fd epoll_;
-  std::vector<epoll_event> events_;
   std::vector<Worker> workers_;
-  /// Per-worker parent->worker frame queues (sent non-blocking).
+  /// Per-worker parent->worker frame queues.
   std::vector<FrameQueue> out_;
-  /// In-flight application messages: key -> routing state.
-  std::map<MsgKey, InFlight> outstanding_;
+  /// Per-worker replies owed, in socket order.
+  std::vector<OwedRing> owed_;
+  /// RecvAcks owed across the fleet: messages routed, not yet delivered.
+  std::size_t owed_acks_ = 0;
+  std::uint64_t next_routed_ = 0;
   /// Completed deliveries a kill of their sender could still orphan.
   std::vector<DeliveredRec> delivered_;
   /// Per-worker DV history mirror (indexed by process id).
   std::vector<DvMirror> mirror_;
   std::unique_ptr<EventLogWriter> log_;
-  WireBuffer in_;
+  WireBuffer hello_;
   WireBuffer scratch_;
   DecodedFrame frame_;
   std::uint64_t dropped_ = 0;

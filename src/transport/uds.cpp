@@ -40,6 +40,29 @@ Clock::time_point deadline_after(int timeout_ms) {
                         : Clock::now() + std::chrono::milliseconds(timeout_ms);
 }
 
+/// The calling thread's receive staging.  One recv must take the whole
+/// datagram (the kernel drops what does not fit), so every receive lands in
+/// an area of the largest frame size first.  The area is allocated on the
+/// thread's first receive and never value-initialised: a frame costs the
+/// bytes the kernel copies, not kMaxFrameBytes of zero-fill.
+std::uint8_t* staging() {
+  thread_local const std::unique_ptr<std::uint8_t[]> area =
+      std::make_unique_for_overwrite<std::uint8_t[]>(kMaxFrameBytes);
+  return area.get();
+}
+
+/// One kernel timer tick: the resolution of the tick-driven coarse clock.
+std::chrono::microseconds kernel_tick() {
+  static const std::chrono::microseconds tick = [] {
+    timespec res{};
+    ::clock_getres(CLOCK_MONOTONIC_COARSE, &res);
+    return std::chrono::ceil<std::chrono::microseconds>(
+        std::chrono::seconds(res.tv_sec) +
+        std::chrono::nanoseconds(res.tv_nsec));
+  }();
+  return tick;
+}
+
 /// poll(2) `fd` for `events` until `deadline`.  A signal does not restart
 /// the full timeout: each retry waits only for what is left, rounded up to
 /// the next millisecond.  > 0 ready, 0 deadline, < 0 poll failed.
@@ -116,18 +139,12 @@ Fd uds_accept(int listen_fd, int timeout_ms) {
 }
 
 RecvStatus recv_frame(int fd, WireBuffer& buf, int timeout_ms) {
-  // One recv must take the whole datagram (the kernel drops what does not
-  // fit), so it lands in a staging area of the largest frame size first.
-  // The area is allocated on the thread's first receive and never
-  // value-initialised: a frame costs the bytes the kernel copies, not
-  // kMaxFrameBytes of zero-fill.
-  thread_local const std::unique_ptr<std::uint8_t[]> staging =
-      std::make_unique_for_overwrite<std::uint8_t[]>(kMaxFrameBytes);
+  std::uint8_t* const area = staging();
   Clock::time_point deadline{};  // set by the first wait
   for (bool waited = false;;) {
-    const ssize_t n = ::recv(fd, staging.get(), kMaxFrameBytes, MSG_DONTWAIT);
+    const ssize_t n = ::recv(fd, area, kMaxFrameBytes, MSG_DONTWAIT);
     if (n > 0) {
-      buf.assign(staging.get(), staging.get() + n);  // capacity reused
+      buf.assign(area, area + n);  // capacity reused
       return RecvStatus::kFrame;
     }
     if (n == 0) return RecvStatus::kClosed;
@@ -207,51 +224,49 @@ bool FrameQueue::flush_blocking(int fd, int timeout_ms) {
 }
 
 TimedReceiver::TimedReceiver(int fd, int timeout_ms)
-    : fd_(fd),
-      timeout_(std::chrono::milliseconds(timeout_ms)),
-      staging_(std::make_unique_for_overwrite<std::uint8_t[]>(kMaxFrameBytes)) {
+    : fd_(fd), timeout_(std::chrono::milliseconds(timeout_ms)) {
   RDTGC_EXPECTS(fd >= 0 && timeout_ms > 0);
-  const bool armed = set_timeout(timeout_);
+  const bool armed = arm(timeout_);
   RDTGC_EXPECTS(armed);  // `fd` is a socket
 }
 
-bool TimedReceiver::set_timeout(std::chrono::microseconds timeout) {
+bool TimedReceiver::arm(std::chrono::microseconds timeout) {
   // A zero timeval would mean "no timeout": never pass less than 1 us.
   const auto us = std::max<std::int64_t>(1, timeout.count());
   const timeval tv{static_cast<time_t>(us / 1000000),
                    static_cast<suseconds_t>(us % 1000000)};
-  return ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv) == 0;
+  if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv) != 0)
+    return false;
+  armed_ = std::chrono::microseconds(us);
+  return true;
 }
 
-RecvStatus TimedReceiver::recv() {
-  const Clock::time_point deadline = Clock::now() + timeout_;
-  RecvStatus status = RecvStatus::kError;
-  for (;;) {
-    const ssize_t n = ::recv(fd_, staging_.get(), kMaxFrameBytes, 0);
-    if (n > 0) {
-      size_ = static_cast<std::size_t>(n);
-      status = RecvStatus::kFrame;
-      break;
-    }
-    if (n == 0) {
-      status = RecvStatus::kClosed;
-      break;
-    }
-    if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) break;
-    // A signal cut the wait short, or SO_RCVTIMEO (counted in kernel
-    // ticks) ended it up to a tick early: wait again for what is left of
-    // the deadline only.
+RecvStatus TimedReceiver::recv(Clock::time_point deadline) {
+  std::uint8_t* const area = staging();
+  for (bool woke_early = false;;) {
     const auto left = std::chrono::ceil<std::chrono::microseconds>(
         deadline - Clock::now());
-    if (left <= std::chrono::microseconds::zero()) {
-      status = RecvStatus::kTimeout;
-      break;
+    const bool expired = left <= std::chrono::microseconds::zero();
+    // SO_RCVTIMEO counts kernel ticks: a timeout within a tick of what is
+    // left already ends the wait on time.  Shorten it when the deadline is
+    // nearer; lengthen it only once a short timeout ended a wait early.
+    if (!expired && (armed_ - left > kernel_tick() ||
+                     (woke_early && left - armed_ > kernel_tick())) &&
+        !arm(left)) {
+      return RecvStatus::kError;
     }
-    if (!set_timeout(left)) break;
-    shortened_ = true;
+    const ssize_t n =
+        ::recv(fd_, area, kMaxFrameBytes, expired ? MSG_DONTWAIT : 0);
+    if (n > 0) {
+      frame_ = {area, static_cast<std::size_t>(n)};
+      return RecvStatus::kFrame;
+    }
+    if (n == 0) return RecvStatus::kClosed;
+    if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)
+      return RecvStatus::kError;
+    if (expired) return RecvStatus::kTimeout;
+    woke_early = true;  // a signal, or the tick-granular timeout: look again
   }
-  if (shortened_ && set_timeout(timeout_)) shortened_ = false;
-  return status;
 }
 
 UdsTransport::UdsTransport(int fd, ProcessId self, std::uint32_t incarnation)
@@ -283,7 +298,7 @@ sim::MessageId UdsTransport::send(sim::Message m) {
   meta.incarnation = incarnation_;
   meta.seq = next_seq();
   encode_data(scratch_, meta, data_scratch_);
-  enqueue_frame(scratch_);  // leaves with the command's CmdDone
+  enqueue_frame(scratch_);  // leaves once the worker loop flushes
   // A bare message is named by its Data frame's seq: nonzero and unique
   // within this incarnation.
   const sim::MessageId id = m.id != 0 ? m.id : meta.seq;

@@ -18,17 +18,15 @@
 //
 // The fleet's steady-state I/O spends only the syscalls a frame needs:
 // FrameQueue holds the frames bound for one socket until the owner sends
-// them (one non-blocking send(2) each), the parent drains a socket with
-// recv_frame(fd, buf, 0) until it is empty, and TimedReceiver is the
-// worker's wait — one blocking recv(2) per frame, bounded by SO_RCVTIMEO
-// instead of a poll(2) in front of it.
+// them (one non-blocking send(2) each), and TimedReceiver is every blocking
+// read of the fleet, the parent's and the worker's — one recv(2) per frame,
+// bounded by SO_RCVTIMEO instead of a poll(2) in front of it.
 #pragma once
 
 #include <sys/socket.h>
 
 #include <chrono>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -137,33 +135,41 @@ class FrameQueue {
   std::size_t count_ = 0;
 };
 
-/// The worker's receive: one blocking recv(2) per frame, bounded by the
-/// socket's SO_RCVTIMEO, so a frame that is already queued or arrives
-/// during the wait costs one syscall and no poll(2).  A signal that cuts
-/// the wait short resumes it for what is left of the deadline (the
-/// shortened SO_RCVTIMEO is restored for the next wait).
+/// A blocking receive: one recv(2) per frame, bounded by the socket's
+/// SO_RCVTIMEO, so a frame that is already queued or arrives during the
+/// wait costs one syscall and no poll(2).  Each wait ends at a steady-clock
+/// deadline: a signal or an early kernel timeout resumes it for what is
+/// left.  SO_RCVTIMEO is re-armed only when what is left differs from the
+/// armed timeout by more than a kernel tick (the timer's own granularity),
+/// so back-to-back waits of one length make no setsockopt(2).
 class TimedReceiver {
  public:
-  /// Sets SO_RCVTIMEO on `fd` (which must stay blocking) to `timeout_ms`.
+  using Clock = std::chrono::steady_clock;
+
+  /// Arms SO_RCVTIMEO on `fd` (which must stay blocking) to `timeout_ms`,
+  /// the length of a recv() without a deadline.
   TimedReceiver(int fd, int timeout_ms);
 
-  /// Wait for one datagram: kFrame (frame() holds it), kTimeout once the
-  /// timeout has passed on the steady clock with none arriving, kClosed
-  /// once the peer closed and every queued frame was returned, kError on a
-  /// socket error.
-  RecvStatus recv();
-  std::span<const std::uint8_t> frame() const {
-    return {staging_.get(), size_};
-  }
+  /// Wait for one datagram until `deadline`: kFrame (frame() holds it),
+  /// kTimeout once the deadline has passed on the steady clock with none
+  /// arriving (a frame already queued is still returned), kClosed once the
+  /// peer closed and every queued frame was returned, kError on a socket
+  /// error.
+  RecvStatus recv(Clock::time_point deadline);
+  /// recv() with the deadline `timeout_ms` from now.
+  RecvStatus recv() { return recv(Clock::now() + timeout_); }
+  /// The last frame received.  It lies in the thread's receive staging,
+  /// which every receiver and recv_frame on the thread share: it stays
+  /// valid until the thread's next receive.
+  std::span<const std::uint8_t> frame() const { return frame_; }
 
  private:
-  bool set_timeout(std::chrono::microseconds timeout);
+  bool arm(std::chrono::microseconds timeout);
 
   int fd_;
   std::chrono::microseconds timeout_;
-  bool shortened_ = false;  ///< SO_RCVTIMEO currently below timeout_
-  std::unique_ptr<std::uint8_t[]> staging_;
-  std::size_t size_ = 0;
+  std::chrono::microseconds armed_{};  ///< SO_RCVTIMEO as last set
+  std::span<const std::uint8_t> frame_;
 };
 
 /// Worker-side Transport over the single socket to the fleet parent.
@@ -172,9 +178,9 @@ class TimedReceiver {
 /// Node's sink, send() encodes the outgoing sim::Message as a Data frame
 /// stamped (self, incarnation, seq) and queues it.  The hot path NEVER
 /// touches the socket: frames wait in `out_` until the worker loop calls
-/// flush_blocking() once per handled frame, so everything one command
-/// produces (Data + CmdDone, Checkpoint + CmdDone) leaves together, before
-/// the next receive (Micro-Checkpointing's output-buffering discipline).
+/// flush_blocking() once per handled frame, so the reply to one frame has
+/// left before the next receive (Micro-Checkpointing's output-buffering
+/// discipline).
 class UdsTransport final : public Transport {
  public:
   UdsTransport(int fd, ProcessId self, std::uint32_t incarnation);

@@ -38,10 +38,24 @@ inline constexpr std::uint32_t kWireMagic = 0x52445447;  // "RDTG"
 /// The only version written and accepted.  v2 added the recovery-session
 /// frames (kRecoveryStart / kRolledBack); v3 appends the checkpointing
 /// protocol's piggybacked control words to Data (sim::Message::control — the
-/// logical-clock CIC family rides its timestamps there).  Frames are IPC
-/// between the binaries of one build and are never persisted, so no older
-/// sender exists and any other version is kBadVersion.
-inline constexpr std::uint16_t kWireVersion = 3;
+/// logical-clock CIC family rides its timestamps there); v4 makes the
+/// parent-worker exchange strict request/reply, each frame the parent sends
+/// answered by exactly one frame:
+///
+///   parent sends       worker replies
+///   ---------------    --------------
+///   Cmd SendApp        its Data frame
+///   Cmd Checkpoint     its Checkpoint frame
+///   Cmd Quiesce        CmdDone
+///   Cmd Shutdown       State (then it exits)
+///   Data               RecvAck
+///   RecoveryStart      RolledBack
+///
+/// Hello, sent once on connect, is the only frame no request asks for.
+/// Frames are IPC between the binaries of one build and are never
+/// persisted, so no older sender exists and any other version is
+/// kBadVersion.
+inline constexpr std::uint16_t kWireVersion = 4;
 inline constexpr std::size_t kWireHeaderBytes = 32;
 /// Upper bound on one frame; a 4096-process State frame fits comfortably.
 inline constexpr std::size_t kMaxFrameBytes = 1 << 20;
@@ -57,7 +71,7 @@ enum class FrameKind : std::uint16_t {
   kRecvAck = 3,     ///< worker -> parent: delivery record for the event log
   kCheckpoint = 4,  ///< worker -> parent: basic checkpoint record
   kCmd = 5,         ///< parent -> worker: workload command
-  kCmdDone = 6,     ///< worker -> parent: command completed
+  kCmdDone = 6,     ///< worker -> parent: Quiesce acknowledged
   kState = 7,       ///< worker -> parent: final state digest (at shutdown)
   kRecoveryStart = 8,  ///< parent -> worker: recovery session (line + LI)
   kRolledBack = 9,     ///< worker -> parent: session ack + post-state digest

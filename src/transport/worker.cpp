@@ -173,10 +173,9 @@ class Worker {
             body.target == config_.self) {
           return kWorkerBadFrame;
         }
-        // The Data frame enters the transport's out queue here, AHEAD of the
-        // CmdDone below — the parent's log order preserves the send.
+        // The reply: the Data frame enters the transport's out queue here.
         node_->send_app_message(body.target, body.param);
-        break;
+        return -1;
       }
       case CmdOp::kCheckpoint: {
         node_->take_basic_checkpoint();
@@ -188,13 +187,19 @@ class Worker {
         ckpt.dv.assign(dv.entries().begin(), dv.entries().end());
         encode_checkpoint(scratch_, meta_to_parent(), ckpt);
         transport_.enqueue_frame(scratch_);
-        break;
+        return -1;
       }
-      case CmdOp::kQuiesce:
-        // Everything this worker ever produced must be on the parent's side
-        // of the socket before the ack: the CmdDone below is the parent's
-        // proof that a SIGKILL now loses nothing unlogged.
-        break;
+      case CmdOp::kQuiesce: {
+        // Everything this worker ever produced is on the parent's side of
+        // the socket before the ack: the CmdDone is the parent's proof that
+        // a SIGKILL now loses nothing unlogged.
+        CmdDoneBody done;
+        done.op = body.op;
+        done.cmd_seq = frame.header.seq;
+        encode_cmd_done(scratch_, meta_to_parent(), done);
+        transport_.enqueue_frame(scratch_);
+        return -1;
+      }
       case CmdOp::kShutdown: {
         StateBody state;
         state.last_index = node_->last_checkpoint_index();
@@ -213,12 +218,6 @@ class Worker {
       default:
         return kWorkerBadFrame;
     }
-    CmdDoneBody done;
-    done.op = body.op;
-    done.cmd_seq = frame.header.seq;
-    encode_cmd_done(scratch_, meta_to_parent(), done);
-    transport_.enqueue_frame(scratch_);
-    return -1;
   }
 
   WorkerConfig config_;

@@ -6,17 +6,17 @@
 // its per-process stack — UdsTransport, and a Node over a persistent kSync
 // store with a plain ccp::NodeObserver and a sim::Clock that stays at 0
 // (no recorder, no simulator: RDT-LGC needs only what the Node holds) —
-// and then serves frames:
+// and then serves frames, answering each with exactly one frame:
 //
-//   * kCmd kSendApp     -> Node::send_app_message (Data frame rides out
-//                          through the transport's send buffer), CmdDone
+//   * kCmd kSendApp     -> Node::send_app_message; its Data frame (through
+//                          the transport's send buffer) is the reply
 //   * kCmd kCheckpoint  -> Node::take_basic_checkpoint, Checkpoint frame
-//                          (DV read back from the store), CmdDone
+//                          (DV read back from the store)
 //   * kData             -> deliver through the transport sink, then RecvAck
 //                          carrying the post-merge DV and the
 //                          forced-checkpoint flag
-//   * kCmd kQuiesce     -> flush everything, CmdDone (the parent's pre-
-//                          SIGKILL drain point)
+//   * kRecoveryStart    -> rollback or peer recovery, RolledBack digest
+//   * kCmd kQuiesce     -> CmdDone (the parent's pre-SIGKILL drain point)
 //   * kCmd kShutdown    -> State digest, flush, exit 0
 //
 // Handlers only queue frames; the loop sends what one frame produced

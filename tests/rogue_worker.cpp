@@ -12,11 +12,13 @@
 //   forced-ack-lineage  RecvAck claiming a forced checkpoint five intervals
 //                       past the receiver's lineage
 //   short-checkpoint    Checkpoint DV one entry short
+//   phantom-recv-ack    RecvAck naming a seq the parent never routed to it
+//   extra-cmd-done      a CmdDone after its Data reply, as wire v3 sent
 //
 // Every other frame is honest enough for the parent to accept: the worker
-// starts at s^0 in interval 1, receives without merging, and answers
-// SendApp with a Data frame, Checkpoint with a Checkpoint frame, each
-// followed by CmdDone.
+// starts at s^0 in interval 1, receives without merging, and answers each
+// frame with one (wire v4): SendApp with a Data frame, Checkpoint with a
+// Checkpoint frame, Quiesce with CmdDone, Shutdown with State.
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -76,7 +78,7 @@ int main(int argc, char** argv) {
       RecvAckBody ack;
       ack.msg_src = frame.header.src;
       ack.msg_incarnation = frame.header.incarnation;
-      ack.msg_seq = frame.header.seq;
+      ack.msg_seq = frame.header.seq + (mode == "phantom-recv-ack" ? 1000 : 0);
       ack.recv_interval = interval;
       ack.dv_after = mode == "short-recv-ack" ? short_dv() : dv;
       if (mode == "forced-ack-lineage") {
@@ -96,6 +98,12 @@ int main(int argc, char** argv) {
         data.bytes = cmd.param;
         data.dv = dv;
         encode_data(out, meta(cmd.target), data);
+        if (!send()) return 6;
+        if (mode != "extra-cmd-done") continue;
+        CmdDoneBody done;
+        done.op = cmd.op;
+        done.cmd_seq = frame.header.seq;
+        encode_cmd_done(out, meta(-1), done);
         break;
       }
       case CmdOp::kCheckpoint: {
@@ -106,6 +114,13 @@ int main(int argc, char** argv) {
         ++interval;
         break;
       }
+      case CmdOp::kQuiesce: {
+        CmdDoneBody done;
+        done.op = cmd.op;
+        done.cmd_seq = frame.header.seq;
+        encode_cmd_done(out, meta(-1), done);
+        break;
+      }
       case CmdOp::kShutdown: {
         StateBody state;
         state.last_index = interval - 1;
@@ -114,14 +129,8 @@ int main(int argc, char** argv) {
         return send() ? 0 : 6;
       }
       default:
-        out.clear();
-        break;
+        return 5;
     }
-    if (!out.empty() && !send()) return 6;
-    CmdDoneBody done;
-    done.op = cmd.op;
-    done.cmd_seq = frame.header.seq;
-    encode_cmd_done(out, meta(-1), done);
     if (!send()) return 6;
   }
 }

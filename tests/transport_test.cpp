@@ -28,11 +28,16 @@
 // uncertifiable position; a tamper test shows the oracle actually bites.
 // The parent's own bookkeeping is pinned too: its delivery records and
 // outstanding deliveries stay bounded over 2000-call runs, kill/restart
-// cycles leave no descriptor or epoll registration behind, and a rogue
-// worker's malformed frames fail the run by name.
+// cycles leave no descriptor behind, and a rogue worker's malformed frames,
+// or a reply other than the one it owes, fail the run by name.  The
+// worker's side of the request/reply contract is pinned against the real
+// rdtgc_proc: each frame it is sent is answered by exactly one frame.
 // Every fleet wait is deadline-bounded, so a hung worker fails fast
-// instead of hanging CI (ctest adds a TIMEOUT belt on top).
+// instead of hanging CI (ctest adds a TIMEOUT belt on top), and a worker
+// killed from outside fails the next read of its socket by name.
 #include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -607,18 +612,6 @@ std::map<int, std::string> open_descriptors() {
   return fds;
 }
 
-/// Descriptors registered with this process's epoll instances.
-std::size_t epoll_registrations() {
-  std::size_t count = 0;
-  for (const auto& [fd, target] : open_descriptors()) {
-    if (target != "anon_inode:[eventpoll]") continue;
-    std::ifstream info("/proc/self/fdinfo/" + std::to_string(fd));
-    for (std::string line; std::getline(info, line);)
-      if (line.starts_with("tfd:")) ++count;
-  }
-  return count;
-}
-
 TEST(Transport, KillRestartCyclesLeaveNoDescriptorBehind) {
   ASSERT_FALSE(proc_bin().empty()) << "RDTGC_PROC_BIN not set";
   const std::size_t n = 3;
@@ -626,7 +619,6 @@ TEST(Transport, KillRestartCyclesLeaveNoDescriptorBehind) {
   ProcFleet fleet(fleet_config(dir, n));
   ASSERT_TRUE(fleet.start()) << fleet.error();
   const std::map<int, std::string> at_start = open_descriptors();
-  EXPECT_EQ(epoll_registrations(), n);
   for (int cycle = 0; cycle < 20; ++cycle) {
     const auto victim = static_cast<ProcessId>(cycle % n);
     const auto peer = static_cast<ProcessId>((victim + 1) % n);
@@ -639,9 +631,7 @@ TEST(Transport, KillRestartCyclesLeaveNoDescriptorBehind) {
   }
   EXPECT_GT(fleet.recovery_sessions(), 0u);
   EXPECT_EQ(open_descriptors(), at_start);
-  EXPECT_EQ(epoll_registrations(), n);
   ASSERT_TRUE(fleet.shutdown()) << fleet.error();
-  EXPECT_EQ(epoll_registrations(), 0u);
   certify(fleet, dir, n);
 }
 
@@ -691,6 +681,15 @@ TEST(Transport, RogueFramesFailTheCallByName) {
       {"short-recv-ack", "RecvAck frame from p1 carries a DV of width 2"},
       {"forced-ack-lineage", "RecvAck frame from p1 puts its receive in"},
       {"short-checkpoint", "Checkpoint frame from p0 carries a DV of width 2"},
+      // p0's Data frame is its seq 2 (its Hello is seq 1).
+      {"phantom-recv-ack",
+       "p1 replied with RecvAck of message (p0, inc 0, seq 1002) where it "
+       "owed RecvAck of message (p0, inc 0, seq 2)"},
+      // The stray CmdDone waits in p0's socket until p0 is next read, when
+      // it owes the RecvAck of p1's Data frame (p1's seq 3).
+      {"extra-cmd-done",
+       "p0 replied with CmdDone answering Cmd SendApp #1 where it owed "
+       "RecvAck of message (p1, inc 0, seq 3)"},
   };
   for (const auto& c : cases) {
     const RogueMode rogue(c.mode);
@@ -705,6 +704,177 @@ TEST(Transport, RogueFramesFailTheCallByName) {
     EXPECT_NE(fleet.error().find(c.error), std::string::npos)
         << c.mode << ": " << fleet.error();
   }
+}
+
+// ---- The worker's side of the request/reply contract ----------------------
+
+/// Fork/exec one real rdtgc_proc as p0 of a two-process fleet whose parent
+/// is the test itself, listening at `socket_path`.
+pid_t spawn_worker(const std::string& socket_path, const std::string& storage) {
+  const std::vector<std::string> args = {
+      proc_bin(), socket_path, "0", "2", "0",
+      std::to_string(static_cast<int>(ckpt::ProtocolKind::kFdas)),
+      std::to_string(static_cast<int>(ckpt::StorageBackendKind::kMmapFile)),
+      storage, "1", "10000"};
+  std::vector<char*> argv;
+  for (const std::string& a : args)
+    argv.push_back(const_cast<char*>(a.c_str()));
+  argv.push_back(nullptr);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::execv(argv[0], argv.data());
+    ::_exit(127);
+  }
+  return pid;
+}
+
+// Each frame the parent sends gets exactly one frame back, and nothing
+// more: after every reply the socket is empty.  Wire v3 followed the Data
+// and Checkpoint replies with a CmdDone.
+TEST(Transport, WorkerAnswersEachFrameWithExactlyOneFrame) {
+  ASSERT_FALSE(proc_bin().empty()) << "RDTGC_PROC_BIN not set";
+  ScratchDir dir("transport_worker_contract");
+  const std::string socket_path = dir.path() + "/worker.sock";
+  std::filesystem::create_directories(dir.path() + "/p0");
+  Fd listener = uds_listen(socket_path, 1);
+  ASSERT_TRUE(listener.valid());
+  const pid_t pid = spawn_worker(socket_path, dir.path() + "/p0");
+  ASSERT_GT(pid, 0);
+  Fd fd = uds_accept(listener.get(), 10000);
+  ASSERT_TRUE(fd.valid());
+
+  WireBuffer in;
+  DecodedFrame frame;
+  const auto reply = [&] {
+    EXPECT_EQ(recv_frame(fd.get(), in, 10000), RecvStatus::kFrame);
+    EXPECT_EQ(decode_frame(in, frame), WireError::kOk);
+    return frame.header.kind();
+  };
+  ASSERT_EQ(reply(), FrameKind::kHello);
+
+  std::uint64_t seq = 0;
+  WireBuffer out;
+  const auto meta = [&](ProcessId src) {
+    FrameMeta m;
+    m.src = src;
+    m.dst = 0;
+    m.incarnation = 0;
+    m.seq = ++seq;
+    return m;
+  };
+  const auto cmd = [&](CmdOp op, ProcessId target) {
+    CmdBody body;
+    body.op = static_cast<std::uint8_t>(op);
+    body.target = target;
+    body.param = 1;
+    encode_cmd(out, meta(-1), body);
+    return out;
+  };
+  DataBody data;
+  data.send_interval = 1;
+  data.bytes = 1;
+  data.dv = {0, 1};
+  WireBuffer data_frame;
+  encode_data(data_frame, meta(1), data);
+
+  const struct {
+    WireBuffer request;
+    FrameKind reply;
+  } exchanges[] = {
+      {cmd(CmdOp::kSendApp, 1), FrameKind::kData},
+      {data_frame, FrameKind::kRecvAck},
+      {cmd(CmdOp::kCheckpoint, -1), FrameKind::kCheckpoint},
+      {cmd(CmdOp::kQuiesce, -1), FrameKind::kCmdDone},
+      {cmd(CmdOp::kShutdown, -1), FrameKind::kState},
+  };
+  for (const auto& x : exchanges) {
+    ASSERT_TRUE(send_frame(fd.get(), x.request, 10000));
+    EXPECT_EQ(reply(), x.reply) << "reply kind " << int{frame.header.kind_raw};
+    // After its State the worker exits, which closes the socket.
+    const RecvStatus next = recv_frame(fd.get(), in, 0);
+    if (x.reply == FrameKind::kState)
+      EXPECT_NE(next, RecvStatus::kFrame);
+    else
+      EXPECT_EQ(next, RecvStatus::kTimeout)
+          << "a second frame after the reply to a kind "
+          << int{x.request[10]} << " frame";
+  }
+  int status = -1;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  EXPECT_EQ(recv_frame(fd.get(), in, 10000), RecvStatus::kClosed);
+}
+
+// ---- Deadlines and deaths on the parent's reads ---------------------------
+
+// A stopped command target never replies: the call fails at its deadline,
+// naming it, and the fleet's destructor still reaps the stopped worker.
+TEST(Transport, StoppedCommandTargetFailsTheCallAtItsDeadline) {
+  ASSERT_FALSE(proc_bin().empty()) << "RDTGC_PROC_BIN not set";
+  ScratchDir dir("transport_stopped_target");
+  FleetConfig config = fleet_config(dir, 3);
+  config.step_timeout_ms = 300;
+  pid_t stopped = -1;
+  {
+    ProcFleet fleet(config);
+    ASSERT_TRUE(fleet.start()) << fleet.error();
+    ASSERT_TRUE(fleet.send_app(0, 1)) << fleet.error();
+    stopped = fleet.pid(1);
+    ASSERT_EQ(::kill(stopped, SIGSTOP), 0);
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_FALSE(fleet.basic_checkpoint(1));
+    const auto took = std::chrono::steady_clock::now() - t0;
+    EXPECT_GE(took, std::chrono::milliseconds(300));
+    EXPECT_LT(took, std::chrono::milliseconds(300 + 200));
+    EXPECT_NE(fleet.error().find("deadline expired after 300 ms: p1 still "
+                                 "owes"),
+              std::string::npos)
+        << fleet.error();
+  }
+  // Reaped: no such process, not even a zombie.
+  EXPECT_EQ(::kill(stopped, 0), -1);
+  EXPECT_EQ(errno, ESRCH);
+}
+
+// A worker SIGKILLed from outside while it owes a RecvAck: the next read
+// of its socket fails the call by name instead of waiting out a deadline.
+TEST(Transport, WorkerKilledOwingARecvAckFailsTheNextRead) {
+  ASSERT_FALSE(proc_bin().empty()) << "RDTGC_PROC_BIN not set";
+  ScratchDir dir("transport_killed_owing");
+  FleetConfig config = fleet_config(dir, 3);
+  config.step_timeout_ms = 5000;
+  ProcFleet fleet(config);
+  ASSERT_TRUE(fleet.start()) << fleet.error();
+  const pid_t victim = fleet.pid(1);
+  ASSERT_EQ(::kill(victim, SIGSTOP), 0);
+  ASSERT_TRUE(fleet.send_app(0, 1)) << fleet.error();
+  // The next call sends the Data frame on to the stopped p1.
+  ASSERT_TRUE(fleet.send_app(2, 0)) << fleet.error();
+  ASSERT_EQ(fleet.outstanding(), 2u);
+  ASSERT_EQ(::kill(victim, SIGKILL), 0);
+  siginfo_t info{};
+  ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(victim), &info,
+                     WEXITED | WNOWAIT),
+            0);  // dead, left for the fleet to reap
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(fleet.shutdown());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(config.step_timeout_ms));
+  EXPECT_NE(fleet.error().find("worker p1 died unexpectedly, owing RecvAck "
+                               "of message (p0"),
+            std::string::npos)
+      << fleet.error();
+}
+
+// An event log that cannot be opened is an I/O error of the run, reported
+// by start() like any other, not a broken contract.
+TEST(Transport, UnopenableEventLogFailsStartByName) {
+  ScratchDir dir("transport_log_dir");
+  std::filesystem::create_directories(dir.path() + "/events.log");
+  ProcFleet fleet(fleet_config(dir, 2));
+  EXPECT_FALSE(fleet.start());
+  EXPECT_NE(fleet.error().find("events.log"), std::string::npos)
+      << fleet.error();
 }
 
 // ---- Deadline guard: a fleet that cannot spawn fails fast, never hangs ----

@@ -10,8 +10,8 @@
 //    peer at once;
 //  * a FrameQueue flush keeps frame order and datagram boundaries, and
 //    under backpressure leaves the unsent tail queued, in order;
-//  * the worker's TimedReceiver returns queued frames first, kTimeout at
-//    its deadline and kClosed once the peer closed;
+//  * TimedReceiver returns queued frames first (even past a deadline),
+//    kTimeout at its deadline and kClosed once the peer closed;
 //  * UdsTransport::send names a bare message with a nonzero id unique
 //    within the incarnation, and returns a preset id unchanged;
 //  * a wait keeps its deadline while signals keep interrupting it.
@@ -250,6 +250,32 @@ TEST(UdsTimedReceiver, QueuedFramesThenTimeoutThenClosed) {
   ASSERT_EQ(rx.recv(), RecvStatus::kFrame);
   EXPECT_EQ(rx.frame().size(), 30u);
   EXPECT_EQ(rx.recv(), RecvStatus::kClosed);
+}
+
+// A wait given a deadline ends there, not at the armed timeout, and still
+// returns a frame that is already queued once the deadline has passed.
+TEST(UdsTimedReceiver, DeadlineBoundsTheWaitNotTheArmedTimeout) {
+  using Clock = TimedReceiver::Clock;
+  SocketPair s = seqpacket_pair();
+  TimedReceiver rx(s.rx.get(), kWaitMs);
+  ASSERT_TRUE(send_frame(s.tx.get(), pattern(40, 7), kWaitMs));
+  EXPECT_EQ(rx.recv(Clock::now() - std::chrono::seconds(1)),
+            RecvStatus::kFrame);
+  EXPECT_EQ(rx.frame().size(), 40u);
+
+  auto t0 = Clock::now();
+  EXPECT_EQ(rx.recv(t0), RecvStatus::kTimeout);
+  EXPECT_LT(Clock::now() - t0, std::chrono::milliseconds(50));
+
+  // The first wait shortens the armed timeout; the second outlasts it.
+  for (const int ms : {50, 120}) {
+    t0 = Clock::now();
+    EXPECT_EQ(rx.recv(t0 + std::chrono::milliseconds(ms)),
+              RecvStatus::kTimeout);
+    const auto waited = Clock::now() - t0;
+    EXPECT_GE(waited, std::chrono::milliseconds(ms));
+    EXPECT_LT(waited, std::chrono::milliseconds(ms + 500));
+  }
 }
 
 TEST(UdsTransportIds, BareSendsGetDistinctIdsAndPresetIdsComeBack) {

@@ -367,11 +367,12 @@ WireBuffer downgraded_data_frame(std::uint8_t version) {
 }
 
 // Only kWireVersion decodes.  Frames are IPC between the binaries of one
-// build, so a v1/v2 frame of any kind — a Data frame in the pre-v3 layout
+// build, so a v1-v3 frame of any kind — a Data frame in the pre-v3 layout
 // without control words included — is kBadVersion, never a decode.
 TEST(WireCompat, OlderVersionsRejected) {
   DecodedFrame f;
-  for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2}}) {
+  for (const std::uint8_t version :
+       {std::uint8_t{1}, std::uint8_t{2}, std::uint8_t{3}}) {
     for (WireBuffer frame :
          {sample_frame(), recovery_start_frame(), rolled_back_frame()}) {
       frame[8] = version;  // version low byte; high is 0
