@@ -5,10 +5,13 @@
 //  * the Algorithm-3 rollback rebuild is O(n log n) with binary search over
 //    the stored checkpoints, versus O(n^2) for the linear scan;
 //  * the offline analyses (R-graph construction, Lemma-1 lines, Theorem-1
-//    characterization) scale with the recorded history.
+//    characterization) scale with the recorded history;
+//  * a real fleet's start-up and one worker's restart, the per-spawn cost
+//    the recovery model charges every failed process.
 #include <benchmark/benchmark.h>
 #include <sys/socket.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <utility>
@@ -35,6 +38,7 @@
 #include "recovery/recovery_manager.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "transport/proc_fleet.hpp"
 #include "transport/uds.hpp"
 #include "transport/wire.hpp"
 #include "workload/workload.hpp"
@@ -869,6 +873,62 @@ BENCHMARK(BM_FleetRunner)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime();
+
+// ---- Fleet start-up families ----------------------------------------------
+//
+// A real transport::ProcFleet over mmap media: BM_FleetStart/4 is start()
+// (listener, 4 worker spawns, their Hellos) plus shutdown() (final States,
+// reaping); BM_FleetKillRestart is one quiesced kill_and_restart in a live
+// 4-worker fleet with no traffic in between (Quiesce, SIGKILL, spawn,
+// re-attach from the media, Hello), which is the restart a failed process
+// pays before any recovery session.  Wall-clock: the work happens in the
+// workers and the kernel, not in this thread.  The worker binary is the
+// rdtgc_proc built beside this one; media live under TMPDIR.
+
+transport::FleetConfig fleet_bench_config(std::size_t n) {
+  transport::FleetConfig config;
+  config.process_count = n;
+  config.scratch_dir = bench::scratch_dir("fleet");
+  config.worker_binary = TABD_PROC_BIN;
+  return config;
+}
+
+void BM_FleetStart(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state) {
+    state.PauseTiming();
+    const transport::FleetConfig config = fleet_bench_config(n);
+    state.ResumeTiming();
+    {
+      transport::ProcFleet fleet(config);
+      if (!fleet.start() || !fleet.shutdown()) {
+        state.SkipWithError(fleet.error().c_str());
+        break;
+      }
+    }
+    state.PauseTiming();
+    std::filesystem::remove_all(config.scratch_dir);
+    state.ResumeTiming();
+  }
+}
+BENCHMARK(BM_FleetStart)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+void BM_FleetKillRestart(benchmark::State& state) {
+  constexpr std::size_t kProcesses = 4;
+  transport::ProcFleet fleet(fleet_bench_config(kProcesses));
+  if (!fleet.start()) {
+    state.SkipWithError(fleet.error().c_str());
+    return;
+  }
+  ProcessId p = 0;
+  for (auto _ : state) {
+    if (!fleet.kill_and_restart(p)) break;
+    p = static_cast<ProcessId>((p + 1) % kProcesses);
+  }
+  if (!fleet.error().empty() || !fleet.shutdown())
+    state.SkipWithError(fleet.error().c_str());
+}
+BENCHMARK(BM_FleetKillRestart)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

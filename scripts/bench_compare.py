@@ -48,14 +48,17 @@ import sys
 # recorder: the gap prices the oracle per delivery.  BM_LogTailAppend is one
 # log medium's append per record through its mapped tail, and
 # BM_SimDeliveryLoop one send and delivery through the simulator's event
-# loop and network.
+# loop and network.  BM_FleetStart and BM_FleetKillRestart are a real
+# 4-worker fleet's start-up and one quiesced worker restart: what a worker
+# spawn costs the fleet's setup and a failed process's recovery.
 TRACKED = re.compile(
     r"^(BM_DvMerge|BM_ReceivePath|BM_ReceivePathUnobserved)\b"
     r"|^BM_Rollback|^BM_Backend|^BM_FleetRunner"
     r"|^BM_NodeAttach|^BM_ChurnRestart"
     r"|^BM_GroupCommit|^BM_BackgroundChurn|^BM_DurabilityLag"
     r"|^BM_Protocol|^BM_Uds|^BM_Wire"
-    r"|^BM_LogTailAppend|^BM_SimDeliveryLoop")
+    r"|^BM_LogTailAppend|^BM_SimDeliveryLoop"
+    r"|^BM_FleetStart|^BM_FleetKillRestart")
 
 
 def load(path):

@@ -2,6 +2,7 @@
 
 #include <poll.h>
 #include <signal.h>
+#include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -9,6 +10,7 @@
 #include <bit>
 #include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <utility>
@@ -186,6 +188,11 @@ pid_t ProcFleet::pid(ProcessId p) const {
   return workers_[static_cast<std::size_t>(p)].pid;
 }
 
+Event& ProcFleet::event(EventKind kind) {
+  event_.kind = kind;
+  return event_;
+}
+
 ProcFleet::Clock::time_point ProcFleet::step_deadline() const {
   return Clock::now() + std::chrono::milliseconds(config_.step_timeout_ms);
 }
@@ -195,17 +202,13 @@ bool ProcFleet::fail(const std::string& what) {
   return false;
 }
 
-bool ProcFleet::start() {
+bool ProcFleet::start() try {
   RDTGC_EXPECTS(!started_);
   started_ = true;
   for (std::size_t p = 0; p < config_.process_count; ++p)
     std::filesystem::create_directories(
         storage_dir(static_cast<ProcessId>(p)));
-  try {
-    log_ = std::make_unique<EventLogWriter>(log_path_);
-  } catch (const util::IoError& e) {
-    return fail(e.what());
-  }
+  log_ = std::make_unique<EventLogWriter>(log_path_);
   listener_ = uds_listen(socket_path_,
                          static_cast<int>(config_.process_count) + 4);
   if (!listener_.valid()) return fail("bind/listen failed: " + socket_path_);
@@ -217,6 +220,8 @@ bool ProcFleet::start() {
     if (!await_hello(-1)) return false;
   }
   return true;
+} catch (const util::IoError& e) {
+  return fail(e.what());
 }
 
 bool ProcFleet::spawn(ProcessId p, std::uint32_t incarnation) {
@@ -237,11 +242,15 @@ bool ProcFleet::spawn(ProcessId p, std::uint32_t incarnation) {
   for (const std::string& a : args) argv.push_back(const_cast<char*>(a.c_str()));
   argv.push_back(nullptr);
 
-  const pid_t pid = ::fork();
-  if (pid < 0) return fail("fork failed");
-  if (pid == 0) {
-    ::execv(argv[0], argv.data());
-    ::_exit(127);  // exec failed; the parent sees a dead connectionless child
+  // posix_spawn neither copies the parent's page tables nor write-protects
+  // its pages, and an exec failure comes back here as an errno (the failed
+  // child is reaped inside the call) instead of as a Hello that never comes.
+  pid_t pid = -1;
+  const int rc =
+      ::posix_spawn(&pid, argv[0], nullptr, nullptr, argv.data(), environ);
+  if (rc != 0) {
+    return fail("cannot spawn worker '" + config_.worker_binary +
+                "': " + std::strerror(rc));
   }
   Worker& w = workers_[static_cast<std::size_t>(p)];
   w.pid = pid;
@@ -309,8 +318,7 @@ bool ProcFleet::await_hello(ProcessId expected) {
   m.ckpt_dvs.resize(rows);
   m.current = hello.dv;
 
-  Event e;
-  e.kind = EventKind::kAttach;
+  Event& e = event(EventKind::kAttach);
   e.p = p;
   e.incarnation = w.incarnation;
   e.index = hello.last_index;
@@ -470,8 +478,7 @@ bool ProcFleet::handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
                     " puts its receive in interval " +
                     std::to_string(ack.recv_interval) + ", its lineage in " +
                     std::to_string(lineage));
-      Event e;
-      e.kind = EventKind::kDeliver;
+      Event& e = event(EventKind::kDeliver);
       e.dst = p;
       e.incarnation = frame.header.incarnation;
       e.src = ack.msg_src;
@@ -500,8 +507,7 @@ bool ProcFleet::handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
         return fail("Checkpoint frame from p" + std::to_string(p) +
                     " has index " + std::to_string(ckpt.index) +
                     ", its lineage " + std::to_string(m.ckpt_dvs.size()));
-      Event e;
-      e.kind = EventKind::kCheckpoint;
+      Event& e = event(EventKind::kCheckpoint);
       e.p = p;
       e.incarnation = frame.header.incarnation;
       e.index = ckpt.index;
@@ -528,8 +534,7 @@ bool ProcFleet::handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
       w.acked_attempt = rb.attempt;
       m.ckpt_dvs.resize(static_cast<std::size_t>(rb.last_index) + 1);
       m.current = rb.dv;
-      Event e;
-      e.kind = EventKind::kRolledBack;
+      Event& e = event(EventKind::kRolledBack);
       e.p = p;
       e.incarnation = frame.header.incarnation;
       e.session = rb.session;
@@ -545,8 +550,7 @@ bool ProcFleet::handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
       return true;  // the Quiesce ack: everything p sent before it is read
     case FrameKind::kState: {
       if (!check_width(p, "State", frame.state.dv)) return false;
-      Event e;
-      e.kind = EventKind::kState;
+      Event& e = event(EventKind::kState);
       e.p = p;
       e.incarnation = frame.header.incarnation;
       e.index = frame.state.last_index;
@@ -576,8 +580,7 @@ void ProcFleet::route_data(std::span<const std::uint8_t> raw,
                            const DecodedFrame& frame) {
   // The send happened regardless of the destination's fate: it is part of
   // the sender's protocol state and the replay re-executes it.
-  Event e;
-  e.kind = EventKind::kSend;
+  Event& e = event(EventKind::kSend);
   e.src = frame.header.src;
   e.src_incarnation = frame.header.incarnation;
   e.seq = frame.header.seq;
@@ -591,14 +594,10 @@ void ProcFleet::route_data(std::span<const std::uint8_t> raw,
   const Worker& w = workers_[static_cast<std::size_t>(dst)];
   if (!w.alive || w.draining) {
     // In transit to a dead process: lost, exactly like the simulator's
-    // disconnect drop (the replay purges it the same way).
-    Event d;
-    d.kind = EventKind::kDrop;
-    d.src = e.src;
-    d.src_incarnation = e.src_incarnation;
-    d.seq = e.seq;
-    d.dst = dst;
-    log_->append(d);
+    // disconnect drop (the replay purges it the same way).  The drop line
+    // names the send's own src, sinc, seq and dst.
+    e.kind = EventKind::kDrop;
+    log_->append(e);
     ++dropped_;
     return;
   }
@@ -663,13 +662,18 @@ bool ProcFleet::run_cmd(ProcessId p, CmdOp op, ProcessId target,
   return true;
 }
 
-bool ProcFleet::send_app(ProcessId src, ProcessId dst, std::uint64_t bytes) {
+bool ProcFleet::send_app(ProcessId src, ProcessId dst,
+                         std::uint64_t bytes) try {
   RDTGC_EXPECTS(src != dst);
   return run_cmd(src, CmdOp::kSendApp, dst, bytes);
+} catch (const util::IoError& e) {
+  return fail(e.what());
 }
 
-bool ProcFleet::basic_checkpoint(ProcessId p) {
+bool ProcFleet::basic_checkpoint(ProcessId p) try {
   return run_cmd(p, CmdOp::kCheckpoint, -1, 0);
+} catch (const util::IoError& e) {
+  return fail(e.what());
 }
 
 std::optional<std::size_t> ProcFleet::last_ack_owed_for(ProcessId q,
@@ -686,8 +690,7 @@ std::uint64_t ProcFleet::drop_outstanding_to(ProcessId dead) {
   std::uint64_t dropped = 0;
   for (std::size_t i = 0; i < owed.size(); ++i) {
     if (owed[i].kind != FrameKind::kRecvAck) continue;
-    Event d;
-    d.kind = EventKind::kDrop;
+    Event& d = event(EventKind::kDrop);
     d.src = owed[i].msg.src;
     d.src_incarnation = owed[i].msg.incarnation;
     d.seq = owed[i].msg.seq;
@@ -734,8 +737,7 @@ bool ProcFleet::quiesced_kill_respawn(ProcessId p) {
     if (last && !read_replies(static_cast<ProcessId>(q), *last + 1, deadline))
       return false;
   }
-  Event e;
-  e.kind = EventKind::kKill;
+  Event& e = event(EventKind::kKill);
   e.p = p;
   log_->append(e);
   kill_process(p);
@@ -743,7 +745,7 @@ bool ProcFleet::quiesced_kill_respawn(ProcessId p) {
   return await_hello(p);
 }
 
-bool ProcFleet::kill_and_restart(ProcessId p) {
+bool ProcFleet::kill_and_restart(ProcessId p) try {
   RDTGC_EXPECTS(p >= 0 && static_cast<std::size_t>(p) < workers_.size());
   const std::uint32_t killed_inc =
       workers_[static_cast<std::size_t>(p)].incarnation;
@@ -767,6 +769,8 @@ bool ProcFleet::kill_and_restart(ProcessId p) {
   }
   orphans_repaired_ += orphans;
   return run_recovery_session({p});
+} catch (const util::IoError& e) {
+  return fail(e.what());
 }
 
 void ProcFleet::prune_delivered_after_attach(ProcessId p,
@@ -828,8 +832,7 @@ bool ProcFleet::run_recovery_session(std::vector<ProcessId> faulty) {
       faulty_mask[static_cast<std::size_t>(f)] = true;
     compute_plan(faulty_mask, line, li);
 
-    Event e;
-    e.kind = EventKind::kRecoveryStart;
+    Event& e = event(EventKind::kRecoveryStart);
     e.session = session;
     e.attempt = attempt;
     e.faulty = faulty;
@@ -925,12 +928,11 @@ bool ProcFleet::run_recovery_session(std::vector<ProcessId> faulty) {
   return true;
 }
 
-bool ProcFleet::kill_unclean(ProcessId p) {
+bool ProcFleet::kill_unclean(ProcessId p) try {
   RDTGC_EXPECTS(p >= 0 && static_cast<std::size_t>(p) < workers_.size());
   Worker& w = workers_[static_cast<std::size_t>(p)];
   if (!w.alive) return fail("kill of a dead worker");
-  Event e;
-  e.kind = EventKind::kUncleanKill;
+  Event& e = event(EventKind::kUncleanKill);
   e.p = p;
   // Tag the log with the first uncertifiable position: frames may die in
   // p's kernel buffers unlogged, so nothing at or after this index can be
@@ -941,9 +943,11 @@ bool ProcFleet::kill_unclean(ProcessId p) {
   w.unlogged_checkpoints = drop_outstanding_to(p);
   kill_process(p);
   return true;
+} catch (const util::IoError& e) {
+  return fail(e.what());
 }
 
-bool ProcFleet::restart(ProcessId p) {
+bool ProcFleet::restart(ProcessId p) try {
   RDTGC_EXPECTS(p >= 0 && static_cast<std::size_t>(p) < workers_.size());
   Worker& w = workers_[static_cast<std::size_t>(p)];
   if (w.alive) return fail("restart of a live worker");
@@ -954,9 +958,11 @@ bool ProcFleet::restart(ProcessId p) {
   // clean kill does not see phantom orphans from an earlier incarnation.
   prune_delivered_after_attach(p, mirror_[static_cast<std::size_t>(p)].last());
   return true;
+} catch (const util::IoError& e) {
+  return fail(e.what());
 }
 
-bool ProcFleet::shutdown() {
+bool ProcFleet::shutdown() try {
   // Let every in-flight delivery surface first so the final States are
   // quiescent (messages to workers downed by kill_unclean were dropped at
   // the kill).
@@ -979,6 +985,8 @@ bool ProcFleet::shutdown() {
     w.alive = false;
   }
   return true;
+} catch (const util::IoError& e) {
+  return fail(e.what());
 }
 
 }  // namespace rdtgc::transport

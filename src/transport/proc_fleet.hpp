@@ -1,7 +1,7 @@
 // Parent-side harness of a multi-process transport run.
 //
 // ProcFleet owns the real distributed system: it binds one Unix-domain
-// SOCK_SEQPACKET listener, fork/execs one rdtgc_proc worker per process,
+// SOCK_SEQPACKET listener, posix_spawns one rdtgc_proc worker per process,
 // routes every Data frame between them (star topology — all traffic passes
 // the parent), drives the workload through Cmd frames, and streams the
 // merged event log to disk as frames arrive.  Because every worker socket
@@ -50,7 +50,10 @@
 //
 // Every wait carries a deadline (config.step_timeout_ms): a hung or
 // deadlocked worker fails the run with a descriptive error() instead of
-// hanging CI, and the destructor SIGKILLs whatever is still alive.
+// hanging CI, and the destructor SIGKILLs whatever is still alive.  A worker
+// binary that cannot be executed fails start() (or the restart) at once,
+// naming the binary, and an event-log write that fails fails the call that
+// made it, naming the log.
 #pragma once
 
 #include <cstdint>
@@ -261,6 +264,10 @@ class ProcFleet {
   };
 
   bool fail(const std::string& what);
+  /// The reused log record, set to `kind`.  Its vectors keep their capacity
+  /// from event to event, and a kind's line reads only that kind's fields,
+  /// so what an earlier kind left in the others is never written.
+  Event& event(EventKind kind);
   /// The deadline of a wait that starts now.
   Clock::time_point step_deadline() const;
   bool spawn(ProcessId p, std::uint32_t incarnation);
@@ -346,6 +353,7 @@ class ProcFleet {
   /// Per-worker DV history mirror (indexed by process id).
   std::vector<DvMirror> mirror_;
   std::unique_ptr<EventLogWriter> log_;
+  Event event_;
   WireBuffer hello_;
   WireBuffer scratch_;
   DecodedFrame frame_;

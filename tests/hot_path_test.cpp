@@ -9,7 +9,8 @@
 //    worker: no recorder, a stopped clock) one way and both ways, for
 //    deliveries scheduled through Simulator::run, and for the socket hops
 //    a fleet frame takes (send_frame + recv_frame, and a FrameQueue flush
-//    drained by recv_frame), enforced with a global operator new/delete
+//    drained by recv_frame) and for the event-log line the fleet parent
+//    appends per frame, enforced with a global operator new/delete
 //    counting hook.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -34,6 +35,7 @@
 #include "sim/clock.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "transport/event_log.hpp"
 #include "transport/uds.hpp"
 #include "transport/wire.hpp"
 #include "util/check.hpp"
@@ -741,6 +743,46 @@ TEST(HotPathAllocations, WarmQueuedHopIsAllocationFree) {
   EXPECT_EQ(g_allocation_count.load() - before, 0u)
       << "a warm queued hop touched the heap";
   EXPECT_EQ(in, frame);
+}
+
+TEST(HotPathAllocations, ReusedEventAppendsWithoutAllocating) {
+  // The fleet parent logs every Send, Deliver and Checkpoint frame through
+  // one reused Event whose DV keeps its capacity.  Once the writer's line
+  // buffer has held the longest line, an append formats into it and leaves
+  // in one write(2) without touching the heap.
+  test::ScratchDir dir("hot_path_event_log");
+  transport::EventLogWriter log(dir.path() + "/events.log");
+  const std::vector<IntervalIndex> dv = {1, 4, 0, 2};
+  transport::Event e;
+  const auto log_frames = [&](std::uint64_t seq) {
+    e.kind = transport::EventKind::kSend;
+    e.src = 1;
+    e.src_incarnation = 0;
+    e.seq = seq;
+    e.dst = 2;
+    e.interval = 4;
+    e.bytes = 1;
+    e.dv = dv;
+    log.append(e);
+    e.kind = transport::EventKind::kDeliver;
+    e.incarnation = 0;
+    e.forced = 1;
+    e.dv = dv;
+    log.append(e);
+    e.kind = transport::EventKind::kCheckpoint;
+    e.p = 2;
+    e.index = 5;
+    e.ckpt_kind = 0;
+    e.dv = dv;
+    log.append(e);
+  };
+  log_frames(1000000);
+
+  const std::uint64_t before = g_allocation_count.load();
+  for (std::uint64_t seq = 1000001; seq <= 1000200; ++seq) log_frames(seq);
+  EXPECT_EQ(g_allocation_count.load() - before, 0u)
+      << "an event-log append touched the heap";
+  EXPECT_EQ(log.events_written(), 3u * 201);
 }
 
 }  // namespace

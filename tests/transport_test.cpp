@@ -1,6 +1,6 @@
 // Multi-process socket-transport tests (the ISSUE's tentpole acceptance).
 //
-// These tests fork REAL OS processes: each run spawns one rdtgc_proc worker
+// These tests run REAL OS processes: each run spawns one rdtgc_proc worker
 // per checkpointing process (binary path injected by CMake through the
 // RDTGC_PROC_BIN environment variable), wires them to the parent over
 // Unix-domain SOCK_SEQPACKET sockets, drives a workload, SIGKILLs workers
@@ -34,8 +34,14 @@
 // rdtgc_proc: each frame it is sent is answered by exactly one frame.
 // Every fleet wait is deadline-bounded, so a hung worker fails fast
 // instead of hanging CI (ctest adds a TIMEOUT belt on top), and a worker
-// killed from outside fails the next read of its socket by name.
+// killed from outside fails the next read of its socket by name.  A worker
+// binary that cannot be executed fails start() at once, an event-log write
+// that fails mid-run fails its call by name, and both worker binaries are
+// pinned to carry their own libstdc++ and libgcc (their DT_NEEDED entries).
+#include <elf.h>
 #include <signal.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -43,9 +49,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <random>
@@ -877,17 +885,151 @@ TEST(Transport, UnopenableEventLogFailsStartByName) {
       << fleet.error();
 }
 
-// ---- Deadline guard: a fleet that cannot spawn fails fast, never hangs ----
+/// Lowers this process's soft RLIMIT_FSIZE with SIGXFSZ ignored, so a write
+/// past the limit fails with EFBIG ("File too large"); restores both on
+/// scope exit.
+class FileSizeLimit {
+ public:
+  explicit FileSizeLimit(rlim_t bytes) {
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_limit_), 0);
+    rlimit lowered = saved_limit_;
+    lowered.rlim_cur = bytes;
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &lowered), 0);
+    struct sigaction ignore {};
+    ignore.sa_handler = SIG_IGN;
+    EXPECT_EQ(::sigaction(SIGXFSZ, &ignore, &saved_action_), 0);
+  }
+  ~FileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_limit_);
+    ::sigaction(SIGXFSZ, &saved_action_, nullptr);
+  }
+  FileSizeLimit(const FileSizeLimit&) = delete;
+  FileSizeLimit& operator=(const FileSizeLimit&) = delete;
+
+ private:
+  rlimit saved_limit_{};
+  struct sigaction saved_action_ {};
+};
+
+// An event-log write that fails mid-run fails the call that made it, by
+// name, with no exception escaping; the failed fleet stays failed.
+TEST(Transport, EventLogWriteFailureFailsTheCallByName) {
+  ASSERT_FALSE(proc_bin().empty()) << "RDTGC_PROC_BIN not set";
+  const std::size_t n = 3;
+  ScratchDir dir("transport_log_full");
+  ProcFleet fleet(fleet_config(dir, n));
+  ASSERT_TRUE(fleet.start()) << fleet.error();
+  const FileSizeLimit limit(4096);
+  bool ok = true;
+  int calls = 0;
+  for (; ok && calls < 200; ++calls) {
+    const auto src = static_cast<ProcessId>(calls % n);
+    ASSERT_NO_THROW(ok = fleet.send_app(src, (src + 1) % n)) << calls;
+  }
+  EXPECT_FALSE(ok);
+  EXPECT_LT(calls, 100);
+  EXPECT_NE(fleet.error().find("events.log"), std::string::npos)
+      << fleet.error();
+  EXPECT_NE(fleet.error().find("File too large"), std::string::npos)
+      << fleet.error();
+  bool later = true;
+  ASSERT_NO_THROW(later = fleet.basic_checkpoint(0));
+  EXPECT_FALSE(later);
+  ASSERT_NO_THROW(later = fleet.shutdown());
+  EXPECT_FALSE(later);
+}
+
+// ---- A fleet that cannot spawn fails at once, never waits out a deadline --
+
+/// start() with `binary` as the worker fails well inside the default step
+/// deadline, naming the binary and the exec error.
+void expect_start_fails_at_once(const ScratchDir& dir,
+                                const std::string& binary,
+                                const char* strerror_text) {
+  FleetConfig config = fleet_config(dir, 2);
+  config.worker_binary = binary;
+  ASSERT_EQ(config.step_timeout_ms, FleetConfig{}.step_timeout_ms);
+  ProcFleet fleet(config);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(fleet.start());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(100));
+  EXPECT_NE(fleet.error().find(binary), std::string::npos) << fleet.error();
+  EXPECT_NE(fleet.error().find(strerror_text), std::string::npos)
+      << fleet.error();
+}
 
 TEST(Transport, MissingWorkerBinaryFailsWithinDeadline) {
-  const std::size_t n = 2;
   ScratchDir dir("transport_nobin");
-  FleetConfig config = fleet_config(dir, n);
-  config.worker_binary = dir.path() + "/no_such_binary";
-  config.step_timeout_ms = 1000;
-  ProcFleet fleet(config);
-  EXPECT_FALSE(fleet.start());
-  EXPECT_FALSE(fleet.error().empty());
+  expect_start_fails_at_once(dir, dir.path() + "/no_such_binary",
+                             std::strerror(ENOENT));
+}
+
+TEST(Transport, NonExecutableWorkerBinaryFailsAtOnce) {
+  ScratchDir dir("transport_noexec");
+  const std::string binary = dir.path() + "/not_executable";
+  std::ofstream(binary) << "#!/bin/sh\n";
+  ASSERT_EQ(::chmod(binary.c_str(), 0644), 0);
+  expect_start_fails_at_once(dir, binary, std::strerror(EACCES));
+}
+
+// ---- The worker binaries carry their own libstdc++ and libgcc -------------
+
+/// The DT_NEEDED entries of the 64-bit ELF file at `path`, read from its
+/// dynamic section and the string table that section links to.
+void read_needed(const std::string& path, std::vector<std::string>& needed) {
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << path;
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  const auto read = [&](std::uint64_t offset, auto& out) {
+    ASSERT_LE(offset + sizeof out, bytes.size()) << path;
+    std::memcpy(&out, bytes.data() + offset, sizeof out);
+  };
+  Elf64_Ehdr eh{};
+  ASSERT_NO_FATAL_FAILURE(read(0, eh));
+  ASSERT_EQ(std::memcmp(eh.e_ident, ELFMAG, SELFMAG), 0) << path;
+  ASSERT_EQ(eh.e_ident[EI_CLASS], ELFCLASS64) << path;
+  for (std::uint64_t i = 0; i < eh.e_shnum; ++i) {
+    Elf64_Shdr dynamic{};
+    ASSERT_NO_FATAL_FAILURE(read(eh.e_shoff + i * eh.e_shentsize, dynamic));
+    if (dynamic.sh_type != SHT_DYNAMIC) continue;
+    Elf64_Shdr strings{};
+    ASSERT_NO_FATAL_FAILURE(
+        read(eh.e_shoff + dynamic.sh_link * eh.e_shentsize, strings));
+    for (std::uint64_t off = 0; off + sizeof(Elf64_Dyn) <= dynamic.sh_size;
+         off += sizeof(Elf64_Dyn)) {
+      Elf64_Dyn entry{};
+      ASSERT_NO_FATAL_FAILURE(read(dynamic.sh_offset + off, entry));
+      if (entry.d_tag == DT_NULL) break;
+      if (entry.d_tag != DT_NEEDED) continue;
+      const std::uint64_t name = strings.sh_offset + entry.d_un.d_val;
+      ASSERT_LT(name, bytes.size()) << path;
+      needed.emplace_back(bytes.data() + name,
+                          ::strnlen(bytes.data() + name, bytes.size() - name));
+    }
+  }
+}
+
+// Workers start once per process and again at every restart; a shared
+// libstdc++ would cost each start its map, relocation and page faults
+// (tools/CMakeLists.txt).  A build change that undoes the static link
+// fails here.
+TEST(Transport, WorkerBinariesCarryTheirOwnLibstdcxx) {
+  for (const std::string& bin : {proc_bin(), rogue_bin()}) {
+    ASSERT_FALSE(bin.empty()) << "RDTGC_PROC_BIN or RDTGC_ROGUE_BIN not set";
+    std::vector<std::string> needed;
+    ASSERT_NO_FATAL_FAILURE(read_needed(bin, needed));
+    // libc stays shared (sanitizer runtimes and LD_PRELOAD shims need it),
+    // which also shows the reader found the dynamic section.
+    EXPECT_TRUE(std::any_of(needed.begin(), needed.end(), [](const auto& lib) {
+      return lib.starts_with("libc.so");
+    })) << bin;
+    for (const std::string& lib : needed) {
+      EXPECT_FALSE(lib.starts_with("libstdc++.so")) << bin << ": " << lib;
+      EXPECT_FALSE(lib.starts_with("libgcc_s.so")) << bin << ": " << lib;
+    }
+  }
 }
 
 }  // namespace
