@@ -519,10 +519,6 @@ BENCHMARK(BM_LogTailAppend)->Arg(16)->Arg(64);
 //    ratio is the headline per-op saving of the pipeline.  These families
 //    block on media, so wall clock (UseRealTime) is the figure of merit —
 //    cpu_time would hide exactly the wait the pipeline removes;
-//  * BM_BackgroundChurn{Log,Mmap} — the same churn under kBackground: the
-//    producer only records into the ring, the writer thread pays the media
-//    off-path, so this family prices the acknowledged (caller-visible)
-//    cost when media latency is hidden entirely;
 //  * BM_DurabilityLag — one probe sweep (metrics/durability_lag.hpp) over a
 //    fleet of Arg pipelined nodes: the observability tax per sample.
 
@@ -578,21 +574,6 @@ void BM_GroupCommitMmap(benchmark::State& state) {
 BENCHMARK(BM_GroupCommitLog)->Arg(0)->Arg(4)->Arg(16)->Arg(64)->UseRealTime();
 BENCHMARK(BM_GroupCommitMmap)->Arg(0)->Arg(4)->Arg(16)->Arg(64)->UseRealTime();
 
-void BM_BackgroundChurnLog(benchmark::State& state) {
-  BM_DurabilityChurn(
-      state, ckpt::StorageBackendKind::kLogStructured,
-      ckpt::DurabilityPolicy::Background(
-          static_cast<std::size_t>(state.range(0))));
-}
-void BM_BackgroundChurnMmap(benchmark::State& state) {
-  BM_DurabilityChurn(
-      state, ckpt::StorageBackendKind::kMmapFile,
-      ckpt::DurabilityPolicy::Background(
-          static_cast<std::size_t>(state.range(0))));
-}
-BENCHMARK(BM_BackgroundChurnLog)->Arg(32)->UseRealTime();
-BENCHMARK(BM_BackgroundChurnMmap)->Arg(32)->UseRealTime();
-
 void BM_DurabilityLag(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   harness::SystemConfig config;
@@ -600,7 +581,7 @@ void BM_DurabilityLag(benchmark::State& state) {
   config.gc = harness::GcChoice::kRdtLgc;
   config.node.storage =
       durability_config(ckpt::StorageBackendKind::kLogStructured,
-                        ckpt::DurabilityPolicy::Background(32));
+                        ckpt::DurabilityPolicy::GroupCommit(32));
   harness::System system(config);
   workload::WorkloadConfig wl;
   wl.seed = 11;

@@ -33,32 +33,36 @@ import re
 import sys
 
 # Families tracked for regressions (the hot paths this repo optimizes for).
-# BM_Rollback covers the binary/linear rebuild pair AND the per-backend
-# BM_RollbackRecover* restart families; BM_Backend* are the per-backend
-# churn families (memory is the no-regression reference, mmap/log price
-# durability); BM_NodeAttach*/BM_ChurnRestart* are the warm-restart
-# families (Node attach-from-storage and the full kill/reopen/rejoin
-# cycle); BM_GroupCommit*/BM_BackgroundChurn*/BM_DurabilityLag are the
-# async-durability-pipeline families (per-op cost vs the sync write-through
-# baseline at every_k=0, the background acknowledged cost, and the lag
-# probe's sampling tax); BM_Uds*/BM_Wire* are the fleet transport's socket
-# hop and its Data and RecvAck codecs (a receive path that zero-fills or
-# copies per maximum frame instead of per received byte shows up in
-# BM_UdsHop).  BM_ReceivePathUnobserved is BM_ReceivePath without the CCP
-# recorder: the gap prices the oracle per delivery.  BM_LogTailAppend is one
-# log medium's append per record through its mapped tail, and
-# BM_SimDeliveryLoop one send and delivery through the simulator's event
-# loop and network.  BM_FleetStart and BM_FleetKillRestart are a real
-# 4-worker fleet's start-up and one quiesced worker restart: what a worker
-# spawn costs the fleet's setup and a failed process's recovery.
-TRACKED = re.compile(
-    r"^(BM_DvMerge|BM_ReceivePath|BM_ReceivePathUnobserved)\b"
-    r"|^BM_Rollback|^BM_Backend|^BM_FleetRunner"
-    r"|^BM_NodeAttach|^BM_ChurnRestart"
-    r"|^BM_GroupCommit|^BM_BackgroundChurn|^BM_DurabilityLag"
-    r"|^BM_Protocol|^BM_Uds|^BM_Wire"
-    r"|^BM_LogTailAppend|^BM_SimDeliveryLoop"
-    r"|^BM_FleetStart|^BM_FleetKillRestart")
+# A name ending in "*" tracks every family it prefixes; any other name tracks
+# that one family.  BM_Rollback* covers the binary/linear rebuild pair AND
+# the per-backend BM_RollbackRecover* restart families; BM_Backend* are the
+# per-backend churn families (memory is the no-regression reference,
+# mmap/log price durability); BM_NodeAttach*/BM_ChurnRestart* are the
+# warm-restart families (Node attach-from-storage and the full
+# kill/reopen/rejoin cycle); BM_GroupCommit*/BM_DurabilityLag are the
+# group-commit families (per-op cost vs the sync write-through baseline at
+# every_k=0, and the lag probe's sampling tax); BM_Uds*/BM_Wire* are the
+# fleet transport's socket hop and its Data and RecvAck codecs (a receive
+# path that zero-fills or copies per maximum frame instead of per received
+# byte shows up in BM_UdsHop).  BM_ReceivePathUnobserved is BM_ReceivePath
+# without the CCP recorder: the gap prices the oracle per delivery.
+# BM_LogTailAppend is one log medium's append per record through its mapped
+# tail, and BM_SimDeliveryLoop one send and delivery through the
+# simulator's event loop and network.  BM_FleetStart and BM_FleetKillRestart
+# are a real 4-worker fleet's start-up and one quiesced worker restart: what
+# a worker spawn costs the fleet's setup and a failed process's recovery.
+TRACKED_FAMILIES = [
+    "BM_DvMerge", "BM_ReceivePath", "BM_ReceivePathUnobserved",
+    "BM_NodeAttach*", "BM_ChurnRestart*", "BM_Rollback*", "BM_Backend*",
+    "BM_FleetRunner", "BM_GroupCommit*", "BM_DurabilityLag",
+    "BM_Protocol*", "BM_Uds*", "BM_Wire*",
+    "BM_LogTailAppend", "BM_SimDeliveryLoop",
+    "BM_FleetStart", "BM_FleetKillRestart",
+]
+TRACKED = re.compile("|".join(
+    "^" + re.escape(name[:-1]) if name.endswith("*")
+    else "^" + re.escape(name) + r"\b"
+    for name in TRACKED_FAMILIES))
 
 
 def load(path):
@@ -143,14 +147,8 @@ def main():
         print("\ncross-media run: no regression verdict "
               f"({baseline_media} baseline vs {fresh_media} fresh)")
     else:
-        print("\nno tracked regressions above "
-              f"{args.threshold:.0f}% (families: BM_DvMerge, BM_ReceivePath, "
-              "BM_ReceivePathUnobserved, "
-              "BM_NodeAttach*, BM_ChurnRestart*, "
-              "BM_Rollback*, BM_Backend*, BM_FleetRunner, "
-              "BM_GroupCommit*, BM_BackgroundChurn*, BM_DurabilityLag, "
-              "BM_Protocol*, BM_Uds*, BM_Wire*, "
-              "BM_LogTailAppend, BM_SimDeliveryLoop)")
+        print(f"\nno tracked regressions above {args.threshold:.0f}% "
+              f"(families: {', '.join(TRACKED_FAMILIES)})")
 
     if args.history:
         record = {

@@ -45,9 +45,7 @@ void ShardedCheckpointStore::put(CheckpointIndex index,
     if (writes_through()) medium_->put(index, dv, stored_at, bytes);
   }
   store_.put(index, dv, stored_at, bytes);
-  if (pipeline_ != nullptr &&
-      pipeline_->record_put(index, dv, stored_at, bytes))
-    pipeline_->commit();
+  if (pipeline_ != nullptr) pipeline_->record_put(index, dv, stored_at, bytes);
 }
 
 void ShardedCheckpointStore::collect(CheckpointIndex index) {
@@ -56,15 +54,13 @@ void ShardedCheckpointStore::collect(CheckpointIndex index) {
     if (writes_through()) medium_->collect(index);
   }
   store_.collect(index);
-  if (pipeline_ != nullptr && pipeline_->record_collect(index))
-    pipeline_->commit();
+  if (pipeline_ != nullptr) pipeline_->record_collect(index);
 }
 
 std::size_t ShardedCheckpointStore::discard_after(CheckpointIndex ri) {
   if (medium_ != nullptr && writes_through()) medium_->discard_after(ri);
   const std::size_t discarded = store_.discard_after(ri);
-  if (pipeline_ != nullptr && pipeline_->record_discard(ri))
-    pipeline_->commit();
+  if (pipeline_ != nullptr) pipeline_->record_discard(ri);
   return discarded;
 }
 
@@ -80,7 +76,7 @@ std::size_t ShardedCheckpointStore::recover() {
 void ShardedCheckpointStore::flush() {
   // Drain the pipeline first so every acknowledged mutation reaches the
   // medium before its flush below.
-  if (pipeline_ != nullptr) pipeline_->flush();
+  if (pipeline_ != nullptr) pipeline_->commit();
   if (medium_ != nullptr) medium_->flush();
 }
 

@@ -20,22 +20,22 @@
 // store, so a medium write that throws util::IoError (e.g. ENOSPC) leaves
 // both exactly as they were.  flush() is the msync/fsync durability point.
 //
-// Asynchronous durability.  With a persistent medium and a non-kSync
+// Group commit.  With a persistent medium and the kGroupCommit
 // StorageConfig::durability policy the store splits acknowledged state from
 // durable state: the read store is the ACKNOWLEDGED state and runs ahead,
 // the medium holds the DURABLE state, and a ckpt::DurabilityPipeline
 // records each acknowledged mutation and replays whole windows into the
 // medium as group commits — one fsync (log) or msync (mmap) per window
 // instead of per operation (durability_pipeline.hpp has the full design:
-// scheduling, locking discipline, crash semantics).  Dropping a pipelined
+// scheduling, crash semantics, media errors).  Dropping a pipelined
 // store without flush() models a crash: the un-drained window is discarded
 // and recovery lands on the last commit's consistent prefix of the
 // acknowledged history.  durability() exposes the acked-vs-synced lag that
 // metrics::DurabilityLag samples.
 //
 // Threading: one thread mutates and reads a store (one simulation is one
-// thread, and so is a worker process).  Only durability() may be called
-// concurrently with a kBackground writer draining the pipeline.
+// thread, and so is a worker process), and its group commits run on that
+// thread inside the mutating call or flush().
 //
 // The class keeps its name and its four-argument constructor for existing
 // callers; the constructor accepts only one stripe and the unsynchronized
@@ -141,19 +141,19 @@ class ShardedCheckpointStore {
   /// of live checkpoints.  May allocate (recovery is off every hot path).
   std::size_t recover();
 
-  /// Durability point: sync the medium (msync/fsync).  Under a non-kSync
-  /// policy, first drains the pipeline so every acknowledged mutation is
-  /// durable on return.  No-op for in-memory storage.
+  /// Durability point: sync the medium (msync/fsync).  Under kGroupCommit,
+  /// first drains the pipeline so every acknowledged mutation is durable on
+  /// return.  No-op for in-memory storage.
   void flush();
 
   /// The medium, or nullptr for in-memory storage (introspection for
   /// tests and benches: media counters, fsyncs()/msyncs()).
   const StorageBackend* medium() const { return medium_.get(); }
 
-  // ---- Asynchronous durability (see the header comment) ----
+  // ---- Group commit (see the header comment) ----
 
-  /// Whether a DurabilityPipeline is active (persistent medium with a
-  /// non-kSync policy).  O(1), never allocates.
+  /// Whether a DurabilityPipeline is active (persistent medium under
+  /// kGroupCommit).  O(1), never allocates.
   bool pipelined() const { return pipeline_ != nullptr; }
 
   /// The pipeline, or nullptr in kSync / in-memory mode.
@@ -161,7 +161,7 @@ class ShardedCheckpointStore {
   const DurabilityPipeline* pipeline() const { return pipeline_.get(); }
 
   /// Acked-vs-synced snapshot.  Without a pipeline the lag is identically
-  /// zero (indices report last_index()).  Safe against a background drain.
+  /// zero (indices report last_index()).
   DurabilityStatus durability() const;
 
  private:
@@ -172,9 +172,9 @@ class ShardedCheckpointStore {
   CheckpointStore store_;
   std::unique_ptr<StorageBackend> medium_;
   bool pending_recover_ = false;
-  /// Group-commit/background-writer pipeline (non-kSync persistent mode
-  /// only).  LAST member: destroyed first, so the writer thread is joined
-  /// before the medium it drains into goes away.
+  /// Group-commit pipeline (persistent medium under kGroupCommit only).
+  /// Declared after medium_, which it drains into, so it is destroyed
+  /// first.
   std::unique_ptr<DurabilityPipeline> pipeline_;
 };
 

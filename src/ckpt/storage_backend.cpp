@@ -21,19 +21,6 @@ const char* backend_kind_name(StorageBackendKind kind) {
   return "?";
 }
 
-const char* durability_mode_name(DurabilityMode mode) {
-  switch (mode) {
-    case DurabilityMode::kSync:
-      return "sync";
-    case DurabilityMode::kGroupCommit:
-      return "group";
-    case DurabilityMode::kBackground:
-      return "background";
-  }
-  RDTGC_ASSERT(false);
-  return "?";
-}
-
 std::string StorageConfig::stripe_file(ProcessId owner,
                                        std::size_t stripe) const {
   const char* ext = kind == StorageBackendKind::kMmapFile ? ".seg" : ".log";

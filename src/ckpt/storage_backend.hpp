@@ -137,20 +137,13 @@ enum class DurabilityMode {
   /// — runs inline on the triggering operation every `every_k_ops`
   /// mutations (and, when `every_checkpoint` is set, on every put).
   kGroupCommit,
-  /// As kGroupCommit, but the windows drain on a dedicated background
-  /// writer thread so no mutation ever blocks on media; `every_k_ops`
-  /// bounds the writer's per-pass batch.  flush() quiesces the writer.
-  kBackground,
 };
-
-/// Human-readable mode name for tables, logs, and bench labels.
-const char* durability_mode_name(DurabilityMode mode);
 
 /// The latency/durability knob of a store's persistent medium.
 struct DurabilityPolicy {
   DurabilityMode mode = DurabilityMode::kSync;
-  /// Group-commit window: commit after this many acknowledged mutations
-  /// (kBackground: the writer's per-pass batch bound).  Must be >= 1.
+  /// Group-commit window: commit after this many acknowledged mutations.
+  /// Must be >= 1.
   std::size_t every_k_ops = 32;
   /// Additionally commit on every put() — checkpoint-granular durability
   /// with collect/discard batching (kGroupCommit only).
@@ -159,9 +152,6 @@ struct DurabilityPolicy {
   static DurabilityPolicy Sync() { return {}; }
   static DurabilityPolicy GroupCommit(std::size_t k, bool per_checkpoint = false) {
     return {DurabilityMode::kGroupCommit, k, per_checkpoint};
-  }
-  static DurabilityPolicy Background(std::size_t k = 32) {
-    return {DurabilityMode::kBackground, k, false};
   }
 };
 

@@ -1,9 +1,9 @@
 #include "harness/sweep.hpp"
 
 #include <atomic>
+#include <mutex>
 
 #include "util/check.hpp"
-#include "util/spinlock.hpp"
 
 namespace rdtgc::harness {
 
@@ -18,7 +18,7 @@ std::vector<SweepRun> run_jobs(FleetRunner& fleet, std::size_t total,
   std::vector<SweepRun> runs(total);
   std::atomic<bool> cancelled{false};
   std::atomic<std::size_t> completed{0};
-  util::SpinLock progress_lock;
+  std::mutex progress_lock;
   fleet.run(total, [&](std::size_t job, WorkerContext& worker) {
     // Job-indexed slot: no result ever crosses between jobs, so the only
     // thing scheduling can change is timing.
@@ -27,12 +27,9 @@ std::vector<SweepRun> run_jobs(FleetRunner& fleet, std::size_t total,
       if (progress != nullptr) {
         const std::size_t done =
             completed.fetch_add(1, std::memory_order_acq_rel) + 1;
-        progress_lock.lock();
-        const bool keep_going = cancelled.load(std::memory_order_acquire)
-                                    ? false
-                                    : progress(done, total);
-        progress_lock.unlock();
-        if (!keep_going) cancelled.store(true, std::memory_order_release);
+        const std::lock_guard<std::mutex> serialized(progress_lock);
+        if (cancelled.load(std::memory_order_acquire) || !progress(done, total))
+          cancelled.store(true, std::memory_order_release);
       }
     }
   });

@@ -18,9 +18,9 @@ namespace {
   throw IoError(what + " '" + path + "': " + std::strerror(errno));
 }
 
-// Overrides are atomics so a background-writer thread draining a durability
-// pipeline reads them race-free while a test installs/uninstalls its
-// failure injection on the main thread.
+// Overrides are atomics so stores on other threads (a FleetRunner's
+// workers) read them race-free while a test installs/uninstalls its
+// failure injection on its own thread.
 std::atomic<int (*)(void*, std::size_t, int)> g_msync_override{nullptr};
 std::atomic<int (*)(int)> g_fsync_override{nullptr};
 std::atomic<int (*)(int, off_t, off_t)> g_fallocate_override{nullptr};

@@ -56,7 +56,7 @@ StorageConfig persistent_config(StorageBackendKind kind,
   config.initial_slots = 2;
   config.compact_min_records = 16;
   // The CI forced-policy leg re-runs this whole suite with the async
-  // durability pipeline on (RDTGC_FORCE_DURABILITY=group|background).
+  // durability pipeline on (RDTGC_FORCE_DURABILITY=group).
   return test::with_forced_durability(config);
 }
 

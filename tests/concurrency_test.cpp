@@ -1,6 +1,4 @@
-// Concurrency tests: the durability pipeline's background writer under a
-// racing mutator and status reader, and the fleet runner's
-// scheduling/determinism contracts.
+// Concurrency tests: the fleet runner's scheduling/determinism contracts.
 //
 // Two kinds of assertions live here:
 //  * logical — counters, final states, and sweep figures must come out
@@ -16,88 +14,14 @@
 #include <utility>
 #include <vector>
 
-#include "causality/dependency_vector.hpp"
-#include "ckpt/sharded_checkpoint_store.hpp"
 #include "harness/fleet.hpp"
 #include "harness/sweep.hpp"
 #include "harness/system.hpp"
-#include "helpers.hpp"
 #include "metrics/storage_probe.hpp"
-#include "util/check.hpp"
 #include "workload/workload.hpp"
 
 namespace rdtgc {
 namespace {
-
-// ---- Durability pipeline's background writer ----------------------------
-
-TEST(ShardedStoreConcurrency, BackgroundWriterSurvivesParallelChurn) {
-  // The tsan probe for the durability pipeline's writer thread: one
-  // mutator thread churns puts and collects through a log-backed store
-  // under DurabilityPolicy::Background while the background writer drains
-  // the ring into the medium concurrently, and a reader thread polls the
-  // acked-vs-synced status the whole time.  Every cross-thread edge the
-  // pipeline has is exercised at once — slot publication under the ring
-  // lock, drains under the drain lock, and the lock-free status counters.
-  // flush() then quiesces the ring and the final figures must be exact.
-  constexpr CheckpointIndex kOld = 256;
-  constexpr CheckpointIndex kNew = 256;
-  test::ScratchDir dir("background_writer");
-  ckpt::StorageConfig config;
-  config.kind = ckpt::StorageBackendKind::kLogStructured;
-  config.directory = dir.path();
-  config.durability = ckpt::DurabilityPolicy::Background(4);
-  {
-    ckpt::ShardedCheckpointStore store(
-        0, 1, ckpt::StoreConcurrency::kUnsynchronized, config);
-    causality::DependencyVector dv(4);
-
-    std::atomic<bool> stop{false};
-    std::thread status_reader([&] {
-      while (!stop.load(std::memory_order_acquire)) {
-        const ckpt::DurabilityStatus status = store.durability();
-        // Acks only ever run ahead of syncs, never behind.
-        ASSERT_GE(status.acked_ops, status.synced_ops);
-      }
-    });
-    std::thread mutator([&] {
-      for (CheckpointIndex i = 0; i < kOld; ++i) store.put(i, dv, 0, 1);
-      for (CheckpointIndex i = kOld; i < kOld + kNew; ++i) {
-        store.put(i, dv, 0, 1);
-        store.collect(i - kOld);
-      }
-    });
-
-    mutator.join();
-    stop.store(true, std::memory_order_release);
-    status_reader.join();
-
-    // The read store answers reads, so the figures are exact already.
-    EXPECT_EQ(store.count(), static_cast<std::size_t>(kNew));
-    EXPECT_EQ(store.stats().collected, static_cast<std::uint64_t>(kOld));
-    EXPECT_EQ(store.stats().stored, static_cast<std::uint64_t>(kOld + kNew));
-
-    // flush() quiesces the writer: everything acked is now synced.
-    store.flush();
-    const ckpt::DurabilityStatus status = store.durability();
-    EXPECT_EQ(status.lag_ops(), 0u);
-    EXPECT_EQ(status.acked_ops,
-              static_cast<std::uint64_t>(2 * kOld + kNew));
-    EXPECT_EQ(store.medium()->count(), store.count());
-  }
-
-  // The durable image after the flush is the full final state.
-  config.open_mode = ckpt::OpenMode::kAttach;
-  ckpt::ShardedCheckpointStore reopened(
-      0, 1, ckpt::StoreConcurrency::kUnsynchronized, config);
-  ASSERT_EQ(reopened.recover(), static_cast<std::size_t>(kNew));
-  EXPECT_EQ(reopened.stats().collected, static_cast<std::uint64_t>(kOld));
-  EXPECT_EQ(reopened.stats().stored, static_cast<std::uint64_t>(kOld + kNew));
-  const std::vector<CheckpointIndex>& live = reopened.stored_indices();
-  ASSERT_EQ(live.size(), static_cast<std::size_t>(kNew));
-  EXPECT_EQ(live.front(), kOld);
-  EXPECT_EQ(live.back(), kOld + kNew - 1);
-}
 
 // ---- FleetRunner scheduling contracts ------------------------------------
 

@@ -1,9 +1,9 @@
 // The async durability pipeline's contract suite (ckpt/durability_pipeline.hpp).
 //
 // What is certified here, mapped to the machinery:
-//  * policy equivalence — under kGroupCommit/kBackground every read and
-//    every counter still matches the flat reference after every op (the
-//    read store serves reads), and a flushed store recovers bit-identical;
+//  * policy equivalence — under kGroupCommit every read and every counter
+//    still matches the flat reference after every op (the read store
+//    serves reads), and a flushed store recovers bit-identical;
 //  * group-commit window math — a window of k ops reaches the medium as ONE
 //    fsync (log) / ONE msync (mmap), pinned via the media's introspection
 //    counters and the pipeline's commits();
@@ -14,12 +14,12 @@
 //    injected ENOSPC while the log's mapped tail grows (the store writes
 //    the medium before its read store, so the throw leaves both as they
 //    were); under group commit the same ENOSPC inside a drain leaves the
-//    applied prefix on the medium, and the retried flush() resumes after
-//    it;
+//    applied prefix on the medium, later mutations under a medium that
+//    keeps refusing return or throw IoError and never wait, and the
+//    retried flush() resumes at the refused op;
 //  * kill inside the window — dropping a store mid-window recovers a
-//    consistent PREFIX of the acknowledged schedule: deterministic (the last
-//    commit boundary) under kGroupCommit, some drain boundary under
-//    kBackground, across randomized kill schedules on both media;
+//    consistent PREFIX of the acknowledged schedule, exactly the last
+//    commit boundary, across randomized kill schedules on both media;
 //  * system-level crash cut — an unclean stop of a whole simulated system
 //    mid-window loses only each process's open window: every checkpoint the
 //    end-of-run Theorem-1 oracle calls non-obsolete that lies below a
@@ -96,7 +96,6 @@ TEST(DurabilityEquivalence, AckedStateMatchesFlatReferenceUnderEveryPolicy) {
   const DurabilityPolicy policies[] = {
       DurabilityPolicy::GroupCommit(4),
       DurabilityPolicy::GroupCommit(16, /*per_checkpoint=*/true),
-      DurabilityPolicy::Background(4),
   };
   for (const StorageBackendKind kind : kPersistentKinds) {
     for (const DurabilityPolicy& policy : policies) {
@@ -221,8 +220,9 @@ TEST(GroupCommitWindow, FlushQuiescesAndDropsLagToZero) {
   ScratchDir dir("gc_flush");
   StorageConfig config =
       async_config(StorageBackendKind::kLogStructured, dir.path(),
-                   DurabilityPolicy::Background(8));
+                   DurabilityPolicy::GroupCommit(8));
   std::vector<CheckpointIndex> acked;
+  ckpt::StoreStats acked_stats;
   {
     ShardedCheckpointStore store(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
                                  config);
@@ -233,15 +233,19 @@ TEST(GroupCommitWindow, FlushQuiescesAndDropsLagToZero) {
     store.flush();
     const ckpt::DurabilityStatus status = store.durability();
     EXPECT_EQ(status.lag_ops(), 0u);
+    EXPECT_EQ(status.acked_ops, 37u + 13u);
     EXPECT_EQ(status.acked_index, status.synced_index);
     EXPECT_EQ(store.medium()->count(), store.count());
     acked = store.stored_indices();
+    acked_stats = store.stats();
   }
   config.open_mode = OpenMode::kAttach;
   ShardedCheckpointStore reopened(0, 1, ckpt::StoreConcurrency::kUnsynchronized,
                                   config);
   reopened.recover();
   EXPECT_EQ(reopened.stored_indices(), acked);
+  EXPECT_EQ(reopened.stats().stored, acked_stats.stored);
+  EXPECT_EQ(reopened.stats().collected, acked_stats.collected);
 }
 
 // ---- Dirty-flag flush skip (regression) -----------------------------------
@@ -402,10 +406,15 @@ TEST(FlushErrors, LogTailGrowthFailureSurfacesAsIoErrorAndKeepsStateCoherent) {
 /// A full disk inside a group commit's drain.  The read store acknowledged
 /// the put that filled the window, so put() throws IoError with the put
 /// stored; the drain hands the ops the log applied before the refused one
-/// over to it, and once space returns flush() resumes at the refused op:
-/// every op reaches the log exactly once.  Each DV width moves the record
-/// that crosses the reserved space to another place in its window.
+/// over to it.  While the disk stays full, every later put returns or
+/// throws IoError with its put stored, and none waits: the refused op
+/// holds the window open and nothing overtakes it.  Once space returns
+/// flush() resumes at the refused op: every op reaches the log exactly
+/// once.  Each DV width moves the record that crosses the reserved space
+/// to another place in its window.
 TEST(FlushErrors, GroupCommitDrainResumesAfterAMediaError) {
+  constexpr std::size_t kEvery = 4;
+  constexpr std::size_t kPutsWhileFull = 200;
   bool refused_mid_window = false;
   for (const std::size_t width : {4u, 5u, 6u, 7u}) {
     SCOPED_TRACE(width);
@@ -414,7 +423,7 @@ TEST(FlushErrors, GroupCommitDrainResumesAfterAMediaError) {
     config.kind = StorageBackendKind::kLogStructured;
     config.directory = dir.path();
     config.compact_min_records = 1u << 20;
-    config.durability = DurabilityPolicy::GroupCommit(4);
+    config.durability = DurabilityPolicy::GroupCommit(kEvery);
     CheckpointStore reference(0);
     {
       ShardedCheckpointStore store(
@@ -422,12 +431,12 @@ TEST(FlushErrors, GroupCommitDrainResumesAfterAMediaError) {
       causality::DependencyVector dv(width);
       CheckpointIndex next = 0;
       // The first window drains with space to spare.
-      for (; next < 4; ++next) {
+      for (; next < static_cast<CheckpointIndex>(kEvery); ++next) {
         dv.at(1) = next;
         store.put(next, dv, static_cast<SimTime>(next), 8);
         reference.put(next, dv, static_cast<SimTime>(next), 8);
       }
-      ASSERT_EQ(store.medium()->count(), 4u);
+      ASSERT_EQ(store.medium()->count(), kEvery);
 
       util::set_io_fallocate_for_test(
           +[](int, off_t, off_t) { return ENOSPC; });
@@ -445,8 +454,26 @@ TEST(FlushErrors, GroupCommitDrainResumesAfterAMediaError) {
         reference.put(next, dv, static_cast<SimTime>(next), 8);
         ++next;
       }
-      util::set_io_fallocate_for_test(nullptr);
       ASSERT_TRUE(threw);
+
+      // The disk stays full.  From the put that fills the window on, each
+      // put retries the drain, which is refused again at the same op.
+      const std::size_t on_medium = store.medium()->count();
+      std::size_t refusals = 0;
+      for (std::size_t k = 0; k < kPutsWhileFull; ++k, ++next) {
+        dv.at(1) = next;
+        try {
+          store.put(next, dv, static_cast<SimTime>(next), 8);
+        } catch (const util::IoError&) {
+          ++refusals;
+        }
+        EXPECT_TRUE(store.contains(next));
+        reference.put(next, dv, static_cast<SimTime>(next), 8);
+      }
+      util::set_io_fallocate_for_test(nullptr);
+      EXPECT_GT(refusals, kPutsWhileFull - kEvery);
+      EXPECT_EQ(store.medium()->count(), on_medium);
+      EXPECT_GT(store.durability().lag_ops(), kPutsWhileFull);
       test::expect_stores_equal(reference, store);
       EXPECT_LT(store.medium()->count(), store.count());
 
@@ -540,15 +567,13 @@ TEST(KillInsideWindow, GroupCommitRecoversExactlyTheLastCommittedWindow) {
 }
 
 /// The tentpole crash property: randomized kill schedules inside open
-/// windows, on both media and under every async policy, always recover to
-/// a consistent prefix of the acknowledged schedule — never a reordering,
-/// never a gap.  (kBackground cuts at whatever drain boundary the writer
-/// reached, so only SOME-prefix is asserted there.)
+/// windows, on both media and under every group-commit shape, always
+/// recover to a consistent prefix of the acknowledged schedule — never a
+/// reordering, never a gap.
 TEST(KillInsideWindow, RandomizedKillsRecoverAConsistentPrefix) {
   const DurabilityPolicy policies[] = {
       DurabilityPolicy::GroupCommit(4),
       DurabilityPolicy::GroupCommit(16, /*per_checkpoint=*/true),
-      DurabilityPolicy::Background(3),
   };
   util::Rng rng(0xabad1deaull);
   for (const StorageBackendKind kind : kPersistentKinds) {
@@ -670,14 +695,14 @@ TEST(DurabilityLagProbe, CertifiesZeroLagUnderSyncPolicy) {
   EXPECT_EQ(lag.global_series().stat().max(), 0.0);
 }
 
-TEST(DurabilityLagProbe, SamplesBackgroundLagAndSeesTheFlushQuiesce) {
+TEST(DurabilityLagProbe, SamplesGroupCommitLagAndSeesTheFlushQuiesce) {
   ScratchDir dir("probe");
   harness::SystemConfig config;
   config.process_count = 4;
   config.seed = 7;
   config.node.storage = async_config(StorageBackendKind::kLogStructured,
                                      dir.path(),
-                                     DurabilityPolicy::Background(16));
+                                     DurabilityPolicy::GroupCommit(16));
   harness::System system(config);
 
   workload::WorkloadConfig wl;

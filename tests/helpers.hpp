@@ -62,15 +62,14 @@ inline std::string sanitize(std::string s) {
 
 /// Durability policy forced by the RDTGC_FORCE_DURABILITY env var — the CI
 /// forced-policy leg re-runs the persistent-storage suites with the async
-/// pipeline on: "sync", "group" (group commit, window 8), or "background".
-/// nullopt when unset.
+/// pipeline on: "sync" or "group" (group commit, window 8).  nullopt when
+/// unset.
 inline std::optional<ckpt::DurabilityPolicy> forced_durability() {
   const char* env = std::getenv("RDTGC_FORCE_DURABILITY");
   if (env == nullptr || *env == '\0') return std::nullopt;
   const std::string value(env);
   if (value == "sync") return ckpt::DurabilityPolicy::Sync();
   if (value == "group") return ckpt::DurabilityPolicy::GroupCommit(8);
-  if (value == "background") return ckpt::DurabilityPolicy::Background(8);
   ADD_FAILURE() << "unknown RDTGC_FORCE_DURABILITY value: " << value;
   return std::nullopt;
 }

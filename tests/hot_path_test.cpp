@@ -602,14 +602,12 @@ TEST(HotPathAllocations, ShardedStoreChurnIsAllocationFree) {
 
 TEST(HotPathAllocations, PersistentChurnIsAllocationFreeUnderEveryPolicy) {
   // The async-durability hot-path contract: with a persistent medium the
-  // acknowledge path — read-store put/collect plus a pipeline ring enqueue
-  // into preallocated slots — must stay allocation-free in all three
+  // acknowledge path — read-store put/collect plus a record into the
+  // pipeline's reserved window slots — must stay allocation-free under both
   // DurabilityPolicy modes once warm, INCLUDING the inline group commits
-  // the kGroupCommit churn triggers (drains replay through reused scratch
-  // buffers) and the kBackground writer's concurrent drains (the counter
-  // hook is global, so a writer-thread allocation fails this too).  Log
-  // compaction is configured out of reach: its copy path is off the
-  // steady-state contract, exactly as under kSync.
+  // the kGroupCommit churn triggers (drains replay from the slots' reused
+  // DV buffers).  Log compaction is configured out of reach: its copy path
+  // is off the steady-state contract, exactly as under kSync.
   struct Case {
     ckpt::StorageBackendKind kind;
     ckpt::DurabilityPolicy policy;
@@ -620,14 +618,10 @@ TEST(HotPathAllocations, PersistentChurnIsAllocationFreeUnderEveryPolicy) {
        ckpt::DurabilityPolicy::Sync(), "log_sync"},
       {ckpt::StorageBackendKind::kLogStructured,
        ckpt::DurabilityPolicy::GroupCommit(4), "log_group"},
-      {ckpt::StorageBackendKind::kLogStructured,
-       ckpt::DurabilityPolicy::Background(4), "log_background"},
       {ckpt::StorageBackendKind::kMmapFile, ckpt::DurabilityPolicy::Sync(),
        "mmap_sync"},
       {ckpt::StorageBackendKind::kMmapFile,
        ckpt::DurabilityPolicy::GroupCommit(4), "mmap_group"},
-      {ckpt::StorageBackendKind::kMmapFile,
-       ckpt::DurabilityPolicy::Background(4), "mmap_background"},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -644,9 +638,8 @@ TEST(HotPathAllocations, PersistentChurnIsAllocationFreeUnderEveryPolicy) {
     constexpr CheckpointIndex window = 16;
     CheckpointIndex next = 0;
     // Warm-up sizes the read store, its recycled spare, the pipeline's slot
-    // DV buffers, and the media's live tables; the flush sizes the
-    // drain-side buffers at their maximum (it drains the whole pending
-    // window in one pass).
+    // DV buffers, and the media's live tables; the flush starts the
+    // measured churn from a drained window.
     for (; next < window; ++next) store.put(next, dv, 0, 1);
     for (CheckpointIndex g = 0; g < window / 2; ++g) store.collect(g);
     for (int round = 0; round < 64; ++round) {

@@ -5,14 +5,9 @@
 #include <set>
 #include <sstream>
 
-#include <mutex>
-#include <thread>
-#include <vector>
-
 #include "util/check.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
-#include "util/spinlock.hpp"
 #include "util/table.hpp"
 
 namespace rdtgc::util {
@@ -128,33 +123,6 @@ TEST(Rng, SplitProducesIndependentStream) {
   for (int i = 0; i < 64; ++i)
     if (a.next_u64() == child.next_u64()) ++equal;
   EXPECT_LT(equal, 2);
-}
-
-TEST(SpinLock, MutualExclusionUnderContention) {
-  SpinLock lock;
-  std::uint64_t counter = 0;  // deliberately unguarded except by the lock
-  constexpr int kThreads = 4;
-  constexpr int kIncrements = 20000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int k = 0; k < kIncrements; ++k) {
-        std::lock_guard<SpinLock> guard(lock);
-        ++counter;
-      }
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  EXPECT_EQ(counter, static_cast<std::uint64_t>(kThreads) * kIncrements);
-}
-
-TEST(SpinLock, TryLockReflectsHeldState) {
-  SpinLock lock;
-  EXPECT_TRUE(lock.try_lock());
-  EXPECT_FALSE(lock.try_lock());  // already held
-  lock.unlock();
-  EXPECT_TRUE(lock.try_lock());
-  lock.unlock();
 }
 
 TEST(Table, RendersAlignedColumns) {
