@@ -263,11 +263,11 @@ bool ProcFleet::spawn(ProcessId p, std::uint32_t incarnation) {
 bool ProcFleet::await_hello(ProcessId expected) {
   Fd fd = uds_accept(listener_.get(), config_.step_timeout_ms);
   if (!fd.valid()) return fail("no worker connected within the deadline");
-  const RecvStatus status =
-      recv_frame(fd.get(), hello_, config_.step_timeout_ms);
-  if (status != RecvStatus::kFrame)
+  // The receiver that reads the Hello reads every later reply of the worker.
+  TimedReceiver rx(fd.get(), config_.step_timeout_ms);
+  if (rx.recv() != RecvStatus::kFrame)
     return fail("worker connected but sent no Hello");
-  const WireError err = decode_frame(hello_, frame_);
+  const WireError err = decode_frame(rx.frame(), frame_);
   if (err != WireError::kOk)
     return fail(std::string("bad Hello frame: ") + wire_error_name(err));
   if (frame_.header.kind() != FrameKind::kHello)
@@ -275,6 +275,10 @@ bool ProcFleet::await_hello(ProcessId expected) {
   const ProcessId p = frame_.header.src;
   if (p < 0 || static_cast<std::size_t>(p) >= workers_.size())
     return fail("Hello from unknown process id");
+  if (rx.pending()) {
+    return fail("Hello frame from p" + std::to_string(p) +
+                " shares its datagram with another frame");
+  }
   if (expected >= 0 && p != expected)
     return fail("Hello from the wrong process after a restart");
   Worker& w = workers_[static_cast<std::size_t>(p)];
@@ -298,7 +302,7 @@ bool ProcFleet::await_hello(ProcessId expected) {
                 std::to_string(max_last) + " is possible");
   }
   w.fd = std::move(fd);
-  w.rx.emplace(w.fd.get(), config_.step_timeout_ms);
+  w.rx = std::move(rx);
   w.alive = true;
   w.draining = false;
   w.unlogged_checkpoints = 0;
@@ -341,8 +345,12 @@ bool ProcFleet::flush(ProcessId p, Clock::time_point deadline) {
     const int rc = out.flush(w.fd.get());
     if (rc > 0) return true;
     if (rc < 0) {
-      return fail("worker p" + std::to_string(p) +
-                  " died unexpectedly: its socket refused a frame");
+      // Too long for the socket's send buffer (see kMaxDatagramBytes) is
+      // no fault of p's; any other refusal is p's death.
+      if (errno != EMSGSIZE) return died(p);
+      return fail("p" + std::to_string(p) +
+                  "'s socket refused a datagram longer than its send "
+                  "buffer (EMSGSIZE)");
     }
     // The socket is full.  p may itself be blocked sending a reply, so
     // read what it owes while waiting for room.
@@ -369,6 +377,12 @@ bool ProcFleet::flush_all(Clock::time_point deadline) {
   return true;
 }
 
+bool ProcFleet::died(ProcessId p) {
+  const OwedRing& owed = owed_[static_cast<std::size_t>(p)];
+  return fail("worker p" + std::to_string(p) + " died unexpectedly" +
+              (owed.empty() ? std::string() : ", owing " + describe(owed[0])));
+}
+
 void ProcFleet::close_socket(ProcessId p) {
   Worker& w = workers_[static_cast<std::size_t>(p)];
   w.rx.reset();
@@ -385,24 +399,26 @@ ProcFleet::Read ProcFleet::read_reply(ProcessId p,
   if (!error_.empty()) return Read::kFailed;  // a failed run stays failed
   Worker& w = workers_[static_cast<std::size_t>(p)];
   OwedRing& owed = owed_[static_cast<std::size_t>(p)];
+  // The ring's newest `unsent` entries answer frames still queued.
+  const std::size_t unsent = out_[static_cast<std::size_t>(p)].size();
   const RecvStatus status = w.rx->recv(deadline);
   if (status == RecvStatus::kTimeout) return Read::kTimeout;
   if (status != RecvStatus::kFrame) {
-    fail("worker p" + std::to_string(p) + " died unexpectedly" +
-         (owed.empty() ? std::string() : ", owing " + describe(owed[0])));
+    died(p);
     return Read::kFailed;
   }
   const std::span<const std::uint8_t> raw = w.rx->frame();
   const WireError err = decode_frame(raw, frame_);
   if (err != WireError::kOk) {
-    fail(std::string("bad frame from worker: ") + wire_error_name(err));
+    fail("bad frame from worker p" + std::to_string(p) + ": " +
+         wire_error_name(err));
     return Read::kFailed;
   }
   if (frame_.header.src != p) {
     fail("frame src does not match its socket");
     return Read::kFailed;
   }
-  if (owed.empty()) {
+  if (owed.size() == unsent) {
     fail("p" + std::to_string(p) + " sent " + transport::describe(frame_) +
          " while it owed no reply");
     return Read::kFailed;
@@ -415,20 +431,30 @@ ProcFleet::Read ProcFleet::read_reply(ProcessId p,
   }
   owed.pop();
   if (reply.kind == FrameKind::kRecvAck) --owed_acks_;
-  return handle_frame(p, raw, frame_, reply) ? Read::kReply : Read::kFailed;
+  if (!handle_frame(p, raw, frame_, reply)) return Read::kFailed;
+  // A datagram answers each frame sent with one reply: a frame still left
+  // in it once every sent frame is answered is one reply too many, and the
+  // read that takes it fails by name.
+  if (owed.size() == unsent && w.rx->pending()) return read_reply(p, deadline);
+  return Read::kReply;
 }
 
 bool ProcFleet::read_replies(ProcessId p, std::size_t count,
                              Clock::time_point deadline) {
-  RDTGC_ASSERT(count <= owed_[static_cast<std::size_t>(p)].size());
-  for (; count > 0; --count) {
+  const OwedRing& owed = owed_[static_cast<std::size_t>(p)];
+  RDTGC_ASSERT(count <= owed.size());
+  const std::size_t keep = owed.size() - count;
+  // Every reply read answers a frame p has been sent: p's queued frames
+  // leave first, all in one datagram.  A flush that waits for room may read
+  // some of the replies itself.
+  if (!flush(p, deadline)) return false;
+  while (owed.size() > keep) {
     const Read read = read_reply(p, deadline);
     if (read == Read::kFailed) return false;
     if (read == Read::kTimeout) {
       return fail("deadline expired after " +
                   std::to_string(config_.step_timeout_ms) + " ms: p" +
-                  std::to_string(p) + " still owes " +
-                  describe(owed_[static_cast<std::size_t>(p)][0]));
+                  std::to_string(p) + " still owes " + describe(owed[0]));
     }
   }
   return true;
@@ -637,13 +663,15 @@ bool ProcFleet::send_cmd(ProcessId p, CmdOp op, ProcessId target,
 bool ProcFleet::run_cmd(ProcessId p, CmdOp op, ProcessId target,
                         std::uint64_t param) {
   const Clock::time_point deadline = step_deadline();
-  if (!send_cmd(p, op, target, param) || !flush_all(deadline)) return false;
-  // p's socket is FIFO: the RecvAcks p owes come first, the command's own
-  // reply last.
+  if (!send_cmd(p, op, target, param)) return false;
+  // The command leaves behind the Data frames queued for p, in one
+  // datagram, and p's socket is FIFO: the RecvAcks p owes come first, the
+  // command's own reply last.
   if (!read_replies(p, owed_[static_cast<std::size_t>(p)].size(), deadline))
     return false;
   // Deferred RecvAcks keep their deliveries outstanding; past the bound,
-  // read the receiver of the oldest (waiting only if it has not answered).
+  // send the receiver of the oldest its queued frames and read it (waiting
+  // only if it has not answered).
   while (owed_acks_ > kMaxOutstanding) {
     ProcessId oldest = -1;
     std::uint64_t oldest_routed = std::numeric_limits<std::uint64_t>::max();
@@ -728,9 +756,10 @@ bool ProcFleet::quiesced_kill_respawn(ProcessId p) {
   // sent has been delivered or dropped.  At this point the event log holds
   // everything p's death can affect, and a SIGKILL loses nothing unlogged —
   // the simulator's disconnect purge and the kernel's buffer discard then
-  // agree exactly.  p's CmdDone comes after every reply p owed before it.
-  if (!flush_all(deadline) ||
-      !read_replies(p, owed_[static_cast<std::size_t>(p)].size(), deadline))
+  // agree exactly.  p's CmdDone comes after every reply p owed before it,
+  // and each receiver of p's messages is sent its queued frames before it
+  // is read.
+  if (!read_replies(p, owed_[static_cast<std::size_t>(p)].size(), deadline))
     return false;
   for (std::size_t q = 0; q < workers_.size(); ++q) {
     const auto last = last_ack_owed_for(static_cast<ProcessId>(q), p);

@@ -15,18 +15,27 @@
 // parent queues to a worker owes exactly one frame back (Cmd SendApp ->
 // Data, Cmd Checkpoint -> Checkpoint, Cmd Quiesce -> CmdDone, Cmd Shutdown
 // -> State, Data -> RecvAck, RecoveryStart -> RolledBack), recorded in that
-// worker's ring of owed replies when the frame is queued.  The parent reads
-// a worker's socket only while the worker owes it a reply, with one
-// blocking recv bounded by the wait's deadline, and checks each reply
-// against the ring's head: the wrong kind, or a RecvAck naming another
-// message, fails the run naming both frames.  A command sends every queued
-// frame, then reads the commanded worker's replies up to its own (RecvAcks
-// the worker owes come first: its socket is FIFO).  Other workers' RecvAcks
-// are read when those workers are next commanded or by a wait, or once more
-// than kMaxOutstanding deliveries are owed.  A deferred RecvAck only moves
-// its deliver event later in the log: still after its send (routed before
-// the receiver could see the message) and before the receiver's later
-// frames (same FIFO socket), so the log stays a valid linearization.
+// worker's ring of owed replies when the frame is queued.  Frames queued to
+// a worker leave only when the parent next waits on that worker — its
+// command, a quiesce, a session frame, a drain, or the outstanding bound —
+// and then all together, in one datagram (wire v5); the worker handles them
+// in order and answers with one datagram holding one reply per frame.  So a
+// command carries, ahead of itself, every Data frame routed to its worker
+// since the parent last waited on it.  Deferral changes only when a frame
+// leaves, never its place in the worker's FIFO, so each worker's input
+// sequence, and with it the execution, is what it would be if every frame
+// left at once.  The parent reads a worker's socket only while the worker
+// owes it a reply for a frame it has been sent, with one blocking recv per
+// datagram bounded by the wait's deadline, and checks each reply against
+// the ring's head: the wrong kind, a RecvAck naming another message, or a
+// reply beyond the frames sent fails the run naming the frames.  A command
+// reads the commanded worker's replies up to its own (RecvAcks the worker
+// owes come first: its socket is FIFO).  Other workers' RecvAcks are read
+// when those workers are next commanded or by a wait, or once more than
+// kMaxOutstanding deliveries are owed.  A deferred RecvAck only moves its
+// deliver event later in the log: still after its send (routed before the
+// receiver could see the message) and before the receiver's later frames
+// (same FIFO socket), so the log stays a valid linearization.
 //
 // Every frame a worker sends is checked before the parent acts on it: DV
 // widths against process_count, lineage indices against the parent's
@@ -215,7 +224,8 @@ class ProcFleet {
   struct Worker {
     pid_t pid = -1;
     Fd fd;
-    /// Blocking reads of fd, armed with step_timeout_ms at the Hello.
+    /// Blocking reads of fd, the Hello's included, armed with
+    /// step_timeout_ms.
     std::optional<TimedReceiver> rx;
     std::uint32_t incarnation = 0;
     bool alive = false;
@@ -275,18 +285,24 @@ class ProcFleet {
   /// Queue `frame` to p, owing `reply`.
   void queue(ProcessId p, std::span<const std::uint8_t> frame,
              const OwedReply& reply);
-  /// Send p's queued frames.  A full socket waits in poll(2) for room by
-  /// `deadline`, reading p's owed replies meanwhile so neither side wedges.
+  /// Send p's queued frames, as one datagram up to kMaxDatagramBytes.  A
+  /// full socket waits in poll(2) for room by `deadline`, reading p's owed
+  /// replies meanwhile so neither side wedges.  A refused send fails the
+  /// run: as p's death, naming the reply p owed, or as EMSGSIZE when the
+  /// datagram outgrew the socket's send buffer.
   bool flush(ProcessId p, Clock::time_point deadline);
   bool flush_all(Clock::time_point deadline);
+  /// fail() for p's death, naming the reply p owed first.
+  bool died(ProcessId p);
   /// Close p's socket; its unsent frames and owed replies die too.
   void close_socket(ProcessId p);
   /// Read p's next frame by `deadline`, check it against the reply p owes,
-  /// and handle it.  A wait sends its queued frames first (flush_all), so
-  /// every reply it reads answers a frame p has been sent.
+  /// and handle it.  Only frames p has been sent are owed a reply yet: a
+  /// frame that answers none, or that follows the last reply owed in the
+  /// same datagram, fails the run by name.
   Read read_reply(ProcessId p, Clock::time_point deadline);
-  /// Read p's next `count` owed replies; fail() at the deadline, naming
-  /// the reply still owed.
+  /// Send p its queued frames, then read p's next `count` owed replies;
+  /// fail() at the deadline, naming the reply still owed.
   bool read_replies(ProcessId p, std::size_t count,
                     Clock::time_point deadline);
   /// Read every reply every worker owes.
@@ -354,7 +370,6 @@ class ProcFleet {
   std::vector<DvMirror> mirror_;
   std::unique_ptr<EventLogWriter> log_;
   Event event_;
-  WireBuffer hello_;
   WireBuffer scratch_;
   DecodedFrame frame_;
   std::uint64_t dropped_ = 0;

@@ -1,6 +1,7 @@
 #include "transport/uds.hpp"
 
 #include <poll.h>
+#include <sys/mman.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
@@ -11,6 +12,7 @@
 #include <cerrno>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <utility>
 
 #include "util/check.hpp"
@@ -40,11 +42,12 @@ Clock::time_point deadline_after(int timeout_ms) {
                         : Clock::now() + std::chrono::milliseconds(timeout_ms);
 }
 
-/// The calling thread's receive staging.  One recv must take the whole
-/// datagram (the kernel drops what does not fit), so every receive lands in
-/// an area of the largest frame size first.  The area is allocated on the
-/// thread's first receive and never value-initialised: a frame costs the
-/// bytes the kernel copies, not kMaxFrameBytes of zero-fill.
+/// The calling thread's receive staging for recv_frame.  One recv must take
+/// the whole datagram (the kernel drops what does not fit), so every
+/// receive lands in an area of the largest frame size first.  The area is
+/// allocated on the thread's first receive and never value-initialised: a
+/// datagram costs the bytes the kernel copies, not kMaxFrameBytes of
+/// zero-fill.
 std::uint8_t* staging() {
   thread_local const std::unique_ptr<std::uint8_t[]> area =
       std::make_unique_for_overwrite<std::uint8_t[]>(kMaxFrameBytes);
@@ -187,28 +190,25 @@ int try_send_frame(int fd, std::span<const std::uint8_t> frame) {
 }
 
 void FrameQueue::push(std::span<const std::uint8_t> frame) {
-  if (count_ == slots_.size()) {
-    // Full ring: unroll it oldest-first, then double it.
-    std::rotate(slots_.begin(),
-                slots_.begin() + static_cast<std::ptrdiff_t>(head_),
-                slots_.end());
-    head_ = 0;
-    slots_.resize(std::max<std::size_t>(8, 2 * slots_.size()));
-  }
-  slot(count_).assign(frame.begin(), frame.end());
-  ++count_;
+  bytes_.insert(bytes_.end(), frame.begin(), frame.end());
+  ends_.push_back(bytes_.size());
 }
 
 int FrameQueue::flush(int fd) {
-  // One send per frame: the fleet's flushes hold one or two frames, and a
-  // sendmmsg(2) of two did not beat two sends in the fleet benchmark.
-  while (count_ > 0) {
-    const int rc = try_send_frame(fd, slot(0));
+  while (sent_ < ends_.size()) {
+    // The longest run of whole frames that fits in one datagram, and at
+    // least one frame.
+    const std::size_t begin = sent_ == 0 ? 0 : ends_[sent_ - 1];
+    std::size_t last = sent_ + 1;
+    while (last < ends_.size() && ends_[last] - begin <= kMaxDatagramBytes)
+      ++last;
+    const int rc = try_send_frame(
+        fd, std::span<const std::uint8_t>(bytes_).subspan(
+                begin, ends_[last - 1] - begin));
     if (rc <= 0) return rc;
-    head_ = (head_ + 1) & (slots_.size() - 1);
-    --count_;
+    sent_ = last;
   }
-  head_ = 0;
+  clear();
   return 1;
 }
 
@@ -223,9 +223,18 @@ bool FrameQueue::flush_blocking(int fd, int timeout_ms) {
   }
 }
 
+void TimedReceiver::Unmap::operator()(std::uint8_t* area) const {
+  ::munmap(area, kMaxFrameBytes);
+}
+
 TimedReceiver::TimedReceiver(int fd, int timeout_ms)
     : fd_(fd), timeout_(std::chrono::milliseconds(timeout_ms)) {
   RDTGC_EXPECTS(fd >= 0 && timeout_ms > 0);
+  // As large as the largest frame: the kernel drops what a recv cannot take.
+  void* const area = ::mmap(nullptr, kMaxFrameBytes, PROT_READ | PROT_WRITE,
+                            MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (area == MAP_FAILED) throw std::bad_alloc();
+  area_.reset(static_cast<std::uint8_t*>(area));
   const bool armed = arm(timeout_);
   RDTGC_EXPECTS(armed);  // `fd` is a socket
 }
@@ -241,8 +250,17 @@ bool TimedReceiver::arm(std::chrono::microseconds timeout) {
   return true;
 }
 
+void TimedReceiver::take() {
+  const std::span<const std::uint8_t> rest(area_.get() + next_, end_ - next_);
+  frame_ = rest.first(first_frame_bytes(rest));
+  next_ += frame_.size();
+}
+
 RecvStatus TimedReceiver::recv(Clock::time_point deadline) {
-  std::uint8_t* const area = staging();
+  if (pending()) {
+    take();
+    return RecvStatus::kFrame;
+  }
   for (bool woke_early = false;;) {
     const auto left = std::chrono::ceil<std::chrono::microseconds>(
         deadline - Clock::now());
@@ -256,9 +274,11 @@ RecvStatus TimedReceiver::recv(Clock::time_point deadline) {
       return RecvStatus::kError;
     }
     const ssize_t n =
-        ::recv(fd_, area, kMaxFrameBytes, expired ? MSG_DONTWAIT : 0);
+        ::recv(fd_, area_.get(), kMaxFrameBytes, expired ? MSG_DONTWAIT : 0);
     if (n > 0) {
-      frame_ = {area, static_cast<std::size_t>(n)};
+      next_ = 0;
+      end_ = static_cast<std::size_t>(n);
+      take();
       return RecvStatus::kFrame;
     }
     if (n == 0) return RecvStatus::kClosed;

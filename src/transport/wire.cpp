@@ -340,4 +340,13 @@ WireError decode_frame(std::span<const std::uint8_t> bytes,
   return WireError::kOk;
 }
 
+std::size_t first_frame_bytes(std::span<const std::uint8_t> datagram) {
+  if (datagram.size() < kWireHeaderBytes) return datagram.size();
+  std::uint32_t length = 0;
+  Reader(datagram.subspan(4, 4)).get_u32(length);
+  return length < kWireHeaderBytes || length > datagram.size()
+             ? datagram.size()
+             : length;
+}
+
 }  // namespace rdtgc::transport

@@ -1,9 +1,11 @@
 // Versioned wire format of the socket transport.
 //
-// Every frame is one SOCK_SEQPACKET datagram: a fixed 32-byte little-endian
-// header followed by a kind-specific payload.  The header carries the byte
-// length redundantly with the datagram size so a truncated or padded frame
-// is detected even on transports that do not preserve message boundaries.
+// A frame is a fixed 32-byte little-endian header followed by a
+// kind-specific payload.  One SOCK_SEQPACKET datagram carries one or more
+// whole frames back to back, each delimited by its header's length, so a
+// receiver splits a datagram by walking the length fields
+// (first_frame_bytes); a frame is never split across datagrams, and a torn,
+// truncated or padded frame is caught by decode_frame's length check.
 //
 //   offset  size  field
 //   ------  ----  --------------------------------------------------------
@@ -38,12 +40,16 @@ inline constexpr std::uint32_t kWireMagic = 0x52445447;  // "RDTG"
 /// The only version written and accepted.  v2 added the recovery-session
 /// frames (kRecoveryStart / kRolledBack); v3 appends the checkpointing
 /// protocol's piggybacked control words to Data (sim::Message::control — the
-/// logical-clock CIC family rides its timestamps there); v4 makes the
+/// logical-clock CIC family rides its timestamps there); v4 made the
 /// parent-worker exchange strict request/reply, each frame the parent sends
-/// answered by exactly one frame:
+/// answered by exactly one frame; v5 carries that exchange in one datagram
+/// each way: the parent sends a worker every frame queued for it in one
+/// datagram, and the worker answers with one datagram holding one reply
+/// per frame, in the order of the frames they answer:
 ///
-///   parent sends       worker replies
-///   ---------------    --------------
+///   frame in the       its reply in the
+///   request datagram   reply datagram
+///   ----------------   ----------------
 ///   Cmd SendApp        its Data frame
 ///   Cmd Checkpoint     its Checkpoint frame
 ///   Cmd Quiesce        CmdDone
@@ -51,14 +57,26 @@ inline constexpr std::uint32_t kWireMagic = 0x52445447;  // "RDTG"
 ///   Data               RecvAck
 ///   RecoveryStart      RolledBack
 ///
-/// Hello, sent once on connect, is the only frame no request asks for.
-/// Frames are IPC between the binaries of one build and are never
-/// persisted, so no older sender exists and any other version is
-/// kBadVersion.
-inline constexpr std::uint16_t kWireVersion = 4;
+/// Frames that outgrow kMaxDatagramBytes leave in several datagrams, split
+/// between frames, on either side; the worker answers each request
+/// datagram before it reads the next.  Hello, sent alone once on connect,
+/// is the only frame no request asks for.  Frames are IPC between the
+/// binaries of one build and are never persisted, so no older sender exists
+/// and any other version is kBadVersion.
+inline constexpr std::uint16_t kWireVersion = 5;
 inline constexpr std::size_t kWireHeaderBytes = 32;
 /// Upper bound on one frame; a 4096-process State frame fits comfortably.
 inline constexpr std::size_t kMaxFrameBytes = 1 << 20;
+/// Frames are packed into one datagram up to this many bytes; a single
+/// frame larger than it travels alone.  The cap must stay below the
+/// sender's SO_SNDBUF: a SOCK_SEQPACKET send longer than that buffer less
+/// 32 bytes fails with EMSGSIZE, which the parent reports by name rather
+/// than as a dead worker.  Nothing here sets the buffer: Linux sizes it
+/// from net.core.wmem_default, 212992 bytes by default, which would take a
+/// 64 KiB datagram even cut to a third.  A fleet call's datagram holds a
+/// few frames of some hundred bytes, so the cap only splits long queues,
+/// such as those to a stopped worker.
+inline constexpr std::size_t kMaxDatagramBytes = 64 << 10;
 /// Upper bound on serialized DV width / stored-index lists.
 inline constexpr std::size_t kMaxWireProcesses = 4096;
 /// Upper bound on piggybacked protocol control words per Data frame (the
@@ -250,5 +268,12 @@ void encode_rolled_back(WireBuffer& out, const FrameMeta& meta,
 /// are filled; on any error `out` is unspecified but never touched out of
 /// bounds.  Never throws, never reads past `bytes`.
 WireError decode_frame(std::span<const std::uint8_t> bytes, DecodedFrame& out);
+
+/// The size of the first frame of `datagram` (the unread rest of a
+/// datagram): its header's length when the rest holds a whole header and
+/// that many bytes, otherwise all of `datagram`, which decode_frame then
+/// rejects by name.  Nonzero unless `datagram` is empty; reads nothing but
+/// the length field.
+std::size_t first_frame_bytes(std::span<const std::uint8_t> datagram);
 
 }  // namespace rdtgc::transport

@@ -45,11 +45,14 @@ class Worker {
     send_hello();
     DecodedFrame frame;
     for (int exit_code = -1;;) {
-      // Everything the last frame produced leaves before the next
-      // receive: the parent's log order depends on it.
-      if (!transport_.flush_blocking(config_.idle_timeout_ms))
-        return kWorkerSendFailed;
-      if (exit_code >= 0) return exit_code;
+      // Once every frame of a datagram is handled, their replies leave
+      // together, in order, before the next blocking receive: the parent's
+      // log order depends on it.
+      if (exit_code >= 0 || !rx_.pending()) {
+        if (!transport_.flush_blocking(config_.idle_timeout_ms))
+          return kWorkerSendFailed;
+        if (exit_code >= 0) return exit_code;
+      }
       const RecvStatus status = rx_.recv();
       if (status == RecvStatus::kTimeout) return kWorkerIdleTimeout;
       if (status == RecvStatus::kClosed || status == RecvStatus::kError)

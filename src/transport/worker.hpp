@@ -6,7 +6,8 @@
 // its per-process stack — UdsTransport, and a Node over a persistent kSync
 // store with a plain ccp::NodeObserver and a sim::Clock that stays at 0
 // (no recorder, no simulator: RDT-LGC needs only what the Node holds) —
-// and then serves frames, answering each with exactly one frame:
+// and then serves frames, in the order each datagram carries them,
+// answering each with exactly one frame:
 //
 //   * kCmd kSendApp     -> Node::send_app_message; its Data frame (through
 //                          the transport's send buffer) is the reply
@@ -19,9 +20,10 @@
 //   * kCmd kQuiesce     -> CmdDone (the parent's pre-SIGKILL drain point)
 //   * kCmd kShutdown    -> State digest, flush, exit 0
 //
-// Handlers only queue frames; the loop sends what one frame produced
-// before it waits for the next frame, in one blocking recv bounded by
-// SO_RCVTIMEO (transport::TimedReceiver).
+// Handlers only queue frames; once the loop has handled every frame of a
+// datagram it sends their replies in one datagram (wire v5), then waits for
+// the next datagram in one blocking recv bounded by SO_RCVTIMEO
+// (transport::TimedReceiver).
 //
 // Incarnation 0 opens its store kFresh; incarnation > 0 opens kAttach and
 // resumes the lineage its media kept (ckpt::Node's attach path) — this is

@@ -9,7 +9,8 @@
 //    worker: no recorder, a stopped clock) one way and both ways, for
 //    deliveries scheduled through Simulator::run, and for the socket hops
 //    a fleet frame takes (send_frame + recv_frame, and a FrameQueue flush
-//    drained by recv_frame) and for the event-log line the fleet parent
+//    of several frames in one datagram handed out frame by frame by a
+//    TimedReceiver) and for the event-log line the fleet parent
 //    appends per frame, enforced with a global operator new/delete
 //    counting hook.
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -702,9 +704,9 @@ TEST(HotPathAllocations, WarmSocketHopIsAllocationFree) {
 
 TEST(HotPathAllocations, WarmQueuedHopIsAllocationFree) {
   // The fleet's hop: frames wait in a FrameQueue until the loop flushes
-  // it, and the receiver drains them with recv_frame until the socket is
-  // empty.  Once the queue's ring and slot buffers have held a flush's
-  // frames, a hop never touches the heap.
+  // it in one datagram, and a TimedReceiver reads that datagram with one
+  // recv and hands its frames out one per call.  Once the queue's buffers
+  // have held a flush's frames, a hop never touches the heap.
   int fds[2] = {-1, -1};
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_SEQPACKET | SOCK_CLOEXEC, 0, fds), 0);
   const transport::Fd tx(fds[0]);
@@ -716,17 +718,20 @@ TEST(HotPathAllocations, WarmQueuedHopIsAllocationFree) {
   transport::WireBuffer frame;
   transport::encode_data(frame, {0, 1, 0, 1}, body);
   transport::FrameQueue queue;
-  transport::WireBuffer in;
+  transport::TimedReceiver receiver(rx.get(), 1000);
+  std::span<const std::uint8_t> in;
   const std::size_t frames = 8;
   const auto hop = [&] {
     for (std::size_t i = 0; i < frames; ++i) queue.push(frame);
     ASSERT_EQ(queue.flush(tx.get()), 1);
     for (std::size_t i = 0; i < frames; ++i) {
-      ASSERT_EQ(transport::recv_frame(rx.get(), in, 0),
-                transport::RecvStatus::kFrame);
+      ASSERT_EQ(receiver.recv(), transport::RecvStatus::kFrame);
+      in = receiver.frame();
       ASSERT_EQ(in.size(), frame.size());
+      // All eight frames came in the one datagram.
+      ASSERT_EQ(receiver.pending(), i + 1 < frames);
     }
-    ASSERT_EQ(transport::recv_frame(rx.get(), in, 0),
+    ASSERT_EQ(receiver.recv(transport::TimedReceiver::Clock::now()),
               transport::RecvStatus::kTimeout);
   };
   hop();
@@ -735,7 +740,7 @@ TEST(HotPathAllocations, WarmQueuedHopIsAllocationFree) {
   for (int round = 0; round < 200; ++round) hop();
   EXPECT_EQ(g_allocation_count.load() - before, 0u)
       << "a warm queued hop touched the heap";
-  EXPECT_EQ(in, frame);
+  EXPECT_EQ(transport::WireBuffer(in.begin(), in.end()), frame);
 }
 
 TEST(HotPathAllocations, ReusedEventAppendsWithoutAllocating) {

@@ -8,20 +8,28 @@
 //
 //   short-hello         Hello DV one entry short
 //   huge-hello-index    Hello claiming last checkpoint index 2^31 - 1
+//   bundled-hello       Hello sent twice in one datagram
 //   short-recv-ack      RecvAck DV one entry short
 //   forced-ack-lineage  RecvAck claiming a forced checkpoint five intervals
 //                       past the receiver's lineage
 //   short-checkpoint    Checkpoint DV one entry short
 //   phantom-recv-ack    RecvAck naming a seq the parent never routed to it
-//   extra-cmd-done      a CmdDone after its Data reply, as wire v3 sent
+//   extra-cmd-done      a CmdDone after its Data reply, in a datagram of
+//                       its own, as wire v3 sent
+//   torn-bundle         a reply datagram to a request of two or more frames
+//                       that ends inside its last frame
+//   extra-reply         every reply datagram repeats its last reply: one
+//                       reply more than the request had frames
 //
 // Every other frame is honest enough for the parent to accept: the worker
 // starts at s^0 in interval 1, receives without merging, and answers each
-// frame with one (wire v4): SendApp with a Data frame, Checkpoint with a
-// Checkpoint frame, Quiesce with CmdDone, Shutdown with State.
+// request datagram with one datagram (wire v5) holding one reply per
+// frame: SendApp with a Data frame, Checkpoint with a Checkpoint frame,
+// Quiesce with CmdDone, Shutdown with State.
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,70 +75,94 @@ int main(int argc, char** argv) {
                          : 0;
   hello.dv = mode == "short-hello" ? short_dv() : dv;
   encode_hello(out, meta(-1), hello);
+  if (mode == "bundled-hello") {
+    const WireBuffer again = out;
+    out.insert(out.end(), again.begin(), again.end());
+  }
   if (!send()) return 6;
 
   WireBuffer in;
+  WireBuffer bundle;  // the reply datagram
   DecodedFrame frame;
   for (;;) {
     if (recv_frame(fd.get(), in, 30000) != RecvStatus::kFrame) return 4;
-    if (decode_frame(in, frame) != WireError::kOk) return 5;
-    if (frame.header.kind() == FrameKind::kData) {
-      RecvAckBody ack;
-      ack.msg_src = frame.header.src;
-      ack.msg_incarnation = frame.header.incarnation;
-      ack.msg_seq = frame.header.seq + (mode == "phantom-recv-ack" ? 1000 : 0);
-      ack.recv_interval = interval;
-      ack.dv_after = mode == "short-recv-ack" ? short_dv() : dv;
-      if (mode == "forced-ack-lineage") {
-        ack.forced = 1;
-        ack.recv_interval = interval + 5;
-      }
-      encode_recv_ack(out, meta(-1), ack);
-      if (!send()) return 6;
-      continue;
-    }
-    if (frame.header.kind() != FrameKind::kCmd) return 5;
-    const CmdBody& cmd = frame.cmd;
-    switch (static_cast<CmdOp>(cmd.op)) {
-      case CmdOp::kSendApp: {
-        DataBody data;
-        data.send_interval = interval;
-        data.bytes = cmd.param;
-        data.dv = dv;
-        encode_data(out, meta(cmd.target), data);
-        if (!send()) return 6;
-        if (mode != "extra-cmd-done") continue;
-        CmdDoneBody done;
-        done.op = cmd.op;
-        done.cmd_seq = frame.header.seq;
-        encode_cmd_done(out, meta(-1), done);
-        break;
-      }
-      case CmdOp::kCheckpoint: {
-        CheckpointBody ckpt;
-        ckpt.index = interval;
-        ckpt.dv = mode == "short-checkpoint" ? short_dv() : dv;
-        encode_checkpoint(out, meta(-1), ckpt);
-        ++interval;
-        break;
-      }
-      case CmdOp::kQuiesce: {
-        CmdDoneBody done;
-        done.op = cmd.op;
-        done.cmd_seq = frame.header.seq;
-        encode_cmd_done(out, meta(-1), done);
-        break;
-      }
-      case CmdOp::kShutdown: {
-        StateBody state;
-        state.last_index = interval - 1;
-        state.dv = dv;
-        encode_state(out, meta(-1), state);
-        return send() ? 0 : 6;
-      }
-      default:
+    bundle.clear();
+    std::size_t frames = 0;
+    bool shutdown = false;
+    WireBuffer stray_done;  // extra-cmd-done: sent after the bundle
+    for (std::span<const std::uint8_t> rest(in); !rest.empty(); ++frames) {
+      const std::size_t size = first_frame_bytes(rest);
+      if (decode_frame(rest.first(size), frame) != WireError::kOk) return 5;
+      rest = rest.subspan(size);
+      if (shutdown) return 5;  // nothing follows a Shutdown
+      if (frame.header.kind() == FrameKind::kData) {
+        RecvAckBody ack;
+        ack.msg_src = frame.header.src;
+        ack.msg_incarnation = frame.header.incarnation;
+        ack.msg_seq =
+            frame.header.seq + (mode == "phantom-recv-ack" ? 1000 : 0);
+        ack.recv_interval = interval;
+        ack.dv_after = mode == "short-recv-ack" ? short_dv() : dv;
+        if (mode == "forced-ack-lineage") {
+          ack.forced = 1;
+          ack.recv_interval = interval + 5;
+        }
+        encode_recv_ack(out, meta(-1), ack);
+      } else if (frame.header.kind() == FrameKind::kCmd) {
+        const CmdBody& cmd = frame.cmd;
+        switch (static_cast<CmdOp>(cmd.op)) {
+          case CmdOp::kSendApp: {
+            DataBody data;
+            data.send_interval = interval;
+            data.bytes = cmd.param;
+            data.dv = dv;
+            encode_data(out, meta(cmd.target), data);
+            if (mode == "extra-cmd-done") {
+              CmdDoneBody done;
+              done.op = cmd.op;
+              done.cmd_seq = frame.header.seq;
+              encode_cmd_done(stray_done, meta(-1), done);
+            }
+            break;
+          }
+          case CmdOp::kCheckpoint: {
+            CheckpointBody ckpt;
+            ckpt.index = interval;
+            ckpt.dv = mode == "short-checkpoint" ? short_dv() : dv;
+            encode_checkpoint(out, meta(-1), ckpt);
+            ++interval;
+            break;
+          }
+          case CmdOp::kQuiesce: {
+            CmdDoneBody done;
+            done.op = cmd.op;
+            done.cmd_seq = frame.header.seq;
+            encode_cmd_done(out, meta(-1), done);
+            break;
+          }
+          case CmdOp::kShutdown: {
+            StateBody state;
+            state.last_index = interval - 1;
+            state.dv = dv;
+            encode_state(out, meta(-1), state);
+            shutdown = true;
+            break;
+          }
+          default:
+            return 5;
+        }
+      } else {
         return 5;
+      }
+      bundle.insert(bundle.end(), out.begin(), out.end());
     }
-    if (!send()) return 6;
+    if (mode == "torn-bundle" && frames >= 2) bundle.resize(bundle.size() - 3);
+    // `out` still holds the datagram's last reply.
+    if (mode == "extra-reply")
+      bundle.insert(bundle.end(), out.begin(), out.end());
+    if (!send_frame(fd.get(), bundle, 10000)) return 6;
+    if (!stray_done.empty() && !send_frame(fd.get(), stray_done, 10000))
+      return 6;
+    if (shutdown) return 0;
   }
 }

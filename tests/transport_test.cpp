@@ -29,12 +29,16 @@
 // The parent's own bookkeeping is pinned too: its delivery records and
 // outstanding deliveries stay bounded over 2000-call runs, kill/restart
 // cycles leave no descriptor behind, and a rogue worker's malformed frames,
-// or a reply other than the one it owes, fail the run by name.  The
-// worker's side of the request/reply contract is pinned against the real
-// rdtgc_proc: each frame it is sent is answered by exactly one frame.
+// a reply other than the one it owes, a torn reply datagram or one reply
+// too many, fail the run by name.  The worker's side of the request/reply
+// contract is pinned against the real rdtgc_proc: each request datagram is
+// answered by one datagram holding exactly one reply per frame.  A seeded
+// run pins every worker's own history (its sends, deliveries and
+// checkpoints) to digests recorded before the parent held a worker's
+// frames until it next waits on that worker.
 // Every fleet wait is deadline-bounded, so a hung worker fails fast
 // instead of hanging CI (ctest adds a TIMEOUT belt on top), and a worker
-// killed from outside fails the next read of its socket by name.  A worker
+// killed from outside fails the next wait on its socket by name.  A worker
 // binary that cannot be executed fails start() at once, an event-log write
 // that fails mid-run fails its call by name, and both worker binaries are
 // pinned to carry their own libstdc++ and libgcc (their DT_NEEDED entries).
@@ -57,8 +61,10 @@
 #include <map>
 #include <memory>
 #include <random>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -565,6 +571,75 @@ TEST(Transport, DeliveryRecordsStayBoundedInASteadyRun) {
   certify(fleet, dir, n);
 }
 
+// ---- When frames leave changes no worker's history ------------------------
+
+/// Per worker, an FNV-1a digest of what that worker did, read from the
+/// merged event log: its sends, its deliveries (with the forced flag and
+/// the post-merge DV) and its basic checkpoints, each line as logged, in log
+/// order.  The merged log interleaves workers in the order their frames
+/// reach the parent; a projection holds one worker's events only, so it
+/// changes only if that worker's own execution does.
+std::vector<std::uint64_t> per_worker_digests(const std::string& log_path,
+                                              std::size_t n) {
+  std::vector<std::uint64_t> digests(n, 14695981039346656037ull);
+  for (const Event& e : read_event_log(log_path)) {
+    ProcessId who = -1;
+    if (e.kind == EventKind::kSend) who = e.src;
+    if (e.kind == EventKind::kDeliver) who = e.dst;
+    if (e.kind == EventKind::kCheckpoint) who = e.p;
+    if (who < 0) continue;
+    std::uint64_t& h = digests[static_cast<std::size_t>(who)];
+    for (const char c : event_to_line(e) + "\n") {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211ull;
+    }
+  }
+  return digests;
+}
+
+// A seeded run of the fleet-steady mix (80% send_app to a uniform other
+// worker, 20% basic_checkpoint) with one quiesced kill that orphans a
+// delivery, so a recovery session runs too.  The digests were recorded
+// with wire v4, where every frame left in a datagram of its own as soon as
+// the next call began; wire v5 holds a worker's frames until the parent
+// next waits on it.  Each worker must still see the same frames in the
+// same order and so do exactly the same things.
+TEST(Transport, SeededFleetRunKeepsEveryWorkersHistory) {
+  ASSERT_FALSE(proc_bin().empty()) << "RDTGC_PROC_BIN not set";
+  const std::size_t n = 4;
+  ScratchDir dir("transport_seeded_history");
+  ProcFleet fleet(fleet_config(dir, n));
+  ASSERT_TRUE(fleet.start()) << fleet.error();
+  std::mt19937_64 rng(20050617);
+  const auto pick = [&](std::uint64_t bound) {
+    return static_cast<ProcessId>(rng() % bound);
+  };
+  const auto send_to_other = [&](ProcessId p) {
+    ProcessId dst = pick(n - 1);
+    if (dst >= p) ++dst;
+    return fleet.send_app(p, dst);
+  };
+  for (int call = 1; call <= 400; ++call) {
+    const ProcessId p = pick(n);
+    if (call == 200) {
+      // The victim's send, delivered before the quiesce, is orphaned.
+      ASSERT_TRUE(send_to_other(p)) << fleet.error();
+      ASSERT_TRUE(fleet.kill_and_restart(p)) << fleet.error();
+      continue;
+    }
+    const bool ok =
+        rng() % 100 < 80 ? send_to_other(p) : fleet.basic_checkpoint(p);
+    ASSERT_TRUE(ok) << "call " << call << ": " << fleet.error();
+  }
+  ASSERT_TRUE(fleet.shutdown()) << fleet.error();
+  EXPECT_EQ(fleet.recovery_sessions(), 1u);
+  certify(fleet, dir, n);
+  const std::vector<std::uint64_t> recorded = {
+      13556162909334130082ull, 4126329501174770217ull,
+      13558137092298227591ull, 18053082142920298240ull};
+  EXPECT_EQ(per_worker_digests(fleet.log_path(), n), recorded);
+}
+
 // A receiver that falls behind holds its deliveries outstanding.  p1 is
 // stopped, so it cannot acknowledge: the call that passes the bound must
 // not return before p1 resumes and its RecvAcks bring the count back.
@@ -670,7 +745,8 @@ FleetConfig rogue_config(const ScratchDir& dir) {
 
 TEST(Transport, RogueHelloFailsStartByName) {
   ASSERT_FALSE(rogue_bin().empty()) << "RDTGC_ROGUE_BIN not set";
-  for (const char* mode : {"short-hello", "huge-hello-index"}) {
+  for (const char* mode :
+       {"short-hello", "huge-hello-index", "bundled-hello"}) {
     const RogueMode rogue(mode);
     ScratchDir dir(std::string("transport_rogue_") + mode);
     ProcFleet fleet(rogue_config(dir));
@@ -698,6 +774,11 @@ TEST(Transport, RogueFramesFailTheCallByName) {
       {"extra-cmd-done",
        "p0 replied with CmdDone answering Cmd SendApp #1 where it owed "
        "RecvAck of message (p1, inc 0, seq 3)"},
+      // p1's second request is one datagram [Data, Cmd SendApp]: its RecvAck
+      // is read whole, then the datagram ends inside its Data frame.
+      {"torn-bundle", "bad frame from worker p1: bad-length"},
+      // p0 answers its one-frame request [Cmd SendApp] with two Data frames.
+      {"extra-reply", "p0 sent Data while it owed no reply"},
   };
   for (const auto& c : cases) {
     const RogueMode rogue(c.mode);
@@ -737,8 +818,10 @@ pid_t spawn_worker(const std::string& socket_path, const std::string& storage) {
 }
 
 // Each frame the parent sends gets exactly one frame back, and nothing
-// more: after every reply the socket is empty.  Wire v3 followed the Data
-// and Checkpoint replies with a CmdDone.
+// more: each request datagram is answered by one datagram holding one
+// reply per frame, in the frames' order, and after it the socket is empty.
+// Wire v3 followed the Data and Checkpoint replies with a CmdDone, and wire
+// v4 sent each reply in a datagram of its own.
 TEST(Transport, WorkerAnswersEachFrameWithExactlyOneFrame) {
   ASSERT_FALSE(proc_bin().empty()) << "RDTGC_PROC_BIN not set";
   ScratchDir dir("transport_worker_contract");
@@ -753,15 +836,25 @@ TEST(Transport, WorkerAnswersEachFrameWithExactlyOneFrame) {
 
   WireBuffer in;
   DecodedFrame frame;
-  const auto reply = [&] {
+  // One reply datagram, split into its frames' decoded headers and the
+  // message seqs its RecvAcks name.
+  const auto replies = [&] {
+    std::vector<FrameKind> kinds;
+    std::vector<std::uint64_t> acked;
     EXPECT_EQ(recv_frame(fd.get(), in, 10000), RecvStatus::kFrame);
-    EXPECT_EQ(decode_frame(in, frame), WireError::kOk);
-    return frame.header.kind();
+    for (std::span<const std::uint8_t> rest(in); !rest.empty();) {
+      const std::size_t size = first_frame_bytes(rest);
+      EXPECT_EQ(decode_frame(rest.first(size), frame), WireError::kOk);
+      kinds.push_back(frame.header.kind());
+      if (frame.header.kind() == FrameKind::kRecvAck)
+        acked.push_back(frame.recv_ack.msg_seq);
+      rest = rest.subspan(size);
+    }
+    return std::pair(kinds, acked);
   };
-  ASSERT_EQ(reply(), FrameKind::kHello);
+  ASSERT_EQ(replies().first, std::vector<FrameKind>{FrameKind::kHello});
 
   std::uint64_t seq = 0;
-  WireBuffer out;
   const auto meta = [&](ProcessId src) {
     FrameMeta m;
     m.src = src;
@@ -775,37 +868,54 @@ TEST(Transport, WorkerAnswersEachFrameWithExactlyOneFrame) {
     body.op = static_cast<std::uint8_t>(op);
     body.target = target;
     body.param = 1;
+    WireBuffer out;
     encode_cmd(out, meta(-1), body);
     return out;
   };
-  DataBody data;
-  data.send_interval = 1;
-  data.bytes = 1;
-  data.dv = {0, 1};
-  WireBuffer data_frame;
-  encode_data(data_frame, meta(1), data);
+  const auto data = [&] {
+    DataBody body;
+    body.send_interval = 1;
+    body.bytes = 1;
+    body.dv = {0, 1};
+    WireBuffer out;
+    encode_data(out, meta(1), body);
+    return out;
+  };
 
+  using K = FrameKind;
   const struct {
-    WireBuffer request;
-    FrameKind reply;
+    std::vector<WireBuffer> requests;  // sent as one datagram
+    std::vector<FrameKind> replies;    // expected in one datagram
   } exchanges[] = {
-      {cmd(CmdOp::kSendApp, 1), FrameKind::kData},
-      {data_frame, FrameKind::kRecvAck},
-      {cmd(CmdOp::kCheckpoint, -1), FrameKind::kCheckpoint},
-      {cmd(CmdOp::kQuiesce, -1), FrameKind::kCmdDone},
-      {cmd(CmdOp::kShutdown, -1), FrameKind::kState},
+      {{cmd(CmdOp::kSendApp, 1)}, {K::kData}},
+      {{data()}, {K::kRecvAck}},
+      {{cmd(CmdOp::kCheckpoint, -1)}, {K::kCheckpoint}},
+      {{data(), data(), cmd(CmdOp::kCheckpoint, -1)},
+       {K::kRecvAck, K::kRecvAck, K::kCheckpoint}},
+      {{cmd(CmdOp::kQuiesce, -1)}, {K::kCmdDone}},
+      {{cmd(CmdOp::kShutdown, -1)}, {K::kState}},
   };
   for (const auto& x : exchanges) {
-    ASSERT_TRUE(send_frame(fd.get(), x.request, 10000));
-    EXPECT_EQ(reply(), x.reply) << "reply kind " << int{frame.header.kind_raw};
+    WireBuffer datagram;
+    std::vector<std::uint64_t> data_seqs;
+    for (const WireBuffer& request : x.requests) {
+      datagram.insert(datagram.end(), request.begin(), request.end());
+      ASSERT_EQ(decode_frame(request, frame), WireError::kOk);
+      if (frame.header.kind() == FrameKind::kData)
+        data_seqs.push_back(frame.header.seq);
+    }
+    ASSERT_TRUE(send_frame(fd.get(), datagram, 10000));
+    const auto [kinds, acked] = replies();
+    EXPECT_EQ(kinds, x.replies) << x.requests.size() << "-frame request";
+    EXPECT_EQ(acked, data_seqs);  // each RecvAck names its Data, in order
     // After its State the worker exits, which closes the socket.
     const RecvStatus next = recv_frame(fd.get(), in, 0);
-    if (x.reply == FrameKind::kState)
+    if (x.replies.back() == FrameKind::kState)
       EXPECT_NE(next, RecvStatus::kFrame);
     else
       EXPECT_EQ(next, RecvStatus::kTimeout)
-          << "a second frame after the reply to a kind "
-          << int{x.request[10]} << " frame";
+          << "a second datagram after the reply to a " << x.requests.size()
+          << "-frame request";
   }
   int status = -1;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
@@ -844,8 +954,11 @@ TEST(Transport, StoppedCommandTargetFailsTheCallAtItsDeadline) {
   EXPECT_EQ(errno, ESRCH);
 }
 
-// A worker SIGKILLed from outside while it owes a RecvAck: the next read
-// of its socket fails the call by name instead of waiting out a deadline.
+// A worker SIGKILLed from outside while it owes a RecvAck: the next wait on
+// its socket fails the call by name instead of waiting out a deadline.  The
+// Data frame routed to it still waits in the parent's queue, so the wait
+// finds the death at the send: the socket refuses the datagram.
+// WorkerKilledAfterItsDatagramLeftFailsTheRead is the death found by a read.
 TEST(Transport, WorkerKilledOwingARecvAckFailsTheNextRead) {
   ASSERT_FALSE(proc_bin().empty()) << "RDTGC_PROC_BIN not set";
   ScratchDir dir("transport_killed_owing");
@@ -856,7 +969,6 @@ TEST(Transport, WorkerKilledOwingARecvAckFailsTheNextRead) {
   const pid_t victim = fleet.pid(1);
   ASSERT_EQ(::kill(victim, SIGSTOP), 0);
   ASSERT_TRUE(fleet.send_app(0, 1)) << fleet.error();
-  // The next call sends the Data frame on to the stopped p1.
   ASSERT_TRUE(fleet.send_app(2, 0)) << fleet.error();
   ASSERT_EQ(fleet.outstanding(), 2u);
   ASSERT_EQ(::kill(victim, SIGKILL), 0);
@@ -868,6 +980,38 @@ TEST(Transport, WorkerKilledOwingARecvAckFailsTheNextRead) {
   EXPECT_FALSE(fleet.shutdown());
   EXPECT_LT(std::chrono::steady_clock::now() - t0,
             std::chrono::milliseconds(config.step_timeout_ms));
+  EXPECT_NE(fleet.error().find("worker p1 died unexpectedly, owing RecvAck "
+                               "of message (p0"),
+            std::string::npos)
+      << fleet.error();
+}
+
+// The datagram carrying a Data frame reaches a stopped worker, and the
+// worker is SIGKILLed while the parent waits for its RecvAck: the wait
+// reads the closed socket and fails the call by name, naming the RecvAck,
+// long before its deadline.
+TEST(Transport, WorkerKilledAfterItsDatagramLeftFailsTheRead) {
+  ASSERT_FALSE(proc_bin().empty()) << "RDTGC_PROC_BIN not set";
+  ScratchDir dir("transport_killed_after_send");
+  FleetConfig config = fleet_config(dir, 3);
+  config.step_timeout_ms = 5000;
+  ProcFleet fleet(config);
+  ASSERT_TRUE(fleet.start()) << fleet.error();
+  const pid_t victim = fleet.pid(1);
+  ASSERT_EQ(::kill(victim, SIGSTOP), 0);
+  ASSERT_TRUE(fleet.send_app(0, 1)) << fleet.error();
+  ASSERT_EQ(fleet.outstanding(), 1u);
+  // shutdown() sends the queued Data frame at once, into the stopped
+  // worker's receive buffer, then blocks reading the RecvAck it is owed.
+  const auto t0 = std::chrono::steady_clock::now();
+  std::thread killer([victim] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    ::kill(victim, SIGKILL);
+  });
+  EXPECT_FALSE(fleet.shutdown());
+  const auto took = std::chrono::steady_clock::now() - t0;
+  killer.join();
+  EXPECT_LT(took, std::chrono::milliseconds(config.step_timeout_ms / 2));
   EXPECT_NE(fleet.error().find("worker p1 died unexpectedly, owing RecvAck "
                                "of message (p0"),
             std::string::npos)

@@ -8,8 +8,13 @@
 //    frames queued before the peer closed all arrive before kClosed;
 //  * send_frame gives up on a full socket at its deadline and on a closed
 //    peer at once;
-//  * a FrameQueue flush keeps frame order and datagram boundaries, and
-//    under backpressure leaves the unsent tail queued, in order;
+//  * a FrameQueue flush packs whole frames, in push order, into one
+//    datagram, or into several of at most kMaxDatagramBytes split between
+//    frames (a larger frame alone), and under backpressure leaves the
+//    unsent tail queued, in order;
+//  * TimedReceiver hands out a datagram's frames one per call, whole and in
+//    order, and the frames it has not handed out yet survive another
+//    receiver's receive and the peer's close;
 //  * TimedReceiver returns queued frames first (even past a deadline),
 //    kTimeout at its deadline and kClosed once the peer closed;
 //  * UdsTransport::send names a bare message with a nonzero id unique
@@ -21,9 +26,10 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -155,31 +161,52 @@ TEST(UdsSend, FullSocketMissesTheDeadlineAndClosedPeerFails) {
 
 // ---- Queued frames --------------------------------------------------------
 
-/// Frame i of a test stream: its index in the first four bytes, then a
-/// pattern, `size` bytes in all.
+/// Frame i of a test stream: `size` (>= kWireHeaderBytes) bytes of a
+/// pattern, with the header length receivers split datagrams by and its
+/// index in the seq field.
 WireBuffer numbered(std::uint32_t i, std::size_t size) {
   WireBuffer frame = pattern(size, static_cast<std::uint8_t>(i));
-  std::memcpy(frame.data(), &i, sizeof i);
+  for (std::size_t b = 0; b < 4; ++b) {
+    frame[4 + b] = static_cast<std::uint8_t>(size >> (8 * b));
+    frame[24 + b] = static_cast<std::uint8_t>(i >> (8 * b));
+  }
   return frame;
+}
+
+/// Splits the datagram `buf` into its frames and checks each against
+/// numbered(next++, size_of(next)).
+template <typename SizeOf>
+void expect_numbered_frames(const WireBuffer& buf, std::uint32_t& next,
+                            SizeOf size_of) {
+  for (std::span<const std::uint8_t> rest(buf); !rest.empty(); ++next) {
+    const auto frame = rest.first(first_frame_bytes(rest));
+    ASSERT_EQ(WireBuffer(frame.begin(), frame.end()),
+              numbered(next, size_of(next)))
+        << "frame " << next;
+    rest = rest.subspan(frame.size());
+  }
 }
 
 TEST(UdsFrameQueue, FlushKeepsOrderAndBoundaries) {
   SocketPair s = seqpacket_pair();
-  // More frames than the ring's first size, from 4 bytes to 4 KiB.
+  // 41 frames from a bare header to about 1.5 KiB: 31 KiB in all.
   std::vector<WireBuffer> frames;
   for (std::uint32_t i = 0; i < 41; ++i)
-    frames.push_back(numbered(i, 4 + (i * 977) % 4096));
+    frames.push_back(numbered(i, kWireHeaderBytes + (i * 977) % 1500));
   FrameQueue queue;
   for (const WireBuffer& frame : frames) queue.push(frame);
   EXPECT_EQ(queue.size(), frames.size());
   ASSERT_EQ(queue.flush(s.tx.get()), 1);
   EXPECT_TRUE(queue.empty());
-  WireBuffer buf;
-  for (const WireBuffer& frame : frames) {
-    ASSERT_EQ(recv_frame(s.rx.get(), buf, kWaitMs), RecvStatus::kFrame);
-    EXPECT_EQ(buf, frame);
+  // One datagram: the receiver hands its frames out whole, in push order,
+  // with more of the same datagram pending until the last.
+  TimedReceiver rx(s.rx.get(), kWaitMs);
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    ASSERT_EQ(rx.recv(), RecvStatus::kFrame);
+    EXPECT_EQ(WireBuffer(rx.frame().begin(), rx.frame().end()), frames[i]);
+    EXPECT_EQ(rx.pending(), i + 1 < frames.size()) << "frame " << i;
   }
-  EXPECT_EQ(recv_frame(s.rx.get(), buf, 0), RecvStatus::kTimeout);
+  EXPECT_EQ(rx.recv(TimedReceiver::Clock::now()), RecvStatus::kTimeout);
   // An empty queue flushes without a syscall, even on a dead socket.
   s.rx.reset();
   EXPECT_EQ(queue.flush(s.tx.get()), 1);
@@ -187,25 +214,77 @@ TEST(UdsFrameQueue, FlushKeepsOrderAndBoundaries) {
   EXPECT_EQ(queue.flush(s.tx.get()), -1);
 }
 
+TEST(UdsFrameQueue, LongQueueLeavesInDatagramsOfWholeFrames) {
+  SocketPair s = seqpacket_pair();
+  // 70 frames of 1000 bytes, one of 66000 (more than a datagram holds on
+  // its own), then 10 of 1000: packed greedily in push order, they leave as
+  // [65 frames] [5 frames] [the large one] [10 frames].
+  const auto size_of = [](std::uint32_t i) -> std::size_t {
+    return i == 70 ? 66000 : 1000;
+  };
+  FrameQueue queue;
+  for (std::uint32_t i = 0; i < 81; ++i) queue.push(numbered(i, size_of(i)));
+  ASSERT_EQ(queue.flush(s.tx.get()), 1);
+  WireBuffer buf;
+  std::uint32_t next = 0;
+  for (const std::uint32_t count : {65u, 5u, 1u, 10u}) {
+    ASSERT_EQ(recv_frame(s.rx.get(), buf, kWaitMs), RecvStatus::kFrame);
+    const std::uint32_t first = next;
+    expect_numbered_frames(buf, next, size_of);
+    EXPECT_EQ(next - first, count);
+    EXPECT_TRUE(count == 1 || buf.size() <= kMaxDatagramBytes)
+        << buf.size() << " bytes";
+  }
+  EXPECT_EQ(next, 81u);
+  EXPECT_EQ(recv_frame(s.rx.get(), buf, 0), RecvStatus::kTimeout);
+}
+
+// A datagram longer than the sender's SO_SNDBUF allows is refused with
+// EMSGSIZE, a reason of its own (the fleet reports it as such, not as a
+// dead worker): flush() says -1, errno names it, and every frame stays
+// queued.
+TEST(UdsFrameQueue, DatagramOverTheSendBufferIsRefusedWithEmsgsize) {
+  SocketPair s = seqpacket_pair();
+  const int asked = 4096;  // the kernel doubles it, up to its minimum
+  ASSERT_EQ(::setsockopt(s.tx.get(), SOL_SOCKET, SO_SNDBUF, &asked,
+                         sizeof asked),
+            0);
+  int sndbuf = 0;
+  socklen_t len = sizeof sndbuf;
+  ASSERT_EQ(
+      ::getsockopt(s.tx.get(), SOL_SOCKET, SO_SNDBUF, &sndbuf, &len), 0);
+  ASSERT_LT(static_cast<std::size_t>(sndbuf), kMaxDatagramBytes);
+  // Whole frames of 1000 bytes, more in all than the buffer holds.
+  const auto count = static_cast<std::uint32_t>(sndbuf / 1000 + 1);
+  FrameQueue queue;
+  for (std::uint32_t i = 0; i < count; ++i) queue.push(numbered(i, 1000));
+  errno = 0;
+  EXPECT_EQ(queue.flush(s.tx.get()), -1);
+  EXPECT_EQ(errno, EMSGSIZE);
+  EXPECT_EQ(queue.size(), count);
+}
+
 TEST(UdsFrameQueue, BackpressureLeavesTheUnsentTailQueuedInOrder) {
   SocketPair s = seqpacket_pair();
   constexpr std::uint32_t kFrames = 2000;  // far more than the socket holds
+  const auto size_of = [](std::uint32_t) -> std::size_t { return 4096; };
   FrameQueue queue;
-  for (std::uint32_t i = 0; i < kFrames; ++i) queue.push(numbered(i, 4096));
+  for (std::uint32_t i = 0; i < kFrames; ++i)
+    queue.push(numbered(i, size_of(i)));
   ASSERT_EQ(queue.flush(s.tx.get()), 0);
   ASSERT_GT(queue.size(), 0u);
   ASSERT_LT(queue.size(), kFrames);
 
   // Alternate draining the receiver and flushing the rest: every frame
-  // arrives once, whole, in push order.
+  // arrives once, whole, in push order, 16 to a full datagram.
   WireBuffer buf;
   std::uint32_t next = 0;
   int rounds = 0;
   while (next < kFrames) {
     ASSERT_LT(++rounds, 10000);
     while (recv_frame(s.rx.get(), buf, 0) == RecvStatus::kFrame) {
-      ASSERT_EQ(buf, numbered(next, 4096)) << "frame " << next;
-      ++next;
+      ASSERT_EQ(buf.size(), kMaxDatagramBytes);
+      expect_numbered_frames(buf, next, size_of);
     }
     const int rc = queue.flush(s.tx.get());
     ASSERT_GE(rc, 0);
@@ -213,6 +292,45 @@ TEST(UdsFrameQueue, BackpressureLeavesTheUnsentTailQueuedInOrder) {
     EXPECT_LE(next + queue.size(), kFrames);
   }
   EXPECT_TRUE(queue.empty());
+}
+
+// The frames a receiver has not handed out yet lie in its own buffer: other
+// receivers' receives, recv_frame's on the same thread, and the peer's
+// close leave them intact.
+TEST(UdsTimedReceiver, UntakenFramesSurviveOtherReceives) {
+  SocketPair a = seqpacket_pair();
+  SocketPair b = seqpacket_pair();
+  SocketPair c = seqpacket_pair();
+  const auto size_of = [](std::uint32_t i) -> std::size_t {
+    return 100 + 50 * i;
+  };
+  FrameQueue qa;
+  FrameQueue qb;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    qa.push(numbered(i, size_of(i)));
+    qb.push(numbered(10 + i, size_of(10 + i)));
+  }
+  ASSERT_EQ(qa.flush(a.tx.get()), 1);
+  ASSERT_EQ(qb.flush(b.tx.get()), 1);
+  TimedReceiver ra(a.rx.get(), kWaitMs);
+  TimedReceiver rb(b.rx.get(), kWaitMs);
+  const auto take = [](TimedReceiver& rx) {
+    EXPECT_EQ(rx.recv(), RecvStatus::kFrame);
+    return WireBuffer(rx.frame().begin(), rx.frame().end());
+  };
+  EXPECT_EQ(take(ra), numbered(0, size_of(0)));
+  EXPECT_EQ(take(rb), numbered(10, size_of(10)));
+  a.tx.reset();
+  ASSERT_TRUE(send_frame(c.tx.get(), pattern(70000, 9), kWaitMs));
+  WireBuffer big;
+  ASSERT_EQ(recv_frame(c.rx.get(), big, kWaitMs), RecvStatus::kFrame);
+  EXPECT_EQ(big, pattern(70000, 9));
+  for (std::uint32_t i = 1; i < 4; ++i) {
+    EXPECT_EQ(take(ra), numbered(i, size_of(i)));
+    EXPECT_EQ(take(rb), numbered(10 + i, size_of(10 + i)));
+  }
+  EXPECT_FALSE(ra.pending());
+  EXPECT_EQ(ra.recv(), RecvStatus::kClosed);
 }
 
 TEST(UdsTimedReceiver, QueuedFramesThenTimeoutThenClosed) {

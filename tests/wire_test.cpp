@@ -9,7 +9,9 @@
 //     documented WireError, never kOk and never UB (the CI ASan/UBSan leg
 //     runs this test under sanitizers);
 //  3. fuzz — random garbage buffers and random bit-flips of valid frames
-//     must decode without crashing.
+//     must decode without crashing, and a datagram of several frames
+//     (wire v5) whose last frame is truncated, padded or bit-flipped must
+//     split and decode to a clean WireError, never UB.
 //
 // The event-log line codec gets the same round-trip + malformed-line
 // treatment: it is the artifact a chaos failure leaves behind, so a parser
@@ -19,6 +21,7 @@
 #include <iterator>
 #include <limits>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -367,12 +370,13 @@ WireBuffer downgraded_data_frame(std::uint8_t version) {
 }
 
 // Only kWireVersion decodes.  Frames are IPC between the binaries of one
-// build, so a v1-v3 frame of any kind — a Data frame in the pre-v3 layout
-// without control words included — is kBadVersion, never a decode.
+// build, so a v1-v4 frame of any kind — a Data frame in the pre-v3 layout
+// without control words included — is kBadVersion, never a decode.  (A v4
+// frame has the v5 layout; only v5 packs several into one datagram.)
 TEST(WireCompat, OlderVersionsRejected) {
   DecodedFrame f;
-  for (const std::uint8_t version :
-       {std::uint8_t{1}, std::uint8_t{2}, std::uint8_t{3}}) {
+  for (const std::uint8_t version : {std::uint8_t{1}, std::uint8_t{2},
+                                     std::uint8_t{3}, std::uint8_t{4}}) {
     for (WireBuffer frame :
          {sample_frame(), recovery_start_frame(), rolled_back_frame()}) {
       frame[8] = version;  // version low byte; high is 0
@@ -600,6 +604,112 @@ TEST(WireFuzz, RandomFramesRoundTrip) {
     EXPECT_EQ(f.data.bytes, b.bytes);
     ASSERT_EQ(f.data.dv, b.dv);
     ASSERT_EQ(f.data.control, b.control);
+  }
+}
+
+// ---- Datagrams of several frames (wire v5) --------------------------------
+
+/// Split `datagram` the way a receiver does and decode each frame: the
+/// first error, or kOk once every frame decoded.  `decoded` counts the
+/// frames that decoded.
+WireError decode_datagram(std::span<const std::uint8_t> datagram,
+                          std::size_t& decoded) {
+  DecodedFrame f;
+  decoded = 0;
+  while (!datagram.empty()) {
+    const std::size_t size = first_frame_bytes(datagram);
+    EXPECT_GT(size, 0u);  // every split makes progress
+    EXPECT_LE(size, datagram.size());
+    const WireError err = decode_frame(datagram.first(size), f);
+    if (err != WireError::kOk) return err;
+    ++decoded;
+    datagram = datagram.subspan(size);
+  }
+  return WireError::kOk;
+}
+
+std::vector<WireBuffer> datagram_corpus() {
+  return {sample_frame(), recovery_start_frame(), rolled_back_frame(),
+          data_control_frame()};
+}
+
+TEST(WireDatagram, FramesBackToBackSplitAndDecode) {
+  const std::vector<WireBuffer> corpus = datagram_corpus();
+  WireBuffer datagram;
+  for (const WireBuffer& frame : corpus)
+    datagram.insert(datagram.end(), frame.begin(), frame.end());
+  std::size_t decoded = 0;
+  EXPECT_EQ(decode_datagram(datagram, decoded), WireError::kOk);
+  EXPECT_EQ(decoded, corpus.size());
+  // The splitter reads only the length field: a short rest, or a length
+  // below a header or past the rest, is handed back whole.
+  EXPECT_EQ(first_frame_bytes({}), 0u);
+  EXPECT_EQ(first_frame_bytes(std::span(datagram).first(5)), 5u);
+  WireBuffer lying = corpus[0];
+  patch_u32(lying, 4, 3);
+  EXPECT_EQ(first_frame_bytes(lying), lying.size());
+  patch_u32(lying, 4, static_cast<std::uint32_t>(lying.size()) + 1);
+  EXPECT_EQ(first_frame_bytes(lying), lying.size());
+  EXPECT_EQ(decode_datagram(lying, decoded), WireError::kBadLength);
+}
+
+TEST(WireFuzz, DatagramsWithABrokenLastFrameFailCleanly) {
+  const std::vector<WireBuffer> corpus = datagram_corpus();
+  std::mt19937_64 rng(50617);
+  std::uniform_int_distribution<int> byte(0, 255);
+  std::uniform_int_distribution<std::size_t> pick(0, corpus.size() - 1);
+  for (int iter = 0; iter < 6000; ++iter) {
+    // One to four whole frames, then the frame to break.
+    const std::size_t whole = 1 + static_cast<std::size_t>(iter) % 4;
+    WireBuffer datagram;
+    for (std::size_t k = 0; k < whole; ++k) {
+      const WireBuffer& frame = corpus[pick(rng)];
+      datagram.insert(datagram.end(), frame.begin(), frame.end());
+    }
+    WireBuffer last = corpus[pick(rng)];
+    const int mode = (iter / 4) % 3;
+    if (mode == 0) {  // truncated: ends inside its last frame
+      std::uniform_int_distribution<std::size_t> cut(1, last.size() - 1);
+      last.resize(last.size() - cut(rng));
+    } else if (mode == 1) {  // padded: bytes past its last frame
+      std::uniform_int_distribution<std::size_t> pad(1, 64);
+      for (std::size_t k = pad(rng); k > 0; --k)
+        last.push_back(static_cast<std::uint8_t>(byte(rng)));
+    } else {  // bit-flipped
+      std::uniform_int_distribution<std::size_t> pos(0, last.size() - 1);
+      for (int k = 1 + iter % 4; k > 0; --k)
+        last[pos(rng)] ^= static_cast<std::uint8_t>(1 + byte(rng) % 255);
+    }
+    datagram.insert(datagram.end(), last.begin(), last.end());
+    std::size_t decoded = 0;
+    const WireError err = decode_datagram(datagram, decoded);
+    if (mode == 0) {
+      EXPECT_NE(err, WireError::kOk) << "iteration " << iter;
+      EXPECT_EQ(decoded, whole) << "iteration " << iter;
+    } else if (mode == 1) {
+      EXPECT_NE(err, WireError::kOk) << "iteration " << iter;
+      EXPECT_EQ(decoded, whole + 1) << "iteration " << iter;
+    } else {
+      // A flip inside a DV entry still decodes; anything else is a clean
+      // error, and the whole frames ahead of it always decode.
+      EXPECT_GE(decoded, whole) << "iteration " << iter;
+    }
+  }
+}
+
+TEST(WireFuzz, RandomGarbageDatagramsSplitWithoutCrashing) {
+  std::mt19937_64 rng(20261020);
+  std::uniform_int_distribution<int> byte(0, 255);
+  std::uniform_int_distribution<std::size_t> len(0, 512);
+  for (int iter = 0; iter < 5000; ++iter) {
+    WireBuffer buf(len(rng));
+    for (auto& b : buf) b = static_cast<std::uint8_t>(byte(rng));
+    // Small length fields, so some garbage splits into several pieces.
+    if (buf.size() >= kWireHeaderBytes && iter % 2 == 0)
+      patch_u32(buf, 4, static_cast<std::uint32_t>(
+                            kWireHeaderBytes + rng() % buf.size()));
+    std::size_t decoded = 0;
+    (void)decode_datagram(buf, decoded);  // any WireError is fine; UB is not
   }
 }
 
