@@ -8,43 +8,6 @@
 
 namespace rdtgc::recovery {
 
-std::vector<CheckpointIndex> recovery_line_from_storage(
-    const std::vector<const ckpt::ShardedCheckpointStore*>& stores) {
-  const std::size_t n = stores.size();
-  RDTGC_EXPECTS(n >= 1);
-  std::vector<CheckpointIndex> last(n);
-  for (std::size_t p = 0; p < n; ++p) {
-    RDTGC_EXPECTS(stores[p] != nullptr);
-    RDTGC_EXPECTS(stores[p]->count() > 0);
-    last[p] = stores[p]->last_index();
-  }
-  // Lemma 1 with F = all processes, over stored DVs: line[i] is the latest
-  // stored γ with ∀f: s_f^last ↛ c_i^γ.  Since no volatile state survives a
-  // full restart, entries are capped at the last stored index — against the
-  // recorder oracle this is min(recovery_line_lemma1(all faulty), last).
-  std::vector<CheckpointIndex> line(n, kNoCheckpoint);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::vector<CheckpointIndex>& stored = stores[i]->stored_indices();
-    // s_f^last → c_i^γ is monotone in γ: scan stored indices descending.
-    for (auto it = stored.rbegin(); it != stored.rend(); ++it) {
-      const causality::DvView dv = stores[i]->dv_view(*it);
-      bool excluded = false;
-      for (std::size_t f = 0; f < n && !excluded; ++f) {
-        if (f == i) continue;  // last[i] < DV(s_i^γ)[i] = γ is impossible
-        excluded = dv.precedes_this(static_cast<ProcessId>(f), last[f]);
-      }
-      if (!excluded) {
-        line[i] = *it;
-        break;
-      }
-    }
-    // Theorem 1: the recovery-line member is non-obsolete, so it was never
-    // collected and the scan cannot come up empty.
-    RDTGC_ENSURES(line[i] != kNoCheckpoint);
-  }
-  return line;
-}
-
 RecoveryManager::RecoveryManager(sim::Simulator& simulator,
                                  sim::Network& network,
                                  ccp::CcpRecorder& recorder,
@@ -79,30 +42,42 @@ RecoveryManager::SessionPlan RecoveryManager::plan(
     const std::vector<ProcessId>& faulty) const {
   RDTGC_EXPECTS(!faulty.empty());
   const std::size_t n = recorder_.process_count();
-  SessionPlan plan;
-  plan.faulty_mask.assign(n, false);
+  std::vector<bool> faulty_mask(n, false);
   for (const ProcessId f : faulty) {
     RDTGC_EXPECTS(f >= 0 && static_cast<std::size_t>(f) < n);
-    plan.faulty_mask[static_cast<std::size_t>(f)] = true;
+    faulty_mask[static_cast<std::size_t>(f)] = true;
   }
 
+  std::vector<CheckpointIndex> line;
   if (config_.line_algorithm == LineAlgorithm::kLemma1) {
     const ccp::DvPrecedence causal(recorder_);
-    plan.line = ccp::recovery_line_lemma1(recorder_, causal, plan.faulty_mask);
+    line = ccp::recovery_line_lemma1(recorder_, causal, faulty_mask);
   } else {
     const ccp::ZigzagAnalysis zigzag(recorder_);
-    plan.line = zigzag.recovery_line(plan.faulty_mask);
+    line = zigzag.recovery_line(faulty_mask);
   }
+  // Faulty processes can never keep their volatile state (Lemma 1).
+  for (const ProcessId f : faulty) {
+    RDTGC_ASSERT(line[static_cast<std::size_t>(f)] <=
+                 recorder_.last_stable(f));
+  }
+  return session_for(std::move(line));
+}
 
-  // LI[j] = last_s(j) + 1 in the cut defined by R_F: a rolled-back process
-  // restores s^{line[j]} (making it the last stable checkpoint); a surviving
-  // process keeps its volatile state, so line[j] already equals last_s(j)+1.
+RecoveryManager::SessionPlan RecoveryManager::session_for(
+    std::vector<CheckpointIndex> line) const {
+  const std::size_t n = recorder_.process_count();
+  RDTGC_EXPECTS(line.size() == n);
+  SessionPlan plan;
+  plan.line = std::move(line);
+  // LI[j] = last_s(j) + 1 in the cut defined by the line: a rolled-back
+  // process restores s^{line[j]} (making it the last stable checkpoint); a
+  // surviving process keeps its volatile state, so line[j] already equals
+  // last_s(j)+1.
   plan.li.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
     const CheckpointIndex last = recorder_.last_stable(static_cast<ProcessId>(j));
     plan.li[j] = plan.line[j] <= last ? plan.line[j] + 1 : plan.line[j];
-    // Faulty processes can never keep their volatile state (Lemma 1).
-    RDTGC_ASSERT(!plan.faulty_mask[j] || plan.line[j] <= last);
   }
   return plan;
 }
@@ -136,17 +111,18 @@ RecoveryManager::ApplyResult RecoveryManager::apply_to(const SessionPlan& plan,
 }
 
 RecoveryOutcome RecoveryManager::recover(const std::vector<ProcessId>& faulty) {
+  return run(plan(faulty));
+}
+
+RecoveryOutcome RecoveryManager::run(const SessionPlan& session) {
   ++stats_.sessions;
   // Stop the world; in-transit messages are excluded from the CCP.
   network_.pause();
   network_.drop_in_flight();
 
-  const SessionPlan session = plan(faulty);
-  const std::size_t n = recorder_.process_count();
-
   RecoveryOutcome outcome;
   outcome.line = session.line;
-  for (std::size_t p = 0; p < n; ++p) {
+  for (std::size_t p = 0; p < session.line.size(); ++p) {
     const ApplyResult applied = apply_to(session, static_cast<ProcessId>(p));
     outcome.checkpoints_discarded += applied.checkpoints_discarded;
     outcome.general_checkpoints_rolled_back +=

@@ -28,6 +28,7 @@
 #include "causality/types.hpp"
 #include "ccp/recorder.hpp"
 #include "ckpt/node.hpp"
+#include "recovery/recovery_line.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -46,23 +47,6 @@ struct RecoveryOutcome {
   /// Σ_p (last_general(p) - line[p]).
   std::uint64_t general_checkpoints_rolled_back = 0;
 };
-
-/// Recovery line of a FULL restart from stable storage alone (§2.4 taken to
-/// its limit: every process failed, no volatile state, no recorder — only
-/// what the persistent checkpoint-store backends wrote to disk survives).
-///
-/// `stores` holds one reopened store per process (constructed with
-/// OpenMode::kAttach over the original directory, then recover()ed — see
-/// ckpt/sharded_checkpoint_store.hpp).  The line is Lemma 1 specialized to
-/// F = all processes, evaluated over the STORED dependency vectors through
-/// the stores' dv_view (Equation 2: c_a^α → c_b^β ⇔ α < DV(c_b^β)[a]):
-/// per process the latest stored checkpoint not causally preceded by any
-/// peer's last stored checkpoint.  Theorem 1 guarantees the line's members
-/// were never collected, so an entry always exists; RD-trackability makes
-/// the result exact.  Throws ContractViolation on an empty store (a process
-/// with no recovered checkpoint cannot restart).
-std::vector<CheckpointIndex> recovery_line_from_storage(
-    const std::vector<const ckpt::ShardedCheckpointStore*>& stores);
 
 /// Restart-safe process accessor (harness::System::node_provider): resolves
 /// the CURRENT Node of p, surviving warm restarts that replace the object.
@@ -86,23 +70,34 @@ class RecoveryManager {
                   ccp::CcpRecorder& recorder, NodeProvider nodes,
                   Config config);
 
-  /// Run a recovery session for the given faulty set, now.
+  /// Run a recovery session for the given faulty set, now:
+  /// run(plan(faulty)).
   RecoveryOutcome recover(const std::vector<ProcessId>& faulty);
 
-  /// A computed-but-not-applied session: the Lemma-1 line, its LI vector,
-  /// and the faulty set it was computed for.  `plan()` is pure (reads the
-  /// recorder only); `apply_to()` executes the session at one process.  The
-  /// split exists for the wire-driven sessions: the fleet parent broadcasts
-  /// a plan and applies it per-process as RolledBack acks arrive, and the
-  /// replay oracle mirrors exactly that incremental order — recover() is
-  /// plan() + apply_to(p) for every p under a paused network.
+  /// A computed-but-not-applied session: a recovery line and its LI vector.
+  /// `plan()` and `session_for()` are pure (they read the recorder only);
+  /// `apply_to()` executes the session at one process.  The split exists
+  /// for the wire-driven sessions: the fleet parent broadcasts a plan and
+  /// applies it per-process as RolledBack acks arrive, and the replay
+  /// oracle mirrors exactly that incremental order — run() is apply_to(p)
+  /// for every p under a paused network.
   struct SessionPlan {
     std::vector<CheckpointIndex> line;
     std::vector<IntervalIndex> li;
-    std::vector<bool> faulty_mask;
   };
 
+  /// The session for the faulty set: its recovery line by the configured
+  /// algorithm, then session_for(line).
   SessionPlan plan(const std::vector<ProcessId>& faulty) const;
+
+  /// The session that restores `line` (entry last_s(p)+1 = volatile state
+  /// kept), with LI derived from the recorder: LI[j] = last_s(j)+1 in the
+  /// cut the line defines.
+  SessionPlan session_for(std::vector<CheckpointIndex> line) const;
+
+  /// Execute `session` everywhere, now: stop the world, drop in-transit
+  /// messages, apply it to every process, resume.
+  RecoveryOutcome run(const SessionPlan& session);
 
   struct ApplyResult {
     bool rolled = false;  ///< restored a stable checkpoint (vs peer recovery)

@@ -9,13 +9,10 @@ TargetedRollback::TargetedRollback(sim::Simulator& simulator,
                                    sim::Network& network,
                                    ccp::CcpRecorder& recorder,
                                    std::vector<ckpt::Node*> nodes)
-    : simulator_(simulator),
-      network_(network),
-      recorder_(recorder),
-      nodes_(std::move(nodes)) {
-  RDTGC_EXPECTS(!nodes_.empty());
-  RDTGC_EXPECTS(nodes_.size() == recorder_.process_count());
-}
+    : recorder_(recorder),
+      nodes_(nodes),
+      manager_(simulator, network, recorder, std::move(nodes),
+               RecoveryManager::Config{}) {}
 
 std::optional<TargetedRollbackOutcome> TargetedRollback::rollback_to(
     const ccp::TargetSet& targets, TargetExtreme extreme) {
@@ -29,10 +26,9 @@ std::optional<TargetedRollbackOutcome> TargetedRollback::rollback_to(
   }
 
   const ccp::DvPrecedence causal(recorder_);
-  const auto line =
-      extreme == TargetExtreme::kMaximum
-          ? ccp::max_consistent_containing(recorder_, causal, targets)
-          : ccp::min_consistent_containing(recorder_, causal, targets);
+  auto line = extreme == TargetExtreme::kMaximum
+                  ? ccp::max_consistent_containing(recorder_, causal, targets)
+                  : ccp::min_consistent_containing(recorder_, causal, targets);
   if (!line) return std::nullopt;
 
   // The computed line can include stable checkpoints already collected as
@@ -45,32 +41,9 @@ std::optional<TargetedRollbackOutcome> TargetedRollback::rollback_to(
       return std::nullopt;
   }
 
-  network_.pause();
-  network_.drop_in_flight();
-
-  TargetedRollbackOutcome outcome;
-  outcome.line = *line;
-  std::vector<IntervalIndex> li(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    const CheckpointIndex last =
-        recorder_.last_stable(static_cast<ProcessId>(j));
-    li[j] = (*line)[j] <= last ? (*line)[j] + 1 : (*line)[j];
-  }
-  for (std::size_t p = 0; p < n; ++p) {
-    const CheckpointIndex last =
-        recorder_.last_stable(static_cast<ProcessId>(p));
-    if ((*line)[p] <= last) {
-      const std::uint64_t before = nodes_[p]->store().stats().discarded;
-      nodes_[p]->rollback_to((*line)[p], li);
-      outcome.checkpoints_discarded +=
-          nodes_[p]->store().stats().discarded - before;
-    } else {
-      nodes_[p]->peer_recovery(li);
-    }
-  }
-  network_.resume();
-  (void)simulator_;
-  return outcome;
+  const RecoveryOutcome outcome =
+      manager_.run(manager_.session_for(std::move(*line)));
+  return TargetedRollbackOutcome{outcome.line, outcome.checkpoints_discarded};
 }
 
 }  // namespace rdtgc::recovery

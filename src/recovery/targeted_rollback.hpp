@@ -9,8 +9,8 @@
 // software error was activated, rather than to the latest line.
 //
 // The target line is computed with Wang's max/min algorithms over the
-// recorded CCP (valid under RDT); the rollback itself reuses the
-// RecoveryManager machinery: freeze, drop in-transit messages, roll every
+// recorded CCP (valid under RDT); the rollback itself is a RecoveryManager
+// session for that line: freeze, drop in-transit messages, roll every
 // process to its line member, propagate LI, run Algorithm 3.
 #pragma once
 
@@ -20,6 +20,7 @@
 #include "ccp/analysis.hpp"
 #include "ccp/recorder.hpp"
 #include "ckpt/node.hpp"
+#include "recovery/recovery_manager.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -48,10 +49,9 @@ class TargetedRollback {
       const ccp::TargetSet& targets, TargetExtreme extreme);
 
  private:
-  sim::Simulator& simulator_;
-  sim::Network& network_;
   ccp::CcpRecorder& recorder_;
   std::vector<ckpt::Node*> nodes_;
+  RecoveryManager manager_;
 };
 
 }  // namespace rdtgc::recovery

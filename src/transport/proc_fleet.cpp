@@ -147,21 +147,19 @@ bool ProcFleet::answers(const DecodedFrame& f, const OwedReply& owed) {
   }
 }
 
-ProcFleet::ProcFleet(FleetConfig config) : config_(std::move(config)) {
+ProcFleet::ProcFleet(FleetConfig config)
+    : config_(std::move(config)), mirror_(config_.process_count) {
   RDTGC_EXPECTS(config_.process_count >= 2);
   RDTGC_EXPECTS(!config_.scratch_dir.empty() &&
                 !config_.worker_binary.empty());
   RDTGC_EXPECTS(config_.backend != ckpt::StorageBackendKind::kInMemory);
   workers_.resize(config_.process_count);
   out_.resize(config_.process_count);
-  // One command, the deliveries the bound allows plus the one a call
-  // routes before enforcing it, and the session frames of two attempts'
-  // re-sends (a session restarts at most once, see run_recovery_session).
-  owed_.assign(config_.process_count,
-               OwedRing(kMaxOutstanding + 2 +
-                        2 * static_cast<std::size_t>(
-                                std::max(1, config_.recovery_retries))));
-  mirror_.resize(config_.process_count);
+  // One command and the deliveries the bound allows plus the one a call
+  // routes before enforcing it.  A session frame is queued only to an empty
+  // ring: the pre-session drain and each attempt's barrier read every reply
+  // owed.
+  owed_.assign(config_.process_count, OwedRing(kMaxOutstanding + 2));
   socket_path_ = config_.scratch_dir + "/fleet.sock";
   log_path_ = config_.scratch_dir + "/events.log";
 }
@@ -286,41 +284,12 @@ bool ProcFleet::await_hello(ProcessId expected) {
   if (frame_.header.incarnation != w.incarnation)
     return fail("Hello carries the wrong incarnation");
   const HelloBody& hello = frame_.hello;
-  if (!check_width(p, "Hello", hello.dv)) return false;
-  // A fresh worker has stored s^0 only.  A re-attached one resumes at a
-  // checkpoint the log already holds — or, after an unclean kill, at most
-  // unlogged_checkpoints past the last one the log saw.
-  DvMirror& m = mirror_[static_cast<std::size_t>(p)];
-  const std::int64_t max_last =
-      w.incarnation == 0
-          ? 0
-          : m.last() + static_cast<std::int64_t>(w.unlogged_checkpoints);
-  if (hello.last_index < 0 || hello.last_index > max_last) {
-    return fail("Hello frame from p" + std::to_string(p) +
-                " claims last checkpoint index " +
-                std::to_string(hello.last_index) + ", at most " +
-                std::to_string(max_last) + " is possible");
-  }
+  if (!mirror_.attach(p, w.incarnation, hello.last_index, hello.dv))
+    return fail(mirror_.error());
   w.fd = std::move(fd);
   w.rx = std::move(rx);
   w.alive = true;
   w.draining = false;
-  w.unlogged_checkpoints = 0;
-
-  // Mirror the recovered lineage: checkpoint-DV rows above the recovered
-  // position die with the volatile interval (exactly the recorder's
-  // truncation on restart).  Missing rows are padded from the Hello DV —
-  // only possible after an unclean kill persisted a checkpoint whose frame
-  // never surfaced, and such runs are liveness-only anyway.
-  const auto rows = static_cast<std::size_t>(hello.last_index) + 1;
-  while (m.ckpt_dvs.size() < rows) {
-    std::vector<IntervalIndex> row = hello.dv;
-    row[static_cast<std::size_t>(p)] =
-        static_cast<IntervalIndex>(m.ckpt_dvs.size());
-    m.ckpt_dvs.push_back(std::move(row));
-  }
-  m.ckpt_dvs.resize(rows);
-  m.current = hello.dv;
 
   Event& e = event(EventKind::kAttach);
   e.p = p;
@@ -469,41 +438,28 @@ bool ProcFleet::read_all_owed(Clock::time_point deadline) {
   return true;
 }
 
-bool ProcFleet::check_width(ProcessId p, const char* kind,
-                            const std::vector<IntervalIndex>& dv) {
-  if (dv.size() == config_.process_count) return true;
-  return fail(std::string(kind) + " frame from p" + std::to_string(p) +
-              " carries a DV of width " + std::to_string(dv.size()) +
-              ", expected " + std::to_string(config_.process_count));
-}
-
 bool ProcFleet::handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
                              const DecodedFrame& frame,
                              const OwedReply& owed) {
   const auto in_range = [&](ProcessId q) {
     return q >= 0 && static_cast<std::size_t>(q) < config_.process_count;
   };
-  DvMirror& m = mirror_[static_cast<std::size_t>(p)];
   switch (frame.header.kind()) {
     case FrameKind::kData:
       if (!in_range(frame.header.dst) || frame.header.dst == p)
         return fail("Data frame from p" + std::to_string(p) +
                     " addressed to p" + std::to_string(frame.header.dst));
-      if (!check_width(p, "Data", frame.data.dv)) return false;
+      if (!mirror_.send(p, frame.data.send_interval, frame.data.dv))
+        return fail(mirror_.error());
       route_data(raw, frame);
       return true;
     case FrameKind::kRecvAck: {
       const RecvAckBody& ack = frame.recv_ack;
-      if (!check_width(p, "RecvAck", ack.dv_after)) return false;
-      // The receive stays in the current interval — or, forced, follows
-      // the checkpoint that closes it, in the next one.
-      const auto lineage = static_cast<std::int64_t>(m.ckpt_dvs.size()) +
-                           (ack.forced != 0 ? 1 : 0);
-      if (ack.recv_interval != lineage)
-        return fail("RecvAck frame from p" + std::to_string(p) +
-                    " puts its receive in interval " +
-                    std::to_string(ack.recv_interval) + ", its lineage in " +
-                    std::to_string(lineage));
+      if (!mirror_.deliver(Delivery{ack.msg_src, ack.msg_incarnation,
+                                    ack.msg_seq, owed.send_interval, p,
+                                    ack.recv_interval},
+                           ack.forced != 0, ack.dv_after))
+        return fail(mirror_.error());
       Event& e = event(EventKind::kDeliver);
       e.dst = p;
       e.incarnation = frame.header.incarnation;
@@ -514,25 +470,12 @@ bool ProcFleet::handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
       e.forced = ack.forced;
       e.dv = ack.dv_after;
       log_->append(e);
-      delivered_.push_back(DeliveredRec{e.src, e.src_incarnation, e.seq,
-                                        owed.send_interval, p, e.interval});
-      if (ack.forced != 0) {
-        // The forced checkpoint stored the receiver's pre-event DV (the
-        // mirror's current) at the pre-event interval.
-        m.ckpt_dvs.push_back(m.current);
-        prune_delivered_below_checkpoint(p);
-      }
-      m.current = ack.dv_after;
       return true;
     }
     case FrameKind::kCheckpoint: {
       const CheckpointBody& ckpt = frame.checkpoint;
-      if (!check_width(p, "Checkpoint", ckpt.dv)) return false;
-      if (ckpt.index < 0 ||
-          static_cast<std::size_t>(ckpt.index) != m.ckpt_dvs.size())
-        return fail("Checkpoint frame from p" + std::to_string(p) +
-                    " has index " + std::to_string(ckpt.index) +
-                    ", its lineage " + std::to_string(m.ckpt_dvs.size()));
+      if (!mirror_.checkpoint(p, ckpt.index, ckpt.dv))
+        return fail(mirror_.error());
       Event& e = event(EventKind::kCheckpoint);
       e.p = p;
       e.incarnation = frame.header.incarnation;
@@ -540,26 +483,12 @@ bool ProcFleet::handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
       e.ckpt_kind = ckpt.kind;
       e.dv = ckpt.dv;
       log_->append(e);
-      m.ckpt_dvs.push_back(ckpt.dv);
-      m.current = ckpt.dv;
-      m.current[static_cast<std::size_t>(p)] += 1;
-      prune_delivered_below_checkpoint(p);
       return true;
     }
     case FrameKind::kRolledBack: {
       const RolledBackBody& rb = frame.rolled_back;
-      if (!check_width(p, "RolledBack", rb.dv)) return false;
-      // A session restores a checkpoint the mirror holds (or keeps the
-      // last one): it never moves the lineage forward.
-      if (rb.last_index < 0 || rb.last_index > m.last())
-        return fail("RolledBack frame from p" + std::to_string(p) +
-                    " restores index " + std::to_string(rb.last_index) +
-                    ", its lineage ends at " + std::to_string(m.last()));
-      Worker& w = workers_[static_cast<std::size_t>(p)];
-      w.acked_session = rb.session;
-      w.acked_attempt = rb.attempt;
-      m.ckpt_dvs.resize(static_cast<std::size_t>(rb.last_index) + 1);
-      m.current = rb.dv;
+      if (!mirror_.rolled_back(p, rb.last_index, rb.dv))
+        return fail(mirror_.error());
       Event& e = event(EventKind::kRolledBack);
       e.p = p;
       e.incarnation = frame.header.incarnation;
@@ -575,7 +504,8 @@ bool ProcFleet::handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
     case FrameKind::kCmdDone:
       return true;  // the Quiesce ack: everything p sent before it is read
     case FrameKind::kState: {
-      if (!check_width(p, "State", frame.state.dv)) return false;
+      if (!mirror_.check_width("State", p, frame.state.dv))
+        return fail(mirror_.error());
       Event& e = event(EventKind::kState);
       e.p = p;
       e.incarnation = frame.header.incarnation;
@@ -593,13 +523,6 @@ bool ProcFleet::handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
     default:
       return fail("unexpected frame kind from worker");
   }
-}
-
-void ProcFleet::prune_delivered_below_checkpoint(ProcessId p) {
-  const CheckpointIndex last = mirror_[static_cast<std::size_t>(p)].last();
-  std::erase_if(delivered_, [&](const DeliveredRec& r) {
-    return r.src == p && r.send_interval <= last;
-  });
 }
 
 void ProcFleet::route_data(std::span<const std::uint8_t> raw,
@@ -779,21 +702,14 @@ bool ProcFleet::kill_and_restart(ProcessId p) try {
   const std::uint32_t killed_inc =
       workers_[static_cast<std::size_t>(p)].incarnation;
   if (!quiesced_kill_respawn(p)) return false;
-  const CheckpointIndex last = mirror_[static_cast<std::size_t>(p)].last();
   // The orphan condition: a delivered message whose send died with p's
   // volatile interval.  The re-attached p resumes BEHIND a receive someone
   // else already performed — a state no oracle can certify and the paper's
   // recovery session exists to repair.  A clean kill (p checkpointed after
   // its last send, or the delivery never landed) needs no session.
-  std::uint64_t orphans = 0;
-  for (const DeliveredRec& r : delivered_) {
-    if (r.src == p && r.src_incarnation == killed_inc &&
-        r.send_interval > last) {
-      ++orphans;
-    }
-  }
+  const std::uint64_t orphans = mirror_.orphans(p, killed_inc);
   if (orphans == 0) {
-    prune_delivered_after_attach(p, last);
+    mirror_.forget_after_attach(p);
     return true;
   }
   orphans_repaired_ += orphans;
@@ -802,64 +718,16 @@ bool ProcFleet::kill_and_restart(ProcessId p) try {
   return fail(e.what());
 }
 
-void ProcFleet::prune_delivered_after_attach(ProcessId p,
-                                             CheckpointIndex last) {
-  // Receives of p's volatile interval died with it; sends above the
-  // recovered position are dead too (either just repaired by a session, or
-  // from an earlier incarnation whose kill already handled them — interval
-  // numbers repeat across incarnations, so stale records would read as
-  // phantom orphans at p's next kill).
-  std::erase_if(delivered_, [&](const DeliveredRec& r) {
-    return (r.dst == p && r.recv_interval > last) ||
-           (r.src == p && r.send_interval > last);
-  });
-}
-
-void ProcFleet::compute_plan(const std::vector<bool>& faulty_mask,
-                             std::vector<CheckpointIndex>& line,
-                             std::vector<IntervalIndex>& li) const {
-  // Lemma 1 over the DV mirrors, Eq. 2 directly: c_f^last → c_i^k iff
-  // last_f < DV(c_i^k)[f].  Identical scan order to ccp::recovery_line_
-  // lemma1 — the replay oracle recomputes the line through the recorder and
-  // asserts it equal, so the mirror must track the recorder's rows exactly.
-  const std::size_t n = config_.process_count;
-  line.assign(n, 0);
-  li.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const DvMirror& mi = mirror_[i];
-    const CheckpointIndex last_i = mi.last();
-    CheckpointIndex k = last_i + 1;
-    for (; k > 0; --k) {
-      const std::vector<IntervalIndex>& dv =
-          k <= last_i ? mi.ckpt_dvs[static_cast<std::size_t>(k)] : mi.current;
-      bool excluded = false;
-      for (std::size_t f = 0; f < n && !excluded; ++f) {
-        if (!faulty_mask[f]) continue;
-        excluded = mirror_[f].last() < dv[f];
-      }
-      if (!excluded) break;
-    }
-    line[i] = k;
-    // LI[j] = last_s(j)+1 in the cut defined by the line: rolled-back
-    // processes restore s^{line[j]}, survivors keep their volatile state.
-    li[i] = k <= last_i ? k + 1 : k;
-  }
-}
-
 bool ProcFleet::run_recovery_session(std::vector<ProcessId> faulty) {
   // Compute the line on a quiescent cut: drain every pending delivery
   // first, so the paper's "drop in-transit messages" step is vacuous and
   // the replayed session starts from an empty channel state too.
   if (!read_all_owed(step_deadline())) return false;
   const std::uint64_t session = ++next_session_;
-  std::uint32_t attempt = 0;
-  std::vector<bool> faulty_mask(config_.process_count, false);
   std::vector<CheckpointIndex> line;
   std::vector<IntervalIndex> li;
-  for (;;) {
-    for (const ProcessId f : faulty)
-      faulty_mask[static_cast<std::size_t>(f)] = true;
-    compute_plan(faulty_mask, line, li);
+  for (std::uint32_t attempt = 0;; ++attempt) {
+    mirror_.plan(faulty, line, li);
 
     Event& e = event(EventKind::kRecoveryStart);
     e.session = session;
@@ -883,56 +751,26 @@ bool ProcFleet::run_recovery_session(std::vector<ProcessId> faulty) {
     body.attempt = attempt;
     body.li = li;
     body.line = line;
-    const auto acked = [&](std::size_t q) {
-      const Worker& w = workers_[q];
-      return !w.alive || static_cast<ProcessId>(q) == withheld ||
-             (w.acked_session == session && w.acked_attempt >= attempt);
-    };
-    const auto broadcast = [&](bool only_missing) {
-      for (std::size_t q = 0; q < workers_.size(); ++q) {
-        Worker& w = workers_[q];
-        if (!w.alive || static_cast<ProcessId>(q) == withheld ||
-            (only_missing && acked(q))) {
-          continue;
-        }
-        FrameMeta meta;
-        meta.src = -1;
-        meta.dst = static_cast<ProcessId>(q);
-        meta.incarnation = w.incarnation;
-        meta.seq = ++w.next_cmd_seq;
-        encode_recovery_start(scratch_, meta, body);
-        OwedReply ack;
-        ack.kind = FrameKind::kRolledBack;
-        ack.session = session;
-        ack.attempt = attempt;
-        queue(static_cast<ProcessId>(q), scratch_, ack);
-      }
-    };
-
-    // Barrier with deadline-bounded retry: each try gets a full step
-    // deadline and reads each worker up to its ack; a try that times out
-    // re-sends to exactly the workers whose ack is missing (re-applying a
-    // session frame is idempotent — the rollback restores the position the
-    // worker already holds), and each re-send owes one more reply.
-    broadcast(/*only_missing=*/false);
-    for (int tries = 1;; ++tries) {
-      const Clock::time_point deadline = step_deadline();
-      if (!flush_all(deadline)) return false;
-      bool all_acked = true;
-      for (std::size_t q = 0; q < workers_.size(); ++q) {
-        // Past the deadline a read still returns an ack already queued.
-        while (!acked(q) && !owed_[q].empty()) {
-          const Read read = read_reply(static_cast<ProcessId>(q), deadline);
-          if (read == Read::kFailed) return false;
-          if (read == Read::kTimeout) break;
-        }
-        all_acked = all_acked && acked(q);
-      }
-      if (all_acked) break;
-      if (tries >= config_.recovery_retries)
-        return fail("recovery-session barrier: missing RolledBack acks");
-      broadcast(/*only_missing=*/true);
+    for (std::size_t q = 0; q < workers_.size(); ++q) {
+      Worker& w = workers_[q];
+      if (!w.alive || static_cast<ProcessId>(q) == withheld) continue;
+      FrameMeta meta;
+      meta.src = -1;
+      meta.dst = static_cast<ProcessId>(q);
+      meta.incarnation = w.incarnation;
+      meta.seq = ++w.next_cmd_seq;
+      encode_recovery_start(scratch_, meta, body);
+      OwedReply ack;
+      ack.kind = FrameKind::kRolledBack;
+      ack.session = session;
+      ack.attempt = attempt;
+      queue(static_cast<ProcessId>(q), scratch_, ack);
     }
+    // The barrier: each worker sent the frame owes its one RolledBack, and
+    // its socket is reliable and FIFO, so a re-sent frame could only queue
+    // behind the unanswered one.  A worker that has not answered by the
+    // deadline fails the run, naming the RolledBack it owes.
+    if (!read_all_owed(step_deadline())) return false;
 
     if (withheld < 0) break;
     // The second SIGKILL lands mid-session: the withheld worker never saw
@@ -944,16 +782,9 @@ bool ProcFleet::run_recovery_session(std::vector<ProcessId> faulty) {
     if (!quiesced_kill_respawn(withheld)) return false;
     if (std::find(faulty.begin(), faulty.end(), withheld) == faulty.end())
       faulty.push_back(withheld);
-    ++attempt;
   }
   ++recovery_sessions_;
-  // Drop delivered pairs with an endpoint behind the final line: the acked
-  // rollbacks undid those sends and receives together (the line is
-  // consistent, so a dead send's receive is dead too).
-  std::erase_if(delivered_, [&](const DeliveredRec& r) {
-    return r.send_interval > line[static_cast<std::size_t>(r.src)] ||
-           r.recv_interval > line[static_cast<std::size_t>(r.dst)];
-  });
+  mirror_.end_session(line);
   return true;
 }
 
@@ -969,7 +800,7 @@ bool ProcFleet::kill_unclean(ProcessId p) try {
   e.seq = log_->events_written();
   log_->append(e);
   w.draining = true;
-  w.unlogged_checkpoints = drop_outstanding_to(p);
+  mirror_.unclean_kill(p, drop_outstanding_to(p));
   kill_process(p);
   return true;
 } catch (const util::IoError& e) {
@@ -985,7 +816,7 @@ bool ProcFleet::restart(ProcessId p) try {
   // Unclean victims get no session (the run is liveness-only, not replay-
   // certified); still drop delivered pairs the death invalidated so a later
   // clean kill does not see phantom orphans from an earlier incarnation.
-  prune_delivered_after_attach(p, mirror_[static_cast<std::size_t>(p)].last());
+  mirror_.forget_after_attach(p);
   return true;
 } catch (const util::IoError& e) {
   return fail(e.what());

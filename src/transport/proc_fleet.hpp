@@ -37,10 +37,14 @@
 // receiver could see the message) and before the receiver's later frames
 // (same FIFO socket), so the log stays a valid linearization.
 //
-// Every frame a worker sends is checked before the parent acts on it: DV
-// widths against process_count, lineage indices against the parent's
-// mirror of the sender.  A rogue or corrupted worker fails the run with an
-// error() naming the frame kind — never an out-of-bounds access.
+// Everything the parent derives from the frames — each worker's DV rows,
+// the delivery records, the orphan rule and the Lemma-1 plan — lives in a
+// socket-free transport::FleetMirror (transport/fleet_mirror.hpp), which
+// checks every frame a worker sends before the parent acts on it: DV widths
+// against process_count, lineage indices against the mirror of the sender,
+// and each DV's own entry against Equation 3.  A rogue or corrupted worker
+// fails the run with an error() naming the frame kind — never an
+// out-of-bounds access.
 //
 // Failure injection is REAL here.  kill_and_restart(p) performs a
 // *quiesced* SIGKILL: the parent stops routing new traffic to p (dropping
@@ -76,6 +80,7 @@
 #include "ckpt/protocol.hpp"
 #include "ckpt/storage_backend.hpp"
 #include "transport/event_log.hpp"
+#include "transport/fleet_mirror.hpp"
 #include "transport/uds.hpp"
 #include "transport/wire.hpp"
 
@@ -96,8 +101,6 @@ struct FleetConfig {
   int step_timeout_ms = 30000;
   /// Worker-side idle suicide timeout (must exceed step_timeout_ms).
   int worker_idle_timeout_ms = 60000;
-  /// Re-broadcast attempts of one recovery barrier before failing the run.
-  int recovery_retries = 3;
   /// Test hook for the restart-during-session path: the next recovery
   /// session withholds its RecoveryStart frame from this process, collects
   /// every other ack, then quiesce-kills it mid-session — the session must
@@ -173,7 +176,9 @@ class ProcFleet {
   /// Delivery records kept for the orphan scan.  A record is dropped once
   /// its sender holds a checkpoint at or past its send interval, so the
   /// count stays bounded in a steady run.
-  std::size_t delivered_records() const { return delivered_.size(); }
+  std::size_t delivered_records() const {
+    return mirror_.delivered_records();
+  }
 
  private:
   using Clock = TimedReceiver::Clock;
@@ -200,8 +205,8 @@ class ProcFleet {
 
   /// FIFO of the replies one worker owes, in the order its socket returns
   /// them.  Its capacity is fixed when the fleet is built (see the
-  /// constructor): a worker owes at most one command, the deliveries the
-  /// outstanding bound allows, and the session frames barriers re-send.
+  /// constructor): a worker owes at most one command and the deliveries the
+  /// outstanding bound allows, or one session frame.
   class OwedRing {
    public:
     explicit OwedRing(std::size_t capacity);
@@ -231,12 +236,6 @@ class ProcFleet {
     bool alive = false;
     bool draining = false;  ///< kill decided: route nothing more to it
     std::uint64_t next_cmd_seq = 0;
-    std::uint64_t acked_session = 0;   ///< last recovery session acked
-    std::uint32_t acked_attempt = 0;   ///< attempt of that ack
-    /// Checkpoints the worker may have stored without the log seeing them:
-    /// deliveries dropped at its unclean kill (each may have forced one).
-    /// Bounds the next Hello's last_index above the mirror's.
-    std::uint64_t unlogged_checkpoints = 0;
   };
 
   /// What reading one owed reply came to.
@@ -245,33 +244,6 @@ class ProcFleet {
   static std::string describe(const OwedReply& owed);
   /// True iff `f` is the reply `owed` names.
   static bool answers(const DecodedFrame& f, const OwedReply& owed);
-
-  /// A delivery that completed: the send/receive pair the CCP now contains.
-  /// Kept until its sender checkpoints past the send or one endpoint dies
-  /// (rollback or process death), so the orphan condition — a live receive
-  /// of a dead send — is detectable after every kill.
-  struct DeliveredRec {
-    ProcessId src = -1;
-    std::uint32_t src_incarnation = 0;
-    std::uint64_t seq = 0;
-    IntervalIndex send_interval = 0;
-    ProcessId dst = -1;
-    IntervalIndex recv_interval = 0;
-  };
-
-  /// Parent-side mirror of one worker's dependency-vector history: one row
-  /// per stable checkpoint (dense by index, rows above the lineage position
-  /// truncated at re-attach/rollback — exactly the recorder's row set) plus
-  /// the current volatile DV.  The mirror is what lets the parent compute
-  /// the Lemma-1 recovery line without a recorder: every update rides on a
-  /// frame it routes anyway.
-  struct DvMirror {
-    std::vector<std::vector<IntervalIndex>> ckpt_dvs;
-    std::vector<IntervalIndex> current;
-    CheckpointIndex last() const {
-      return static_cast<CheckpointIndex>(ckpt_dvs.size()) - 1;
-    }
-  };
 
   bool fail(const std::string& what);
   /// The reused log record, set to `kind`.  Its vectors keep their capacity
@@ -311,14 +283,8 @@ class ProcFleet {
   /// verbatim); `owed` is the request it answers.
   bool handle_frame(ProcessId p, std::span<const std::uint8_t> raw,
                     const DecodedFrame& frame, const OwedReply& owed);
-  /// fail() unless `dv` is process_count wide.
-  bool check_width(ProcessId p, const char* kind,
-                   const std::vector<IntervalIndex>& dv);
   /// Log the send, then forward `raw` to its destination, or log a drop.
   void route_data(std::span<const std::uint8_t> raw, const DecodedFrame& frame);
-  /// Drop delivery records of sender p that its newest checkpoint made
-  /// safe: a later kill resumes at or above it, so they cannot orphan.
-  void prune_delivered_below_checkpoint(ProcessId p);
   /// Queue a command to p, owing its reply.
   bool send_cmd(ProcessId p, CmdOp op, ProcessId target, std::uint64_t param);
   /// Send a command, read p's replies up to its own, then hold outstanding
@@ -337,20 +303,11 @@ class ProcFleet {
   /// Quiesced SIGKILL + respawn + Hello, no session logic (the body the old
   /// kill_and_restart had; kill_and_restart layers orphan handling on top).
   bool quiesced_kill_respawn(ProcessId p);
-  /// Lemma 1 over the DV mirrors (Eq. 2 directly): per process the latest
-  /// general checkpoint (volatile included) not causally preceded by any
-  /// faulty process's last stable checkpoint; li[j] = line[j]+1 where j
-  /// rolls back a stable checkpoint, line[j] otherwise.
-  void compute_plan(const std::vector<bool>& faulty_mask,
-                    std::vector<CheckpointIndex>& line,
-                    std::vector<IntervalIndex>& li) const;
   /// Run the paper's recovery session over the wire: drain, plan, log,
-  /// broadcast, barrier on acks (deadline-bounded re-broadcast), restarting
-  /// with an accumulated faulty set when a kill lands mid-session.
+  /// broadcast, then one deadline-bounded read of every RolledBack owed,
+  /// restarting with an accumulated faulty set when a kill lands
+  /// mid-session.
   bool run_recovery_session(std::vector<ProcessId> faulty);
-  /// Drop delivered-pair records with a dead endpoint after p re-attached
-  /// at `last` without a session (clean kill / unclean restart).
-  void prune_delivered_after_attach(ProcessId p, CheckpointIndex last);
 
   FleetConfig config_;
   std::string socket_path_;
@@ -364,10 +321,8 @@ class ProcFleet {
   /// RecvAcks owed across the fleet: messages routed, not yet delivered.
   std::size_t owed_acks_ = 0;
   std::uint64_t next_routed_ = 0;
-  /// Completed deliveries a kill of their sender could still orphan.
-  std::vector<DeliveredRec> delivered_;
-  /// Per-worker DV history mirror (indexed by process id).
-  std::vector<DvMirror> mirror_;
+  /// DV rows, delivery records, orphan rule and plan.
+  FleetMirror mirror_;
   std::unique_ptr<EventLogWriter> log_;
   Event event_;
   WireBuffer scratch_;

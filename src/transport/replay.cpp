@@ -203,7 +203,7 @@ class Replayer {
         }
       }
       if (!orphaned) {
-        // No orphan: mirror the fleet's prune_delivered_after_attach.
+        // No orphan: the fleet's FleetMirror::forget_after_attach.
         std::erase_if(delivered_, [&](const Delivered& r) {
           return (r.dst == e.p && r.recv_interval > e.index) ||
                  (r.src == e.p && r.send_interval > e.index);
@@ -332,9 +332,9 @@ class Replayer {
   }
 
   /// Each kRolledBack ack applies the current plan to exactly that process
-  /// — including duplicate acks from barrier re-broadcasts, which the real
-  /// worker also executed twice, so per-ack application mirrors the real
-  /// run bit for bit — and certifies the post-rollback digest.
+  /// — a worker acks each attempt it was sent once, so per-ack application
+  /// mirrors the real run bit for bit, restarted attempts included — and
+  /// certifies the post-rollback digest.
   bool step_rolled_back(const Event& e) {
     if (!has_plan_)
       return fail("rollback ack outside any recovery session");

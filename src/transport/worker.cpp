@@ -135,10 +135,10 @@ class Worker {
   /// decides the branch: at or below our last stable checkpoint we restore
   /// it (targeted rollback, volatile state and post-line checkpoints
   /// discarded); above it we keep the volatile state and run peer recovery
-  /// with the LI vector.  A re-broadcast session (restart after a second
-  /// kill) repeats the same branch against the already-rolled-back state —
-  /// the rollback degenerates to restoring the position we already hold, so
-  /// the handler is safely re-entrant.
+  /// with the LI vector.  A restarted session (after a second kill
+  /// mid-session) repeats the same branch against the already-rolled-back
+  /// state — the rollback degenerates to restoring the position we already
+  /// hold, so the handler is safely re-entrant.
   int handle_recovery(const DecodedFrame& frame) {
     const RecoveryStartBody& body = frame.recovery_start;
     if (body.li.size() != config_.process_count ||

@@ -10,9 +10,10 @@
 //    deliveries scheduled through Simulator::run, and for the socket hops
 //    a fleet frame takes (send_frame + recv_frame, and a FrameQueue flush
 //    of several frames in one datagram handed out frame by frame by a
-//    TimedReceiver) and for the event-log line the fleet parent
-//    appends per frame, enforced with a global operator new/delete
-//    counting hook.
+//    TimedReceiver), for the event-log line the fleet parent appends per
+//    frame and for the sends and unforced deliveries it feeds its
+//    FleetMirror, enforced with a global operator new/delete counting
+//    hook.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
@@ -38,6 +39,7 @@
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 #include "transport/event_log.hpp"
+#include "transport/fleet_mirror.hpp"
 #include "transport/uds.hpp"
 #include "transport/wire.hpp"
 #include "util/check.hpp"
@@ -781,6 +783,39 @@ TEST(HotPathAllocations, ReusedEventAppendsWithoutAllocating) {
   EXPECT_EQ(g_allocation_count.load() - before, 0u)
       << "an event-log append touched the heap";
   EXPECT_EQ(log.events_written(), 3u * 201);
+}
+
+TEST(HotPathAllocations, WarmMirrorDeliveryIsAllocationFree) {
+  // The fleet parent's most frequent mirror updates on fleet-steady: a Data
+  // frame's send check, then its unforced delivery, which appends a record
+  // into kept capacity and overwrites the receiver's volatile DV in place.
+  // Each round ends with the sender's basic checkpoint, which retires the
+  // round's records (and stores a row, outside the count).
+  transport::FleetMirror mirror(4);
+  for (ProcessId p = 0; p < 4; ++p) {
+    std::vector<IntervalIndex> dv(4, 0);
+    dv[static_cast<std::size_t>(p)] = 1;
+    ASSERT_TRUE(mirror.attach(p, 0, 0, dv)) << mirror.error();
+  }
+  std::vector<IntervalIndex> sender = {1, 0, 0, 0};
+  std::vector<IntervalIndex> receiver = {1, 1, 0, 0};
+  std::uint64_t seq = 0;
+  std::uint64_t allocations = 0;
+  for (IntervalIndex round = 1; round <= 100; ++round) {
+    sender[0] = receiver[0] = round;
+    const std::uint64_t before = g_allocation_count.load();
+    for (int k = 0; k < 32; ++k) {
+      ASSERT_TRUE(mirror.send(0, round, sender)) << mirror.error();
+      ASSERT_TRUE(mirror.deliver(transport::Delivery{0, 0, ++seq, round, 1, 1},
+                                 false, receiver))
+          << mirror.error();
+    }
+    // The first two rounds warm the record vector's capacity.
+    if (round > 2) allocations += g_allocation_count.load() - before;
+    ASSERT_TRUE(mirror.checkpoint(0, round, sender)) << mirror.error();
+    ASSERT_EQ(mirror.delivered_records(), 0u);
+  }
+  EXPECT_EQ(allocations, 0u) << "a warm mirror delivery touched the heap";
 }
 
 }  // namespace

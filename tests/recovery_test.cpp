@@ -284,8 +284,8 @@ TEST(Recovery, SessionRestartAfterPartialApplicationConverges) {
     EXPECT_LE(plan1.line[j], plan0.line[j])
         << "growing the faulty set must never raise the line";
 
-  // Re-applying the completed session models a duplicate RolledBack cycle
-  // (a barrier re-broadcast): the digest must not move.
+  // Re-applying the completed session models a worker whose restarted
+  // attempt names the position it already holds: the digest must not move.
   for (ProcessId p = 0; p < 4; ++p) {
     const auto last = rig.system->node(p).last_checkpoint_index();
     std::vector<IntervalIndex> dv(rig.system->node(p).dv().entries().begin(),
@@ -336,6 +336,60 @@ TEST(Recovery, PlanApplySplitEqualsMonolithicRecover) {
           mono.system->node(p).dv().entries().begin()));
       EXPECT_EQ(split.system->node(p).store().stored_indices(),
                 mono.system->node(p).store().stored_indices());
+    }
+  }
+}
+
+// The production Lemma-1 scan (recovery::first_unpreceded, shared by the
+// fleet parent's FleetMirror::plan and recovery_line_from_storage) against
+// the oracle's own copy: over the recorder's rows, newest first with the
+// volatile DV, it names the same line as ccp::recovery_line_lemma1 for
+// every non-empty faulty set, on seeded runs of three RDT protocols.
+TEST(Recovery, SharedLemma1ScanEqualsTheOracleOnEveryFaultySet) {
+  const std::size_t n = 4;
+  for (const ckpt::ProtocolKind kind :
+       {ckpt::ProtocolKind::kFdas, ckpt::ProtocolKind::kFdi,
+        ckpt::ProtocolKind::kMrs}) {
+    for (const std::uint64_t seed : {7u, 19u, 44u}) {
+      harness::SystemConfig config;
+      config.process_count = n;
+      config.protocol = kind;
+      config.seed = seed;
+      harness::System system(config);
+      workload::WorkloadConfig wl;
+      wl.seed = seed + 1;
+      workload::WorkloadDriver driver(system.simulator(), system.node_ptrs(),
+                                      wl);
+      driver.start(1500);
+      system.simulator().run_until(900);
+
+      const ccp::CcpRecorder& recorder = system.recorder();
+      const ccp::DvPrecedence causal(recorder);
+      std::vector<CheckpointIndex> last(n);
+      for (std::size_t p = 0; p < n; ++p)
+        last[p] = recorder.last_stable(static_cast<ProcessId>(p));
+      for (unsigned mask = 1; mask < (1u << n); ++mask) {
+        std::vector<bool> faulty(n);
+        for (std::size_t f = 0; f < n; ++f) faulty[f] = ((mask >> f) & 1) != 0;
+        std::vector<CheckpointIndex> line(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const auto p = static_cast<ProcessId>(i);
+          // Every general checkpoint, the volatile state first.
+          const auto candidates = static_cast<std::size_t>(last[i] + 2);
+          const std::size_t k = recovery::first_unpreceded(
+              candidates,
+              [&](std::size_t c) {
+                return recorder.general_checkpoint_dv(
+                    p, static_cast<CheckpointIndex>(candidates - 1 - c));
+              },
+              last, faulty);
+          ASSERT_LT(k, candidates) << "s^0 is preceded by nothing";
+          line[i] = static_cast<CheckpointIndex>(candidates - 1 - k);
+        }
+        EXPECT_EQ(line, ccp::recovery_line_lemma1(recorder, causal, faulty))
+            << ckpt::protocol_kind_name(kind) << " seed " << seed
+            << " faulty mask " << mask;
+      }
     }
   }
 }

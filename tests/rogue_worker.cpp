@@ -9,10 +9,14 @@
 //   short-hello         Hello DV one entry short
 //   huge-hello-index    Hello claiming last checkpoint index 2^31 - 1
 //   bundled-hello       Hello sent twice in one datagram
+//   hello-own-entry     Hello whose own DV entry is not its last checkpoint
+//                       index + 1 (Equation 3)
 //   short-recv-ack      RecvAck DV one entry short
 //   forced-ack-lineage  RecvAck claiming a forced checkpoint five intervals
 //                       past the receiver's lineage
 //   short-checkpoint    Checkpoint DV one entry short
+//   data-send-interval  Data frame claiming a send interval one past the
+//                       sender's current one
 //   phantom-recv-ack    RecvAck naming a seq the parent never routed to it
 //   extra-cmd-done      a CmdDone after its Data reply, in a datagram of
 //                       its own, as wire v3 sent
@@ -74,6 +78,7 @@ int main(int argc, char** argv) {
                          ? std::numeric_limits<CheckpointIndex>::max()
                          : 0;
   hello.dv = mode == "short-hello" ? short_dv() : dv;
+  if (mode == "hello-own-entry") hello.dv[static_cast<std::size_t>(self)] = 2;
   encode_hello(out, meta(-1), hello);
   if (mode == "bundled-hello") {
     const WireBuffer again = out;
@@ -113,7 +118,8 @@ int main(int argc, char** argv) {
         switch (static_cast<CmdOp>(cmd.op)) {
           case CmdOp::kSendApp: {
             DataBody data;
-            data.send_interval = interval;
+            data.send_interval =
+                interval + (mode == "data-send-interval" ? 1 : 0);
             data.bytes = cmd.param;
             data.dv = dv;
             encode_data(out, meta(cmd.target), data);

@@ -30,7 +30,11 @@
 // outstanding deliveries stay bounded over 2000-call runs, kill/restart
 // cycles leave no descriptor behind, and a rogue worker's malformed frames,
 // a reply other than the one it owes, a torn reply datagram or one reply
-// too many, fail the run by name.  The worker's side of the request/reply
+// too many, fail the run by name.  Every certified log, folded into a
+// fresh FleetMirror from its records alone, reproduces each logged
+// recovery line and LI vector and each orphan decision; a stopped survivor
+// fails a session's barrier after one deadline, naming the RolledBack it
+// owes.  The worker's side of the request/reply
 // contract is pinned against the real rdtgc_proc: each request datagram is
 // answered by one datagram holding exactly one reply per frame.  A seeded
 // run pins every worker's own history (its sends, deliveries and
@@ -64,6 +68,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -73,6 +78,7 @@
 #include "helpers.hpp"
 #include "recovery/recovery_manager.hpp"
 #include "transport/event_log.hpp"
+#include "transport/fleet_mirror.hpp"
 #include "transport/proc_fleet.hpp"
 #include "transport/replay.hpp"
 
@@ -140,6 +146,103 @@ std::vector<CheckpointIndex> line_from_replay_system(
   return recovery::recovery_line_from_storage(ptrs);
 }
 
+/// Count log events of one kind.
+std::size_t count_events(const std::vector<Event>& events, EventKind kind) {
+  std::size_t count = 0;
+  for (const Event& e : events)
+    if (e.kind == kind) ++count;
+  return count;
+}
+
+/// Fold a certified event log into a fresh FleetMirror, from the log's
+/// records alone, the way the parent fed its own mirror: every logged
+/// RecoveryStart must be the plan the mirror gives for its faulty set, with
+/// the same line and LI, and a quiesced kill must orphan a delivery exactly
+/// when a session follows it.
+void expect_fold_reproduces_plans(const std::string& log_path, std::size_t n) {
+  FleetMirror mirror(n);
+  // A delivery record carries its send's interval.
+  std::map<std::tuple<ProcessId, std::uint32_t, std::uint64_t>, IntervalIndex>
+      send_intervals;
+  std::vector<CheckpointIndex> line;
+  std::vector<IntervalIndex> li;
+  std::vector<bool> acked(n, false);  // acks of the open session attempt
+  bool in_session = false;    // the last session may still be acking
+  bool killed = false;        // a quiesced kill awaits its re-attach
+  bool session_owed = false;  // that kill orphaned a delivery
+  std::size_t plans = 0;
+  // A session ends with its final attempt's acks; the next record of
+  // another kind shows it has.
+  const auto end_session = [&] {
+    if (in_session) mirror.end_session(line);
+    in_session = false;
+  };
+  for (const Event& e : read_event_log(log_path)) {
+    switch (e.kind) {
+      case EventKind::kAttach:
+        ASSERT_TRUE(mirror.attach(e.p, e.incarnation, e.index, e.dv))
+            << mirror.error();
+        if (killed && !in_session) {
+          session_owed = mirror.orphans(e.p, e.incarnation - 1) > 0;
+          if (!session_owed) mirror.forget_after_attach(e.p);
+        }
+        killed = false;
+        break;
+      case EventKind::kKill:
+        // Mid-session, only the worker withheld from the frames dies.
+        if (acked[static_cast<std::size_t>(e.p)]) end_session();
+        killed = true;
+        break;
+      case EventKind::kSend:
+        end_session();
+        ASSERT_FALSE(session_owed) << "no session followed an orphaning kill";
+        ASSERT_TRUE(mirror.send(e.src, e.interval, e.dv)) << mirror.error();
+        send_intervals[{e.src, e.src_incarnation, e.seq}] = e.interval;
+        break;
+      case EventKind::kDeliver:
+        end_session();
+        ASSERT_TRUE(mirror.deliver(
+            Delivery{e.src, e.src_incarnation, e.seq,
+                     send_intervals.at({e.src, e.src_incarnation, e.seq}),
+                     e.dst, e.interval},
+            e.forced != 0, e.dv))
+            << mirror.error();
+        break;
+      case EventKind::kCheckpoint:
+        end_session();
+        ASSERT_TRUE(mirror.checkpoint(e.p, e.index, e.dv)) << mirror.error();
+        break;
+      case EventKind::kRecoveryStart:
+        ASSERT_TRUE(session_owed || in_session)
+            << "a session started that no orphan called for";
+        session_owed = false;
+        in_session = true;
+        acked.assign(n, false);
+        mirror.plan(e.faulty, line, li);
+        EXPECT_EQ(line, e.line) << "session " << e.session << " attempt "
+                                << e.attempt;
+        EXPECT_EQ(li, e.li) << "session " << e.session << " attempt "
+                            << e.attempt;
+        ++plans;
+        break;
+      case EventKind::kRolledBack:
+        ASSERT_TRUE(mirror.rolled_back(e.p, e.index, e.dv)) << mirror.error();
+        acked[static_cast<std::size_t>(e.p)] = true;
+        break;
+      case EventKind::kState:
+        end_session();
+        ASSERT_FALSE(session_owed) << "no session followed an orphaning kill";
+        break;
+      case EventKind::kDrop:
+        break;
+      case EventKind::kUncleanKill:
+        FAIL() << "a certified log holds no unclean kill";
+    }
+  }
+  EXPECT_EQ(plans, count_events(read_event_log(log_path),
+                                EventKind::kRecoveryStart));
+}
+
 /// Orphan-gate skips across the whole binary: runs where the graph-based
 /// oracles (Eq. 2 / RDT / Theorem 1) had to be skipped because the final
 /// recorder still contained an orphan receive.  Before wire-driven recovery
@@ -172,6 +275,7 @@ void certify(const ProcFleet& fleet, const ScratchDir& dir, std::size_t n) {
   test::audit_eq2(replay.system->recorder());
   test::audit_rdt(replay.system->recorder());
   test::audit_safety_theorem1(*replay.system);
+  expect_fold_reproduces_plans(fleet.log_path(), n);
 
   // The REAL media on disk must agree with the replayed media on the
   // recovery line a full cluster restart would use (Lemma 1 over storage).
@@ -305,6 +409,7 @@ void random_run(std::uint64_t seed, SweepStats& stats) {
   EXPECT_EQ(line_from_fleet_media(fleet, n),
             line_from_replay_system(*replay.system))
       << "seed " << seed;
+  expect_fold_reproduces_plans(fleet.log_path(), n);
 }
 
 TEST(Transport, TwentySeedsReplayBitIdentical) {
@@ -333,14 +438,6 @@ TEST(Transport, TwentySeedsReplayBitIdentical) {
 }
 
 // ---- Wire-driven recovery sessions ----------------------------------------
-
-/// Count log events of one kind.
-std::size_t count_events(const std::vector<Event>& events, EventKind kind) {
-  std::size_t count = 0;
-  for (const Event& e : events)
-    if (e.kind == kind) ++count;
-  return count;
-}
 
 // The tentpole acceptance: a kill that orphans delivered messages triggers
 // the paper's recovery session over the wire — RecoveryStart broadcast with
@@ -746,7 +843,8 @@ FleetConfig rogue_config(const ScratchDir& dir) {
 TEST(Transport, RogueHelloFailsStartByName) {
   ASSERT_FALSE(rogue_bin().empty()) << "RDTGC_ROGUE_BIN not set";
   for (const char* mode :
-       {"short-hello", "huge-hello-index", "bundled-hello"}) {
+       {"short-hello", "huge-hello-index", "bundled-hello",
+        "hello-own-entry"}) {
     const RogueMode rogue(mode);
     ScratchDir dir(std::string("transport_rogue_") + mode);
     ProcFleet fleet(rogue_config(dir));
@@ -765,6 +863,8 @@ TEST(Transport, RogueFramesFailTheCallByName) {
       {"short-recv-ack", "RecvAck frame from p1 carries a DV of width 2"},
       {"forced-ack-lineage", "RecvAck frame from p1 puts its receive in"},
       {"short-checkpoint", "Checkpoint frame from p0 carries a DV of width 2"},
+      {"data-send-interval",
+       "Data frame from p0 puts its send in interval 2, its lineage in 1"},
       // p0's Data frame is its seq 2 (its Hello is seq 1).
       {"phantom-recv-ack",
        "p1 replied with RecvAck of message (p0, inc 0, seq 1002) where it "
@@ -952,6 +1052,32 @@ TEST(Transport, StoppedCommandTargetFailsTheCallAtItsDeadline) {
   // Reaped: no such process, not even a zombie.
   EXPECT_EQ(::kill(stopped, 0), -1);
   EXPECT_EQ(errno, ESRCH);
+}
+
+// A survivor that stops answering during a recovery session: the barrier
+// is one deadline-bounded read of the RolledBack each worker owes, so the
+// kill that started the session fails after one deadline, naming what the
+// stopped worker still owes.
+TEST(Transport, StoppedSurvivorFailsTheSessionBarrierAtItsDeadline) {
+  ASSERT_FALSE(proc_bin().empty()) << "RDTGC_PROC_BIN not set";
+  ScratchDir dir("transport_stopped_survivor");
+  FleetConfig config = fleet_config(dir, 3);
+  config.step_timeout_ms = 300;
+  ProcFleet fleet(config);
+  ASSERT_TRUE(fleet.start()) << fleet.error();
+  ASSERT_TRUE(fleet.send_app(0, 1)) << fleet.error();
+  // p1's send to p0 is delivered before the quiesce: the kill orphans it.
+  ASSERT_TRUE(fleet.send_app(1, 0)) << fleet.error();
+  ASSERT_EQ(::kill(fleet.pid(2), SIGSTOP), 0);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(fleet.kill_and_restart(1));
+  const auto took = std::chrono::steady_clock::now() - t0;
+  EXPECT_GE(took, std::chrono::milliseconds(300));
+  EXPECT_LT(took, std::chrono::milliseconds(2 * 300));
+  EXPECT_NE(fleet.error().find("deadline expired after 300 ms: p2 still owes "
+                               "RolledBack of session 1 attempt 0"),
+            std::string::npos)
+      << fleet.error();
 }
 
 // A worker SIGKILLed from outside while it owes a RecvAck: the next wait on
